@@ -11,12 +11,14 @@ available.
 Compilation and execution are timed *separately* — the paper's use case
 compiles once and contracts many times, and folding a one-off ``cc``
 invocation into the run time would swamp the kernel-level signal.  Each
-arm is compiled once via :func:`chost.build_executable`, run
-``REPEATS`` times via :func:`chost.run_executable`, and scored on its
-best run.  Results (plus a bit-exactness check of both arms against
-``numpy.einsum`` on integer operands) land in ``BENCH_cpu_target.json``
-at the repo root.  PR-level target: openmp >= 2x faster than cemu on
-the mid-size Eq. 1 contraction.
+arm is built once as a shared object via :func:`chost.build_executable`,
+called ``REPEATS`` times in-process via :func:`chost.run_executable`,
+and scored on its best run.  ``run_s`` is the foreign call plus operand
+layout conversion: no process spawn and no file IO.  Results (plus a
+bit-exactness check of both arms against ``numpy.einsum`` on integer
+operands) land in ``BENCH_cpu_target.json`` at the repo root.
+Target: openmp >= 2x faster than cemu on the mid-size Eq. 1
+contraction.
 """
 
 import json
@@ -24,7 +26,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.codegen import chost, get_target
+from repro.core.codegen import chost
 from repro.core.codegen import cemu, openmp
 from repro.core.mapping import config_from_spec
 from repro.core.parser import parse
@@ -46,12 +48,12 @@ SIZE_QUICK = 24
 REPEATS = 5
 REPEATS_QUICK = 3
 
-#: Per-arm toolchain: (emitter, cflags, fallback cflags, exe stem).
+#: Per-arm toolchain: (emitter, entry point, cflags, fallback cflags).
 ARMS = {
-    "cemu": (cemu.CemuTarget().emit_kernel, ("-O2", "-std=c99"), None,
-             "kernel_emu"),
-    "openmp": (openmp.OpenmpTarget().emit_kernel, openmp.CFLAGS,
-               openmp.CFLAGS_PORTABLE, "kernel_omp"),
+    "cemu": (cemu.CemuTarget().emit_kernel, "tc_kernel_emu",
+             ("-O2", "-std=c99"), None),
+    "openmp": (openmp.OpenmpTarget().emit_kernel, "tc_kernel_omp",
+               openmp.CFLAGS, openmp.CFLAGS_PORTABLE),
 }
 
 
@@ -66,26 +68,23 @@ def _plan(size: int) -> KernelPlan:
     return KernelPlan(c, cfg)
 
 
-def run_arms(size: int, repeats: int, workdir: Path):
+def run_arms(size: int, repeats: int):
     plan = _plan(size)
     a, b = integer_operands(plan.contraction, seed=1)
     want = reference_contract(plan.contraction, a, b)
 
     rows = {}
-    for name, (emit, cflags, fallback, stem) in ARMS.items():
-        arm_dir = workdir / name
-        arm_dir.mkdir(parents=True, exist_ok=True)
+    for name, (emit, entry, cflags, fallback) in ARMS.items():
         t0 = time.perf_counter()
-        exe = chost.build_executable(
-            emit(plan), arm_dir, cflags=cflags,
-            fallback_cflags=fallback, stem=stem,
+        lib = chost.build_executable(
+            emit(plan), entry, cflags=cflags, fallback_cflags=fallback,
         )
         compile_s = time.perf_counter() - t0
         runs = []
         out = None
         for _ in range(repeats):
             t0 = time.perf_counter()
-            out = chost.run_executable(exe, plan, a, b, arm_dir)
+            out = chost.run_executable(lib, plan, a, b)
             runs.append(time.perf_counter() - t0)
         rows[name] = {
             "compile_s": compile_s,
@@ -96,13 +95,13 @@ def run_arms(size: int, repeats: int, workdir: Path):
     return plan, rows
 
 
-def test_openmp_target_beats_cemu(benchmark, tmp_path):
+def test_openmp_target_beats_cemu(benchmark):
     size = SIZE_QUICK if quick_mode() else SIZE
     repeats = REPEATS_QUICK if quick_mode() else REPEATS
     threshold = 1.3 if quick_mode() else 2.0
 
     plan, rows = benchmark.pedantic(
-        run_arms, args=(size, repeats, tmp_path),
+        run_arms, args=(size, repeats),
         rounds=1, iterations=1,
     )
     speedup = rows["cemu"]["best_run_s"] / rows["openmp"]["best_run_s"]

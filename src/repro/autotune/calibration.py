@@ -381,12 +381,18 @@ def fit_calibration(
     """Fit per-regime, per-head corrections on ``samples``.
 
     Deterministic: identical samples (in any order) produce identical
-    coefficients — rows are sorted on a stable key before the solve.
+    coefficients — rows are sorted on every field before the solve, so
+    samples that tie on benchmark, regime and features still sum in one
+    fixed order.
     """
     with obs.span("calibration.fit"):
         ordered = sorted(
             samples,
-            key=lambda s: (s.benchmark, s.regime, s.features),
+            key=lambda s: (
+                s.benchmark, s.regime, s.features,
+                s.log_analytic_txn, s.log_exact_txn,
+                s.log_analytic_time, s.log_true_time,
+            ),
         )
         coefficients: Dict[str, Dict[str, Tuple[float, ...]]] = {}
         for regime in REGIMES:

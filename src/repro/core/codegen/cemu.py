@@ -3,11 +3,12 @@
 Emits the *same* kernel plan as :mod:`repro.core.codegen.cuda`, but as
 plain C that runs on the host CPU: the implicit parallelism of CUDA is
 made explicit by looping over thread blocks and, inside each
-barrier-delimited phase, over threads.  The emitted program reads the
-input tensors from raw little-endian files, runs the kernel emulation,
-and writes the output tensor — so the generated *source text* (index
-arithmetic, staging layout, bounds handling) can be compiled with a
-stock C compiler and validated end-to-end against ``numpy.einsum``.
+barrier-delimited phase, over threads.  The emulation is an exported
+entry point that :mod:`~repro.core.codegen.chost` calls in-process (the
+emitted ``main()`` wraps it for standalone use) — so the generated
+*source text* (index arithmetic, staging layout, bounds handling) can be
+compiled with a stock C compiler and validated end-to-end against
+``numpy.einsum``.
 
 This is the offline substitute for executing the CUDA kernel with
 pycuda/cupy on real hardware (see DESIGN.md, substitution table).
@@ -15,8 +16,7 @@ pycuda/cupy on real hardware (see DESIGN.md, substitution table).
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -65,7 +65,10 @@ def _kernel_function(plan: KernelPlan, name: str) -> List[str]:
         f" * {plan.smem_y_elements});",
         f"{scalar}* r_c = ({scalar}*)malloc(sizeof({scalar})"
         f" * {nthreads} * {reg_elems});",
-        "if (!s_a || !s_b || !r_c) { exit(2); }",
+        "if (!s_a || !s_b || !r_c) {",
+        "    free(s_a); free(s_b); free(r_c);",
+        "    return 2;",
+        "}",
     ]
 
     block_body: List[str] = []
@@ -83,7 +86,7 @@ def _kernel_function(plan: KernelPlan, name: str) -> List[str]:
     # Mirror the CUDA backend's staging (scalar lanes for the vector
     # grouping) so the group/lane addressing is exercised by the
     # compiled emulation as well.
-    for tensor, buffer in ((a, "s_a"), (b, "s_b")):
+    for tensor, buffer in ((plan.x_input, "s_a"), (plan.y_input, "s_b")):
         step_body += serial_stage_loops(plan, tensor, buffer, scalar)
     btx = plan.config.block_tile_x
     bty = plan.config.block_tile_y
@@ -135,8 +138,9 @@ def _kernel_function(plan: KernelPlan, name: str) -> List[str]:
     body += ix.indent(block_body, 1)
     body.append("}")
     body.append("free(s_a); free(s_b); free(r_c);")
+    body.append("return 0;")
 
-    lines = [f"static void {name}({', '.join(params)})", "{"]
+    lines = [f"int {name}({', '.join(params)})", "{"]
     lines += ix.indent(body, 1)
     lines.append("}")
     return lines
@@ -172,28 +176,12 @@ def generate_c_emulation(
 
 
 def compile_and_run(
-    plan: KernelPlan,
-    a: np.ndarray,
-    b: np.ndarray,
-    cc: str = "cc",
-    workdir: Optional[Path] = None,
-    keep_files: bool = False,
+    plan: KernelPlan, a: np.ndarray, b: np.ndarray, cc: str = "cc"
 ) -> np.ndarray:
-    """Compile the emitted C program, run it on ``a``/``b``, return C.
-
-    Arrays are exchanged through raw column-major-strided buffers: the
-    generated code treats the *first* index as fastest, so numpy arrays
-    are written in Fortran order and the result is read back the same
-    way.
-    """
+    """Build the emitted C program (once), run it on ``a``/``b``, return C."""
     return compile_and_run_source(
-        plan, _emit_program(plan), a, b,
-        cc=cc,
-        cflags=("-O2", "-std=c99"),
-        workdir=workdir,
-        keep_files=keep_files,
-        stem="kernel_emu",
-        workdir_prefix="cogent_emu_",
+        plan, _emit_program(plan), "tc_kernel_emu", a, b,
+        cc=cc, cflags=("-O2", "-std=c99"),
     )
 
 

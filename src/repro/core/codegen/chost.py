@@ -1,34 +1,49 @@
 """Shared host-side plumbing for the CPU-executable C targets.
 
 The sequential C emulation (``cemu``), the pthread OpenCL harness
-(``clemu``) and the OpenMP CPU backend (``openmp``) all wrap a kernel
-function in the same standalone-program shell: extents from ``argv``,
-raw little-endian tensor files in, the output tensor file out.  And all
-three are compiled and executed the same way on the Python side: write
-the source, invoke the system C compiler, exchange arrays through
-Fortran-ordered (first-index-fastest) binary files.
+(``clemu``) and the OpenMP CPU backend (``openmp``) all emit one
+program shape: an exported entry point ``int entry(C, A, B, n_<i>...)``
+that runs the kernel and returns a status (0 on success, 2 when an
+allocation failed), plus a thin ``main()`` around it that reads extents
+from ``argv`` and exchanges raw tensor files, so ``cogent gen`` output
+is still a standalone program.
+
+On the Python side all three are executed the same way, in-process:
+the source is compiled once as a shared object (memoized by a hash of
+source, entry point, compiler and flags), loaded with ``ctypes``, and its entry
+point is called on Fortran-ordered (first-index-fastest) numpy buffers.
+No files are exchanged and no process is spawned per call.
 
 This module holds that shell once — the ``main()`` emitter, the staged
-tile-load loop emitter, and the compile/run harness — so the executable
-targets cannot drift apart in their I/O conventions and a new CPU
-backend is just a kernel-function emitter.
+tile-load loop emitter, and the build/run harness — so the executable
+targets cannot drift apart in their conventions and a new CPU backend
+is just a kernel-function emitter.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import subprocess
 import tempfile
+import threading
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ... import obs
 from ..plan import KernelPlan
 from . import indexing as ix
 
 
 class EmulationError(RuntimeError):
     """Raised when compiling or running an emitted C program fails."""
+
+
+class OperandShapeError(ValueError):
+    """Raised when an operand's shape differs from the plan's extents."""
 
 
 # -- shared source fragments -------------------------------------------------
@@ -92,12 +107,14 @@ def serial_stage_loops(
     return lines
 
 
-def host_main_function(plan: KernelPlan, kernel_name: str) -> List[str]:
+def host_main_function(plan: KernelPlan, entry: str) -> List[str]:
     """The standalone ``main()``: argv extents, fread A/B, fwrite C.
 
-    Usage is ``prog n_<i>... A.bin B.bin C.bin`` with every tensor in
-    first-index-fastest (column-major) element order — the convention
-    :func:`compile_and_run_source` writes and reads.
+    A thin wrapper around the program's exported ``entry`` point, so
+    the emitted source also builds as a command-line program.  Usage is
+    ``prog n_<i>... A.bin B.bin C.bin`` with every tensor in
+    first-index-fastest (column-major) element order; a nonzero status
+    from ``entry`` becomes the exit code.
     """
     scalar = scalar_type(plan.dtype_bytes)
     contraction = plan.contraction
@@ -140,9 +157,10 @@ def host_main_function(plan: KernelPlan, kernel_name: str) -> List[str]:
         f"    if (fread(B_, sizeof({scalar}), elems_b, fb)"
         " != (size_t)elems_b) return 4;",
         "    fclose(fa); fclose(fb);",
-        f"    {kernel_name}(C_, A_, B_, "
+        f"    const int status_ = {entry}(C_, A_, B_, "
         + ", ".join(ix.extent_param(i) for i in indices)
         + ");",
+        "    if (status_ != 0) return status_;",
         f'    FILE* fc = fopen(argv[{base + 3}], "wb");',
         "    if (!fc) return 5;",
         f"    if (fwrite(C_, sizeof({scalar}), elems_c, fc)"
@@ -155,107 +173,144 @@ def host_main_function(plan: KernelPlan, kernel_name: str) -> List[str]:
     return lines
 
 
-# -- compile/run harness -----------------------------------------------------
+# -- in-process build/run harness --------------------------------------------
+
+
+@dataclass
+class NativeLibrary:
+    """A built program loaded into this process, and its entry point."""
+
+    entry: Callable[..., int]
+    #: Keeps the ``dlopen`` handle alive as long as the entry is used.
+    handle: ctypes.CDLL
+    #: Serializes calls: the OpenCL harness keeps its work-group state
+    #: in statics, and ``ctypes`` releases the GIL during the call.
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+#: Loaded libraries by build key.  Never unloaded: a library cannot be
+#: closed safely while a returned entry point may still run.
+_LIBRARIES: Dict[str, NativeLibrary] = {}
+_BUILD_LOCK = threading.Lock()
 
 
 def build_executable(
     source: str,
-    workdir: Path,
+    entry: str,
     cc: str = "cc",
     cflags: Sequence[str] = ("-O2", "-std=c99"),
-    stem: str = "kernel_emu",
     fallback_cflags: Optional[Sequence[str]] = None,
-) -> Path:
-    """Write ``source`` under ``workdir`` and compile it; return the exe.
+) -> NativeLibrary:
+    """Compile ``source`` as a shared object and load its ``entry``.
 
-    ``fallback_cflags`` retries the compilation with a second flag set
-    when the first fails (e.g. ``-march=native`` on compilers that do
-    not support it).
+    The library is memoized in-process by a hash of source, entry,
+    compiler and flags, so a source is compiled once per process
+    (``chost.builds`` counts the compilations, ``chost.build_hits`` the
+    reuses).  The ``.so`` is written to a temporary directory that is
+    removed right after ``dlopen``.  ``fallback_cflags`` retries the compilation with a
+    second flag set when the first fails (e.g. ``-march=native`` on
+    compilers that do not support it).
     """
-    workdir.mkdir(parents=True, exist_ok=True)
-    src = workdir / f"{stem}.c"
-    exe = workdir / stem
-    src.write_text(source)
-    attempts = [tuple(cflags)]
-    if fallback_cflags is not None:
-        attempts.append(tuple(fallback_cflags))
-    stderr = ""
-    for flags in attempts:
-        proc = subprocess.run(
-            [cc, *flags, "-o", str(exe), str(src)],
-            capture_output=True, text=True,
-        )
-        if proc.returncode == 0:
-            return exe
-        stderr = proc.stderr
-    raise EmulationError(
-        f"compilation failed:\n{stderr}\n--- source ---\n{source}"
-    )
+    key = hashlib.sha256(
+        "\0".join((source, entry, cc, *cflags)).encode()
+    ).hexdigest()
+    with _BUILD_LOCK:
+        lib = _LIBRARIES.get(key)
+        if lib is not None:
+            obs.inc("chost.build_hits")
+            return lib
+        attempts = [tuple(cflags)]
+        if fallback_cflags is not None:
+            attempts.append(tuple(fallback_cflags))
+        stderr = ""
+        with tempfile.TemporaryDirectory(prefix="cogent_cc_") as tmp:
+            src = Path(tmp) / "kernel.c"
+            so = Path(tmp) / "kernel.so"
+            src.write_text(source)
+            for flags in attempts:
+                try:
+                    proc = subprocess.run(
+                        [cc, *flags, "-shared", "-fPIC",
+                         "-o", str(so), str(src)],
+                        capture_output=True, text=True,
+                    )
+                except FileNotFoundError as exc:
+                    raise EmulationError(
+                        f"C compiler {cc!r} not found"
+                    ) from exc
+                if proc.returncode == 0:
+                    break
+                stderr = proc.stderr
+            else:
+                raise EmulationError(
+                    f"compilation failed:\n{stderr}\n"
+                    f"--- source ---\n{source}"
+                )
+            handle = ctypes.CDLL(str(so))
+        function = getattr(handle, entry)
+        function.restype = ctypes.c_int
+        lib = NativeLibrary(function, handle)
+        _LIBRARIES[key] = lib
+        obs.inc("chost.builds")
+        return lib
 
 
 def run_executable(
-    exe: Path,
+    lib: NativeLibrary,
     plan: KernelPlan,
     a: np.ndarray,
     b: np.ndarray,
-    workdir: Path,
 ) -> np.ndarray:
-    """Run a built program on ``a``/``b`` and read back the output.
+    """Call a built program's entry point on ``a``/``b``; return C.
 
-    Arrays are exchanged through raw column-major-strided buffers: the
-    generated code treats the *first* index as fastest, so numpy arrays
-    are written in Fortran order and the result is read back the same
-    way.
+    The generated code treats the *first* index as fastest, so the
+    operands are passed as Fortran-ordered buffers and the output is a
+    Fortran-ordered array allocated here.  Operand shapes are checked
+    against the plan before the call: the C code trusts its extents.
     """
     contraction = plan.contraction
     scalar = np.float64 if plan.dtype_bytes == 8 else np.float32
-    a = np.asarray(a, dtype=scalar)
-    b = np.asarray(b, dtype=scalar)
-    a_path, b_path, c_path = (
-        workdir / "A.bin", workdir / "B.bin", workdir / "C.bin"
+    operands = []
+    for tensor, array in ((contraction.a, a), (contraction.b, b)):
+        want = tuple(contraction.extents_of(tensor))
+        if np.shape(array) != want:
+            raise OperandShapeError(
+                f"operand {tensor.name} has shape {np.shape(array)}, "
+                f"the plan expects {want}"
+            )
+        operands.append(np.asfortranarray(array, dtype=scalar))
+    out = np.zeros(
+        tuple(contraction.extents_of(contraction.c)),
+        dtype=scalar, order="F",
     )
-    a.T.ravel(order="C").tofile(a_path)  # first index fastest
-    b.T.ravel(order="C").tofile(b_path)
-    extents = [str(contraction.extent(i)) for i in contraction.all_indices]
-    proc = subprocess.run(
-        [str(exe), *extents, str(a_path), str(b_path), str(c_path)],
-        capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        raise EmulationError(
-            f"emulation run failed (rc={proc.returncode}): {proc.stderr}"
+    extents = [contraction.extent(i) for i in contraction.all_indices]
+    with lib.lock:
+        lib.entry.argtypes = (
+            [ctypes.c_void_p] * 3 + [ctypes.c_int] * len(extents)
         )
-    flat = np.fromfile(c_path, dtype=scalar)
-    shape = contraction.extents_of(contraction.c)
-    return np.ascontiguousarray(flat.reshape(tuple(reversed(shape))).T)
+        status = lib.entry(
+            out.ctypes.data, *(x.ctypes.data for x in operands), *extents
+        )
+    if status != 0:
+        raise EmulationError(
+            f"generated kernel returned status {status}"
+            + (" (allocation failed)" if status == 2 else "")
+        )
+    return out
 
 
 def compile_and_run_source(
     plan: KernelPlan,
     source: str,
+    entry: str,
     a: np.ndarray,
     b: np.ndarray,
     cc: str = "cc",
     cflags: Sequence[str] = ("-O2", "-std=c99"),
-    workdir: Optional[Path] = None,
-    keep_files: bool = False,
-    stem: str = "kernel_emu",
     fallback_cflags: Optional[Sequence[str]] = None,
-    workdir_prefix: str = "cogent_emu_",
 ) -> np.ndarray:
-    """One-shot compile + run + cleanup around the two helpers above."""
-    tmpdir = (
-        Path(tempfile.mkdtemp(prefix=workdir_prefix))
-        if workdir is None else Path(workdir)
+    """Build (or reuse) ``source`` and run its ``entry`` on ``a``/``b``."""
+    lib = build_executable(
+        source, entry, cc=cc, cflags=cflags, fallback_cflags=fallback_cflags,
     )
-    exe = build_executable(
-        source, tmpdir, cc=cc, cflags=cflags, stem=stem,
-        fallback_cflags=fallback_cflags,
-    )
-    result = run_executable(exe, plan, a, b, tmpdir)
-    if not keep_files:
-        for name in (f"{stem}.c", stem, "A.bin", "B.bin", "C.bin"):
-            (tmpdir / name).unlink(missing_ok=True)
-        if workdir is None:
-            tmpdir.rmdir()
-    return result
+    return run_executable(lib, plan, a, b)

@@ -10,24 +10,24 @@ can be compiled by the system C compiler given a small shim header:
   work-group's threads;
 * ``get_local_id`` / ``get_group_id`` — thread-local / global lookups.
 
-The harness launches one pthread per work-item of one work-group,
-iterates work-groups sequentially, and performs real barrier
-synchronisation — i.e. the OpenCL execution model, faithfully, on the
-CPU.  This validates the OpenCL backend's emitted source end-to-end
-against ``numpy.einsum`` (no OpenCL runtime exists in this offline
-environment).
+The harness's exported launch entry point (called in-process by
+:mod:`~repro.core.codegen.chost`) starts one pthread per work-item of
+one work-group, iterates work-groups sequentially, and performs real
+barrier synchronisation — i.e. the OpenCL execution model, faithfully,
+on the CPU.  This validates the OpenCL backend's emitted source
+end-to-end against ``numpy.einsum`` (no OpenCL runtime exists in this
+offline environment).
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from ..plan import KernelPlan
 from . import indexing as ix
-from .chost import EmulationError, compile_and_run_source, scalar_type
+from .chost import compile_and_run_source, host_main_function, scalar_type
 from .opencl import _emit_kernel as _emit_opencl_kernel
 from .registry import CodegenTarget, register_target
 
@@ -55,11 +55,15 @@ static inline size_t get_group_id(int dim) { (void)dim; return wg_group_id_; }
 def generate_opencl_harness(
     plan: KernelPlan, kernel_name: str = "tc_kernel"
 ) -> str:
-    """A standalone C program embedding and driving the OpenCL kernel."""
+    """A C program embedding the OpenCL kernel and its launch loop.
+
+    The work-group loop is the exported entry point
+    ``<kernel_name>_launch``; ``main()`` is the shared standalone
+    wrapper.
+    """
     scalar = scalar_type(plan.dtype_bytes)
-    contraction = plan.contraction
-    indices = contraction.all_indices
-    c, a, b = contraction.c, contraction.a, contraction.b
+    indices = plan.contraction.all_indices
+    entry = f"{kernel_name}_launch"
 
     kernel_src = _emit_opencl_kernel(plan, kernel_name)
     # The fp64 pragma is an OpenCL-ism; drop it for the C compiler.
@@ -68,17 +72,14 @@ def generate_opencl_harness(
         if not line.startswith("#pragma OPENCL")
     )
 
-    def count_expr(tensor) -> str:
-        return " * ".join(
-            f"(long){ix.extent_param(i)}" for i in tensor.indices
-        )
-
     nthreads = plan.threads_per_block
     grid_terms = [
         f"(long)(({ix.extent_param(axis.index)} + {axis.tile} - 1)"
         f" / {axis.tile})"
         for axis in plan.block_axes
     ] or ["1"]
+    params = [f"{scalar}* c_", f"const {scalar}* a_", f"const {scalar}* b_"]
+    params += [f"int {ix.extent_param(i)}" for i in indices]
 
     lines: List[str] = [_SHIM, kernel_src, ""]
     lines += [
@@ -99,40 +100,17 @@ def generate_opencl_harness(
         "    return NULL;",
         "}",
         "",
-        "int main(int argc, char** argv)",
+        f"int {entry}({', '.join(params)})",
         "{",
-        f"    if (argc != {len(indices) + 4}) return 1;",
-    ]
-    for pos, index in enumerate(indices, start=1):
-        lines.append(
-            f"    const int {ix.extent_param(index)} = atoi(argv[{pos}]);"
-        )
-    base = len(indices)
-    lines += [
-        f"    const long elems_a = {count_expr(a)};",
-        f"    const long elems_b = {count_expr(b)};",
-        f"    const long elems_c = {count_expr(c)};",
-        f"    {scalar}* A_ = ({scalar}*)malloc(sizeof({scalar}) * elems_a);",
-        f"    {scalar}* B_ = ({scalar}*)malloc(sizeof({scalar}) * elems_b);",
-        f"    {scalar}* C_ = ({scalar}*)calloc(elems_c, sizeof({scalar}));",
-        "    if (!A_ || !B_ || !C_) return 2;",
-        f'    FILE* fa = fopen(argv[{base + 1}], "rb");',
-        f'    FILE* fb = fopen(argv[{base + 2}], "rb");',
-        "    if (!fa || !fb) return 3;",
-        f"    if (fread(A_, sizeof({scalar}), elems_a, fa)"
-        " != (size_t)elems_a) return 4;",
-        f"    if (fread(B_, sizeof({scalar}), elems_b, fb)"
-        " != (size_t)elems_b) return 4;",
-        "    fclose(fa); fclose(fb);",
-        "",
         f"    const long num_groups_ = {' * '.join(grid_terms)};",
         f"    pthread_t threads_[{nthreads}];",
         f"    work_item_arg_t args_[{nthreads}];",
-        f"    pthread_barrier_init(&wg_barrier_, NULL, {nthreads});",
+        f"    if (pthread_barrier_init(&wg_barrier_, NULL, {nthreads}) != 0)",
+        "        return 2;",
         "    for (long g_ = 0; g_ < num_groups_; ++g_) {",
         "        wg_group_id_ = (int)g_;",
         f"        for (int t_ = 0; t_ < {nthreads}; ++t_) {{",
-        "            args_[t_].c = C_; args_[t_].a = A_; args_[t_].b = B_;",
+        "            args_[t_].c = c_; args_[t_].a = a_; args_[t_].b = b_;",
     ]
     for k, index in enumerate(indices):
         lines.append(
@@ -149,33 +127,21 @@ def generate_opencl_harness(
         "            pthread_join(threads_[t_], NULL);",
         "    }",
         "    pthread_barrier_destroy(&wg_barrier_);",
-        f'    FILE* fc = fopen(argv[{base + 3}], "wb");',
-        "    if (!fc) return 5;",
-        f"    if (fwrite(C_, sizeof({scalar}), elems_c, fc)"
-        " != (size_t)elems_c) return 6;",
-        "    fclose(fc);",
-        "    free(A_); free(B_); free(C_);",
         "    return 0;",
         "}",
+        "",
     ]
+    lines += host_main_function(plan, entry)
     return "\n".join(lines) + "\n"
 
 
 def compile_and_run_opencl(
-    plan: KernelPlan,
-    a: np.ndarray,
-    b: np.ndarray,
-    cc: str = "cc",
-    workdir: Optional[Path] = None,
+    plan: KernelPlan, a: np.ndarray, b: np.ndarray, cc: str = "cc"
 ) -> np.ndarray:
-    """Compile the pthread harness around the OpenCL kernel and run it."""
+    """Build the pthread harness around the OpenCL kernel (once) and run it."""
     return compile_and_run_source(
-        plan, generate_opencl_harness(plan), a, b,
-        cc=cc,
-        cflags=("-O2", "-std=gnu99", "-pthread"),
-        workdir=workdir,
-        stem="kernel_cl_emu",
-        workdir_prefix="cogent_clemu_",
+        plan, generate_opencl_harness(plan), "tc_kernel_launch", a, b,
+        cc=cc, cflags=("-O2", "-std=gnu99", "-pthread"),
     )
 
 

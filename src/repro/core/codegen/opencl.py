@@ -175,8 +175,8 @@ def _emit_kernel(plan: KernelPlan, kernel_name: str = "tc_kernel") -> str:
     step_body += ix.decompose_offsets(
         "step_", plan.step_axes, ix.step_offset_var, "sid_"
     )
-    step_body += _load_loop(plan, a, "s_a", scalar)
-    step_body += _load_loop(plan, b, "s_b", scalar)
+    step_body += _load_loop(plan, plan.x_input, "s_a", scalar)
+    step_body += _load_loop(plan, plan.y_input, "s_b", scalar)
     step_body.append("barrier(CLK_LOCAL_MEM_FENCE);")
     step_body += _compute_phase(plan)
     step_body.append("barrier(CLK_LOCAL_MEM_FENCE);")

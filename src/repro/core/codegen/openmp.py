@@ -23,8 +23,7 @@ faster even on a single core, because the hot loop vectorizes.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -84,7 +83,7 @@ def _kernel_function(plan: KernelPlan, name: str) -> List[str]:
     step_body += ix.decompose_offsets(
         "step_", plan.step_axes, ix.step_offset_var, "sid_"
     )
-    for tensor, buffer in ((a, "s_a"), (b, "s_b")):
+    for tensor, buffer in ((plan.x_input, "s_a"), (plan.y_input, "s_b")):
         step_body += serial_stage_loops(plan, tensor, buffer, scalar)
     # Outer product over the staged tile; the y_ row is unit-stride in
     # both c_tile_ and s_b, so the compiler can vectorize it.
@@ -130,8 +129,12 @@ def _kernel_function(plan: KernelPlan, name: str) -> List[str]:
     block_body += store_body
 
     # The accumulator can exceed worker-thread stacks (up to ~0.5 MB),
-    # so every buffer is heap-allocated per OpenMP thread.
+    # so every buffer is heap-allocated per OpenMP thread.  A failed
+    # allocation on any thread is published through the shared flag;
+    # after the barrier every thread sees the same trip count, so the
+    # worksharing loop stays well-formed and runs no block on failure.
     body += [
+        "int failed_ = 0;",
         "#pragma omp parallel",
         "{",
         f"    {scalar}* s_a = ({scalar}*)malloc(sizeof({scalar})"
@@ -140,18 +143,24 @@ def _kernel_function(plan: KernelPlan, name: str) -> List[str]:
         f" * {plan.smem_y_elements});",
         f"    {scalar}* c_tile_ = ({scalar}*)malloc(sizeof({scalar})"
         f" * {btx * bty});",
-        "    if (!s_a || !s_b || !c_tile_) { exit(2); }",
+        "    if (!s_a || !s_b || !c_tile_) {",
+        "        #pragma omp atomic write",
+        "        failed_ = 1;",
+        "    }",
+        "    #pragma omp barrier",
+        "    const long run_blocks_ = failed_ ? 0 : num_blocks_;",
         "    #pragma omp for schedule(static)",
-        "    for (long blk_ = 0; blk_ < num_blocks_; ++blk_) {",
+        "    for (long blk_ = 0; blk_ < run_blocks_; ++blk_) {",
     ]
     body += ix.indent(block_body, 2)
     body += [
         "    }",
         "    free(s_a); free(s_b); free(c_tile_);",
         "}",
+        "return failed_ ? 2 : 0;",
     ]
 
-    lines = [f"static void {name}({', '.join(params)})", "{"]
+    lines = [f"int {name}({', '.join(params)})", "{"]
     lines += ix.indent(body, 1)
     lines.append("}")
     return lines
@@ -177,23 +186,12 @@ def _emit_program(plan: KernelPlan, kernel_name: str = "tc_kernel_omp") -> str:
 
 
 def compile_and_run(
-    plan: KernelPlan,
-    a: np.ndarray,
-    b: np.ndarray,
-    cc: str = "cc",
-    workdir: Optional[Path] = None,
-    keep_files: bool = False,
+    plan: KernelPlan, a: np.ndarray, b: np.ndarray, cc: str = "cc"
 ) -> np.ndarray:
-    """Compile the OpenMP program, run it on ``a``/``b``, return C."""
+    """Build the OpenMP program (once), run it on ``a``/``b``, return C."""
     return compile_and_run_source(
-        plan, _emit_program(plan), a, b,
-        cc=cc,
-        cflags=CFLAGS,
-        fallback_cflags=CFLAGS_PORTABLE,
-        workdir=workdir,
-        keep_files=keep_files,
-        stem="kernel_omp",
-        workdir_prefix="cogent_omp_",
+        plan, _emit_program(plan), "tc_kernel_omp", a, b,
+        cc=cc, cflags=CFLAGS, fallback_cflags=CFLAGS_PORTABLE,
     )
 
 

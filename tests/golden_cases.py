@@ -11,7 +11,8 @@ from repro.core.parser import parse
 from repro.core.plan import KernelPlan
 
 # TCCG-flavoured slice: a plain GEMM, the paper's Eq. 1 with register
-# tiles and a two-index TB_K, and a single-precision TTM.
+# tiles and a two-index TB_K, a single-precision TTM, and a contraction
+# whose output FVI lives in B, so B is staged on the x side (s_a).
 _CASES = {
     "matmul": dict(
         expr="ab-ak-kb",
@@ -34,6 +35,16 @@ _CASES = {
         sizes={"a": 6, "b": 5, "c": 4, "d": 7},
         spec=dict(tb_x=[("a", 4)], tb_y=[("b", 4)], tb_k=[("d", 3)]),
         dtype_bytes=4,
+    ),
+    "x_is_b": dict(
+        expr="abcdef-gfec-abdg",
+        sizes={"a": 5, "b": 3, "c": 4, "d": 3, "e": 3, "f": 4, "g": 5},
+        spec=dict(
+            tb_x=[("a", 4)], tb_y=[("f", 2)],
+            reg_x=[("b", 2)], reg_y=[("c", 2)],
+            tb_k=[("g", 3)],
+        ),
+        dtype_bytes=8,
     ),
 }
 

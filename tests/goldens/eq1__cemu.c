@@ -6,7 +6,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-static void tc_kernel_emu(double* g_C, const double* g_A, const double* g_B, int n_a, int n_b, int n_c, int n_d, int n_e, int n_f)
+int tc_kernel_emu(double* g_C, const double* g_A, const double* g_B, int n_a, int n_b, int n_c, int n_d, int n_e, int n_f)
 {
     const long st_C_a = 1;
     const long st_C_b = (long)n_a;
@@ -31,7 +31,10 @@ static void tc_kernel_emu(double* g_C, const double* g_A, const double* g_B, int
     double* s_a = (double*)malloc(sizeof(double) * 32);
     double* s_b = (double*)malloc(sizeof(double) * 24);
     double* r_c = (double*)malloc(sizeof(double) * 8 * 6);
-    if (!s_a || !s_b || !r_c) { exit(2); }
+    if (!s_a || !s_b || !r_c) {
+        free(s_a); free(s_b); free(r_c);
+        return 2;
+    }
     for (long blk_ = 0; blk_ < num_blocks_; ++blk_) {
         int bid_ = (int)blk_;
         const int boff_a = (bid_ % nt_a) * 4;
@@ -124,6 +127,7 @@ static void tc_kernel_emu(double* g_C, const double* g_A, const double* g_B, int
         }
     }
     free(s_a); free(s_b); free(r_c);
+    return 0;
 }
 
 int main(int argc, char** argv)
@@ -151,7 +155,8 @@ int main(int argc, char** argv)
     if (fread(A_, sizeof(double), elems_a, fa) != (size_t)elems_a) return 4;
     if (fread(B_, sizeof(double), elems_b, fb) != (size_t)elems_b) return 4;
     fclose(fa); fclose(fb);
-    tc_kernel_emu(C_, A_, B_, n_a, n_b, n_c, n_d, n_e, n_f);
+    const int status_ = tc_kernel_emu(C_, A_, B_, n_a, n_b, n_c, n_d, n_e, n_f);
+    if (status_ != 0) return status_;
     FILE* fc = fopen(argv[9], "wb");
     if (!fc) return 5;
     if (fwrite(C_, sizeof(double), elems_c, fc) != (size_t)elems_c) return 6;

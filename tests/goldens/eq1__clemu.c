@@ -165,9 +165,40 @@ static void* work_item_(void* p)
     return NULL;
 }
 
+int tc_kernel_launch(double* c_, const double* a_, const double* b_, int n_a, int n_b, int n_c, int n_d, int n_e, int n_f)
+{
+    const long num_groups_ = (long)((n_a + 4 - 1) / 4) * (long)((n_b + 2 - 1) / 2) * (long)((n_d + 2 - 1) / 2) * (long)((n_c + 3 - 1) / 3);
+    pthread_t threads_[8];
+    work_item_arg_t args_[8];
+    if (pthread_barrier_init(&wg_barrier_, NULL, 8) != 0)
+        return 2;
+    for (long g_ = 0; g_ < num_groups_; ++g_) {
+        wg_group_id_ = (int)g_;
+        for (int t_ = 0; t_ < 8; ++t_) {
+            args_[t_].c = c_; args_[t_].a = a_; args_[t_].b = b_;
+            args_[t_].extents[0] = n_a;
+            args_[t_].extents[1] = n_b;
+            args_[t_].extents[2] = n_c;
+            args_[t_].extents[3] = n_d;
+            args_[t_].extents[4] = n_e;
+            args_[t_].extents[5] = n_f;
+            args_[t_].tx = t_ % 4;
+            args_[t_].ty = t_ / 4;
+            pthread_create(&threads_[t_], NULL, work_item_, &args_[t_]);
+        }
+        for (int t_ = 0; t_ < 8; ++t_)
+            pthread_join(threads_[t_], NULL);
+    }
+    pthread_barrier_destroy(&wg_barrier_);
+    return 0;
+}
+
 int main(int argc, char** argv)
 {
-    if (argc != 10) return 1;
+    if (argc != 10) {
+        fprintf(stderr, "usage: %s n_a n_b n_c n_d n_e n_f A.bin B.bin C.bin\n", argv[0]);
+        return 1;
+    }
     const int n_a = atoi(argv[1]);
     const int n_b = atoi(argv[2]);
     const int n_c = atoi(argv[3]);
@@ -187,29 +218,8 @@ int main(int argc, char** argv)
     if (fread(A_, sizeof(double), elems_a, fa) != (size_t)elems_a) return 4;
     if (fread(B_, sizeof(double), elems_b, fb) != (size_t)elems_b) return 4;
     fclose(fa); fclose(fb);
-
-    const long num_groups_ = (long)((n_a + 4 - 1) / 4) * (long)((n_b + 2 - 1) / 2) * (long)((n_d + 2 - 1) / 2) * (long)((n_c + 3 - 1) / 3);
-    pthread_t threads_[8];
-    work_item_arg_t args_[8];
-    pthread_barrier_init(&wg_barrier_, NULL, 8);
-    for (long g_ = 0; g_ < num_groups_; ++g_) {
-        wg_group_id_ = (int)g_;
-        for (int t_ = 0; t_ < 8; ++t_) {
-            args_[t_].c = C_; args_[t_].a = A_; args_[t_].b = B_;
-            args_[t_].extents[0] = n_a;
-            args_[t_].extents[1] = n_b;
-            args_[t_].extents[2] = n_c;
-            args_[t_].extents[3] = n_d;
-            args_[t_].extents[4] = n_e;
-            args_[t_].extents[5] = n_f;
-            args_[t_].tx = t_ % 4;
-            args_[t_].ty = t_ / 4;
-            pthread_create(&threads_[t_], NULL, work_item_, &args_[t_]);
-        }
-        for (int t_ = 0; t_ < 8; ++t_)
-            pthread_join(threads_[t_], NULL);
-    }
-    pthread_barrier_destroy(&wg_barrier_);
+    const int status_ = tc_kernel_launch(C_, A_, B_, n_a, n_b, n_c, n_d, n_e, n_f);
+    if (status_ != 0) return status_;
     FILE* fc = fopen(argv[9], "wb");
     if (!fc) return 5;
     if (fwrite(C_, sizeof(double), elems_c, fc) != (size_t)elems_c) return 6;

@@ -7,7 +7,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-static void tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_a, int n_b, int n_c, int n_d, int n_e, int n_f)
+int tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_a, int n_b, int n_c, int n_d, int n_e, int n_f)
 {
     const long st_C_a = 1;
     const long st_C_b = (long)n_a;
@@ -29,14 +29,20 @@ static void tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int
     const int nt_f = (n_f + 2 - 1) / 2;
     const long num_blocks_ = (long)nt_a * (long)nt_b * (long)nt_d * (long)nt_c;
     const int nsteps_ = nt_e * nt_f;
+    int failed_ = 0;
     #pragma omp parallel
     {
         double* s_a = (double*)malloc(sizeof(double) * 32);
         double* s_b = (double*)malloc(sizeof(double) * 24);
         double* c_tile_ = (double*)malloc(sizeof(double) * 48);
-        if (!s_a || !s_b || !c_tile_) { exit(2); }
+        if (!s_a || !s_b || !c_tile_) {
+            #pragma omp atomic write
+            failed_ = 1;
+        }
+        #pragma omp barrier
+        const long run_blocks_ = failed_ ? 0 : num_blocks_;
         #pragma omp for schedule(static)
-        for (long blk_ = 0; blk_ < num_blocks_; ++blk_) {
+        for (long blk_ = 0; blk_ < run_blocks_; ++blk_) {
             int bid_ = (int)blk_;
             const int boff_a = (bid_ % nt_a) * 4;
             bid_ /= nt_a;
@@ -130,6 +136,7 @@ static void tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int
         }
         free(s_a); free(s_b); free(c_tile_);
     }
+    return failed_ ? 2 : 0;
 }
 
 int main(int argc, char** argv)
@@ -157,7 +164,8 @@ int main(int argc, char** argv)
     if (fread(A_, sizeof(double), elems_a, fa) != (size_t)elems_a) return 4;
     if (fread(B_, sizeof(double), elems_b, fb) != (size_t)elems_b) return 4;
     fclose(fa); fclose(fb);
-    tc_kernel_omp(C_, A_, B_, n_a, n_b, n_c, n_d, n_e, n_f);
+    const int status_ = tc_kernel_omp(C_, A_, B_, n_a, n_b, n_c, n_d, n_e, n_f);
+    if (status_ != 0) return status_;
     FILE* fc = fopen(argv[9], "wb");
     if (!fc) return 5;
     if (fwrite(C_, sizeof(double), elems_c, fc) != (size_t)elems_c) return 6;

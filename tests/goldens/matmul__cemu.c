@@ -6,7 +6,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-static void tc_kernel_emu(double* g_C, const double* g_A, const double* g_B, int n_a, int n_b, int n_k)
+int tc_kernel_emu(double* g_C, const double* g_A, const double* g_B, int n_a, int n_b, int n_k)
 {
     const long st_C_a = 1;
     const long st_C_b = (long)n_a;
@@ -22,7 +22,10 @@ static void tc_kernel_emu(double* g_C, const double* g_A, const double* g_B, int
     double* s_a = (double*)malloc(sizeof(double) * 64);
     double* s_b = (double*)malloc(sizeof(double) * 64);
     double* r_c = (double*)malloc(sizeof(double) * 64 * 1);
-    if (!s_a || !s_b || !r_c) { exit(2); }
+    if (!s_a || !s_b || !r_c) {
+        free(s_a); free(s_b); free(r_c);
+        return 2;
+    }
     for (long blk_ = 0; blk_ < num_blocks_; ++blk_) {
         int bid_ = (int)blk_;
         const int boff_a = (bid_ % nt_a) * 8;
@@ -99,6 +102,7 @@ static void tc_kernel_emu(double* g_C, const double* g_A, const double* g_B, int
         }
     }
     free(s_a); free(s_b); free(r_c);
+    return 0;
 }
 
 int main(int argc, char** argv)
@@ -123,7 +127,8 @@ int main(int argc, char** argv)
     if (fread(A_, sizeof(double), elems_a, fa) != (size_t)elems_a) return 4;
     if (fread(B_, sizeof(double), elems_b, fb) != (size_t)elems_b) return 4;
     fclose(fa); fclose(fb);
-    tc_kernel_emu(C_, A_, B_, n_a, n_b, n_k);
+    const int status_ = tc_kernel_emu(C_, A_, B_, n_a, n_b, n_k);
+    if (status_ != 0) return status_;
     FILE* fc = fopen(argv[6], "wb");
     if (!fc) return 5;
     if (fwrite(C_, sizeof(double), elems_c, fc) != (size_t)elems_c) return 6;

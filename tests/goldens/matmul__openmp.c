@@ -7,7 +7,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-static void tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_a, int n_b, int n_k)
+int tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_a, int n_b, int n_k)
 {
     const long st_C_a = 1;
     const long st_C_b = (long)n_a;
@@ -20,14 +20,20 @@ static void tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int
     const int nt_k = (n_k + 8 - 1) / 8;
     const long num_blocks_ = (long)nt_a * (long)nt_b;
     const int nsteps_ = nt_k;
+    int failed_ = 0;
     #pragma omp parallel
     {
         double* s_a = (double*)malloc(sizeof(double) * 64);
         double* s_b = (double*)malloc(sizeof(double) * 64);
         double* c_tile_ = (double*)malloc(sizeof(double) * 64);
-        if (!s_a || !s_b || !c_tile_) { exit(2); }
+        if (!s_a || !s_b || !c_tile_) {
+            #pragma omp atomic write
+            failed_ = 1;
+        }
+        #pragma omp barrier
+        const long run_blocks_ = failed_ ? 0 : num_blocks_;
         #pragma omp for schedule(static)
-        for (long blk_ = 0; blk_ < num_blocks_; ++blk_) {
+        for (long blk_ = 0; blk_ < run_blocks_; ++blk_) {
             int bid_ = (int)blk_;
             const int boff_a = (bid_ % nt_a) * 8;
             bid_ /= nt_a;
@@ -105,6 +111,7 @@ static void tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int
         }
         free(s_a); free(s_b); free(c_tile_);
     }
+    return failed_ ? 2 : 0;
 }
 
 int main(int argc, char** argv)
@@ -129,7 +136,8 @@ int main(int argc, char** argv)
     if (fread(A_, sizeof(double), elems_a, fa) != (size_t)elems_a) return 4;
     if (fread(B_, sizeof(double), elems_b, fb) != (size_t)elems_b) return 4;
     fclose(fa); fclose(fb);
-    tc_kernel_omp(C_, A_, B_, n_a, n_b, n_k);
+    const int status_ = tc_kernel_omp(C_, A_, B_, n_a, n_b, n_k);
+    if (status_ != 0) return status_;
     FILE* fc = fopen(argv[6], "wb");
     if (!fc) return 5;
     if (fwrite(C_, sizeof(double), elems_c, fc) != (size_t)elems_c) return 6;

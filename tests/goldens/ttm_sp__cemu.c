@@ -6,7 +6,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-static void tc_kernel_emu(float* g_C, const float* g_A, const float* g_B, int n_a, int n_b, int n_c, int n_d)
+int tc_kernel_emu(float* g_C, const float* g_A, const float* g_B, int n_a, int n_b, int n_c, int n_d)
 {
     const long st_C_a = 1;
     const long st_C_b = (long)n_a;
@@ -25,7 +25,10 @@ static void tc_kernel_emu(float* g_C, const float* g_A, const float* g_B, int n_
     float* s_a = (float*)malloc(sizeof(float) * 12);
     float* s_b = (float*)malloc(sizeof(float) * 12);
     float* r_c = (float*)malloc(sizeof(float) * 16 * 1);
-    if (!s_a || !s_b || !r_c) { exit(2); }
+    if (!s_a || !s_b || !r_c) {
+        free(s_a); free(s_b); free(r_c);
+        return 2;
+    }
     for (long blk_ = 0; blk_ < num_blocks_; ++blk_) {
         int bid_ = (int)blk_;
         const int boff_a = (bid_ % nt_a) * 4;
@@ -102,6 +105,7 @@ static void tc_kernel_emu(float* g_C, const float* g_A, const float* g_B, int n_
         }
     }
     free(s_a); free(s_b); free(r_c);
+    return 0;
 }
 
 int main(int argc, char** argv)
@@ -127,7 +131,8 @@ int main(int argc, char** argv)
     if (fread(A_, sizeof(float), elems_a, fa) != (size_t)elems_a) return 4;
     if (fread(B_, sizeof(float), elems_b, fb) != (size_t)elems_b) return 4;
     fclose(fa); fclose(fb);
-    tc_kernel_emu(C_, A_, B_, n_a, n_b, n_c, n_d);
+    const int status_ = tc_kernel_emu(C_, A_, B_, n_a, n_b, n_c, n_d);
+    if (status_ != 0) return status_;
     FILE* fc = fopen(argv[7], "wb");
     if (!fc) return 5;
     if (fwrite(C_, sizeof(float), elems_c, fc) != (size_t)elems_c) return 6;

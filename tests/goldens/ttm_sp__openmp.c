@@ -7,7 +7,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-static void tc_kernel_omp(float* g_C, const float* g_A, const float* g_B, int n_a, int n_b, int n_c, int n_d)
+int tc_kernel_omp(float* g_C, const float* g_A, const float* g_B, int n_a, int n_b, int n_c, int n_d)
 {
     const long st_C_a = 1;
     const long st_C_b = (long)n_a;
@@ -23,14 +23,20 @@ static void tc_kernel_omp(float* g_C, const float* g_A, const float* g_B, int n_
     const int nt_d = (n_d + 3 - 1) / 3;
     const long num_blocks_ = (long)nt_a * (long)nt_b * (long)nt_c;
     const int nsteps_ = nt_d;
+    int failed_ = 0;
     #pragma omp parallel
     {
         float* s_a = (float*)malloc(sizeof(float) * 12);
         float* s_b = (float*)malloc(sizeof(float) * 12);
         float* c_tile_ = (float*)malloc(sizeof(float) * 16);
-        if (!s_a || !s_b || !c_tile_) { exit(2); }
+        if (!s_a || !s_b || !c_tile_) {
+            #pragma omp atomic write
+            failed_ = 1;
+        }
+        #pragma omp barrier
+        const long run_blocks_ = failed_ ? 0 : num_blocks_;
         #pragma omp for schedule(static)
-        for (long blk_ = 0; blk_ < num_blocks_; ++blk_) {
+        for (long blk_ = 0; blk_ < run_blocks_; ++blk_) {
             int bid_ = (int)blk_;
             const int boff_a = (bid_ % nt_a) * 4;
             bid_ /= nt_a;
@@ -108,6 +114,7 @@ static void tc_kernel_omp(float* g_C, const float* g_A, const float* g_B, int n_
         }
         free(s_a); free(s_b); free(c_tile_);
     }
+    return failed_ ? 2 : 0;
 }
 
 int main(int argc, char** argv)
@@ -133,7 +140,8 @@ int main(int argc, char** argv)
     if (fread(A_, sizeof(float), elems_a, fa) != (size_t)elems_a) return 4;
     if (fread(B_, sizeof(float), elems_b, fb) != (size_t)elems_b) return 4;
     fclose(fa); fclose(fb);
-    tc_kernel_omp(C_, A_, B_, n_a, n_b, n_c, n_d);
+    const int status_ = tc_kernel_omp(C_, A_, B_, n_a, n_b, n_c, n_d);
+    if (status_ != 0) return status_;
     FILE* fc = fopen(argv[7], "wb");
     if (!fc) return 5;
     if (fwrite(C_, sizeof(float), elems_c, fc) != (size_t)elems_c) return 6;

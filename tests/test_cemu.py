@@ -42,7 +42,7 @@ class TestSourceShape:
         plan = make_plan(eq1_small, tb_x=[("a", 4)], tb_k=[("e", 2)])
         src = generate_c_emulation(plan)
         assert "int main(" in src
-        assert "static void tc_kernel_emu(" in src
+        assert "\nint tc_kernel_emu(" in src
         assert src.count("{") == src.count("}")
 
     def test_no_cuda_constructs(self, eq1_small):

@@ -2,12 +2,18 @@
 
 Covers the registry contract, golden-file snapshots of every registered
 target, differential execution of every runnable target against
-``numpy.einsum`` (and pairwise), the deprecation shims over the legacy
-per-backend API, per-target caching/store-key behaviour, and the
+``numpy.einsum`` (and pairwise), the in-process build/run harness of the
+runnable targets, the deprecation shims over the legacy per-backend
+API, per-target caching/store-key behaviour, and the
 ``codegen.target.*`` observability counters.
 """
 
 import itertools
+import subprocess
+import sys
+import tempfile
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +27,9 @@ from repro.core.codegen import (
     register_target,
     runnable_targets,
 )
+from repro.core.codegen import chost, openmp
 from repro.core.codegen import registry as registry_mod
+from repro.core.codegen.chost import EmulationError, OperandShapeError
 from repro.core.mapping import config_from_spec
 from repro.core.parser import parse
 from repro.core.plan import KernelPlan
@@ -168,6 +176,12 @@ class TestDifferentialExecution:
         ("abc-adc-bd",
          {"a": 6, "b": 5, "c": 4, "d": 7},
          dict(tb_x=[("a", 4)], tb_y=[("b", 4)], tb_k=[("d", 3)])),
+        # The output FVI is in B: B is staged into the x-side buffer.
+        ("abcdef-gfec-abdg",
+         {"a": 5, "b": 3, "c": 4, "d": 3, "e": 3, "f": 4, "g": 5},
+         dict(tb_x=[("a", 4)], tb_y=[("f", 2)],
+              reg_x=[("b", 2)], reg_y=[("c", 2)],
+              tb_k=[("g", 3)])),
     )
 
     @pytest.fixture(scope="class", params=range(len(SLICE)))
@@ -305,6 +319,144 @@ class TestObsCounters:
         with obs.tracing() as sess:
             get_target("cemu").compile_and_run(plan, a, b)
         assert sess.metrics.counter("codegen.target.cemu.runs") == 1
+
+
+class TestInProcessHarness:
+    """The runnable targets are built once as shared objects and called
+    in-process through their exported entry points."""
+
+    @pytest.mark.parametrize(
+        "case,target_name",
+        list(itertools.product(GOLDEN_CASES, ("cemu", "clemu", "openmp"))),
+    )
+    def test_emitted_code_never_exits(self, case, target_name):
+        source = get_target(target_name).emit_kernel(golden_plan(case))
+        assert "exit(" not in source
+
+    @requires_cc
+    def test_second_call_reuses_the_build(
+        self, plan, eq1_small, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(chost, "_LIBRARIES", {})
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        a, b = integer_operands(eq1_small, seed=4)
+        with obs.tracing() as cold:
+            want = get_target("openmp").compile_and_run(plan, a, b)
+        assert cold.metrics.counter("chost.builds") == 1
+        assert cold.metrics.counter("chost.build_hits") == 0
+        assert list(tmp_path.iterdir()) == []
+
+        def no_cc(*args, **kwargs):
+            raise AssertionError("the C compiler ran on a cached build")
+
+        monkeypatch.setattr(chost.subprocess, "run", no_cc)
+        with obs.tracing() as warm:
+            got = get_target("openmp").compile_and_run(plan, a, b)
+        assert warm.metrics.counter("chost.builds") == 0
+        assert warm.metrics.counter("chost.build_hits") == 1
+        assert list(tmp_path.iterdir()) == []
+        assert got.tobytes() == want.tobytes()
+
+    @requires_cc
+    def test_concurrent_calls_build_once_and_stay_exact(self, monkeypatch):
+        # clemu keeps its work-group state in statics, so unserialized
+        # calls into one library would corrupt each other's results.
+        c = parse("ab-ak-kb", {"a": 9, "b": 7, "k": 5})
+        p = KernelPlan(c, config_from_spec(
+            c, tb_x=[("a", 4)], tb_y=[("b", 4)], tb_k=[("k", 4)]
+        ))
+        a, b = integer_operands(c, seed=8)
+        want = reference_contract(c, a, b).tobytes()
+        monkeypatch.setattr(chost, "_LIBRARIES", {})
+        compiles = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            compiles.append(args[0])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(chost.subprocess, "run", counting_run)
+        results = []
+
+        def call():
+            for _ in range(3):
+                out = get_target("clemu").compile_and_run(p, a, b)
+                results.append(out.tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=call, daemon=True) for _ in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(compiles) == 1
+        assert results == [want] * 18
+
+    @requires_cc
+    @pytest.mark.parametrize("target_name", ["cemu", "clemu", "openmp"])
+    def test_misshaped_operand_raises(self, target_name, plan, eq1_small):
+        a, b = integer_operands(eq1_small, seed=5)
+        target = get_target(target_name)
+        with pytest.raises(OperandShapeError, match="operand A"):
+            target.compile_and_run(plan, a[:-1], b)
+        with pytest.raises(OperandShapeError, match="operand B"):
+            target.compile_and_run(plan, a, b.reshape(b.shape[::-1]))
+
+    @requires_cc
+    def test_nonzero_status_raises(self):
+        c = parse("ab-ak-kb", {"a": 3, "b": 2, "k": 4})
+        p = KernelPlan(c, config_from_spec(
+            c, tb_x=[("a", 2)], tb_y=[("b", 2)], tb_k=[("k", 2)]
+        ))
+        lib = chost.build_executable(
+            "int failing_(double* c, const double* a, const double* b,"
+            " int n_a, int n_b, int n_k) { return 2; }\n",
+            "failing_",
+        )
+        a, b = integer_operands(c, seed=6)
+        with pytest.raises(EmulationError, match="status 2"):
+            chost.run_executable(lib, p, a, b)
+
+    @requires_cc
+    def test_gen_openmp_program_runs_standalone(self, tmp_path):
+        from repro.cli import main
+
+        sizes = {"a": 6, "b": 5, "c": 4, "d": 7}
+        path = tmp_path / "kernel.c"
+        assert main([
+            "gen", "abc-adc-bd", "--sizes", "a=6,b=5,c=4,d=7",
+            "--target", "openmp", "-o", str(path),
+        ]) == 0
+        kernel = Cogent(arch="V100", target="openmp").generate(
+            parse("abc-adc-bd", sizes)
+        )
+        assert path.read_text() == kernel.source("openmp")
+        exe = tmp_path / "kernel"
+        subprocess.run(
+            ["cc", *openmp.CFLAGS_PORTABLE, "-o", str(exe), str(path)],
+            check=True,
+        )
+        c = kernel.plan.contraction
+        a, b = integer_operands(c, seed=7)
+        np.asfortranarray(a).ravel(order="K").tofile(tmp_path / "A.bin")
+        np.asfortranarray(b).ravel(order="K").tofile(tmp_path / "B.bin")
+        subprocess.run(
+            [str(exe), *(str(c.extent(i)) for i in c.all_indices),
+             *(str(tmp_path / f"{t}.bin") for t in "ABC")],
+            check=True,
+        )
+        out = np.fromfile(tmp_path / "C.bin").reshape(
+            c.extents_of(c.c), order="F"
+        )
+        assert out.tobytes() == reference_contract(c, a, b).tobytes()
 
 
 @requires_cc
