@@ -53,8 +53,7 @@ def _run_batch(workers: int, search_workers: int):
     import time
 
     contractions = [get(n).contraction() for n in SEARCH_BATCH]
-    generator = Cogent(arch="V100")
-    generator.workers = search_workers
+    generator = Cogent(arch="V100", workers=search_workers)
     t0 = time.perf_counter()
     kernels = generator.generate_many(contractions, workers=workers)
     wall_s = time.perf_counter() - t0

@@ -1,11 +1,11 @@
-"""Whole-network compilation: DP engine speedup, memory planning, dedup.
+"""Whole-network compilation: path-DP speedup, memory planning, dedup.
 
 Three measurements over the staged pipeline
 (parse -> path -> schedule -> memory -> dedup -> codegen):
 
-* **path optimizer** — the vectorized bitmask DP vs the object-DP
-  oracle on an n=10 varied-extent chain.  Bit-identical paths are
-  asserted; PR-level target >= 10x.
+* **path optimizer** — the vectorized bitmask DP vs the per-pair
+  oracle DP (``tests/oracles``) on an n=10 varied-extent chain.
+  Bit-identical paths are asserted; target >= 10x.
 * **memory planner** — liveness-based arena footprint vs
   allocate-per-step on three networks (the asymmetric MPS-like chain,
   a CCSD-style two-term residual network, a Tucker decomposition);
@@ -13,7 +13,8 @@ Three measurements over the staged pipeline
 * **pipeline wall time** — cold vs warm compile of the CCSD diagram
   workload against a persistent store (warm must search zero times).
 
-Numbers land in ``BENCH_network_compile.json`` at the repo root.
+Numbers land in ``BENCH_network_compile.json`` at the repo root.  Run
+from the repository root so ``tests.oracles`` is importable.
 """
 
 import json
@@ -28,6 +29,7 @@ from repro.core.generator import Cogent
 from repro.core.network import optimal_path, parse_network
 from repro.core.parser import parse_compact
 from repro.core.pipeline import NetworkPipeline
+from tests.oracles import object_optimal_path
 
 
 def quick_mode() -> bool:
@@ -74,26 +76,26 @@ def _chain(n, extents):
     return parse_network(expr, sizes)
 
 
-def _time_engine(spec, engine, repeats):
+def _time_dp(spec, dp, repeats):
     best = float("inf")
     path = None
     for _ in range(repeats):
         start = time.perf_counter()
-        path = optimal_path(spec, engine=engine)
+        path = dp(spec)
         best = min(best, time.perf_counter() - start)
     return best, path
 
 
 def run_path_optimizer(repeats):
     spec = _chain(10, DP_CHAIN_EXTENTS)
-    object_s, object_path = _time_engine(spec, "object", repeats)
-    vector_s, vector_path = _time_engine(spec, "vectorized", repeats)
+    object_s, object_path = _time_dp(spec, object_optimal_path, repeats)
+    vector_s, vector_path = _time_dp(spec, optimal_path, repeats)
     assert vector_path.total_flops == object_path.total_flops
     assert vector_path.peak_intermediate == object_path.peak_intermediate
     assert [
         (s.left, s.right, s.result) for s in vector_path.steps
     ] == [(s.left, s.right, s.result) for s in object_path.steps], \
-        "engines must emit bit-identical paths"
+        "both DPs must emit bit-identical paths"
     return {
         "tensors": 10,
         "object_s": object_s,

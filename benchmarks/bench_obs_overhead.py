@@ -21,7 +21,6 @@ import time
 import timeit
 
 from repro import obs
-from repro.core.costmodel import CostModel
 from repro.core.enumeration import Enumerator
 from repro.gpu.arch import VOLTA_V100
 from repro.tccg import get
@@ -32,10 +31,9 @@ ROUNDS = 5
 
 def _search_seconds() -> float:
     contraction = get(CONTRACTION).contraction()
-    cost_model = CostModel(8, VOLTA_V100.transaction_bytes)
     enumerator = Enumerator(contraction, VOLTA_V100)
     t0 = time.perf_counter()
-    enumerator.search(keep=16, cost_model=cost_model)
+    enumerator.search(keep=16)
     return time.perf_counter() - t0
 
 

@@ -3,15 +3,18 @@
 Reproduces the enumeration-pruning statistics across the TCCG suite:
 raw enumerated combinations, hardware-pruned, performance-pruned, and
 the surviving fraction, per benchmark group and overall — plus the
-per-rule pruned counts as reported by both search engines (the
-vectorized columnar path and the per-plan object oracle) on the
-paper's Eq. 1.
+per-rule pruned counts as reported by the columnar search and by the
+per-plan object search in ``tests/oracles`` on the paper's Eq. 1.  Run
+from the repository root so ``tests.oracles`` is importable.
 """
 
 from repro.core.constraints import HARDWARE_RULES, PERFORMANCE_RULES
-from repro.core.enumeration import ENGINES, Enumerator, paper_search_space
+from repro.core.enumeration import Enumerator, paper_search_space
 from repro.core.parser import parse
 from repro.gpu.arch import VOLTA_V100
+from tests.oracles import AdaptiveChecker, object_search
+
+SEARCHES = ("columnar", "object")
 
 
 def run_pruning_stats(selection):
@@ -49,13 +52,17 @@ def test_pruning_statistics(benchmark, selection):
 
 
 def run_rule_pruning_eq1():
-    """Per-rule pruned counts from both engines on the paper's Eq. 1."""
+    """Per-rule pruned counts from both searches on the paper's Eq. 1."""
     eq1 = parse("abcd-aebf-dfce", 24)
-    outcomes = {}
-    for engine in ENGINES:
-        enumerator = Enumerator(eq1, VOLTA_V100, engine=engine)
-        result = enumerator.search(keep=1)
-        outcomes[engine] = (result, enumerator.checker.rule_stats)
+    enumerator = Enumerator(eq1, VOLTA_V100)
+    columnar = enumerator.search(keep=1)
+    checker = AdaptiveChecker(VOLTA_V100)
+    oracle = object_search(Enumerator(eq1, VOLTA_V100), keep=1,
+                           checker=checker)
+    outcomes = {
+        "columnar": (columnar, enumerator.checker.rule_stats),
+        "object": (oracle, checker.rule_stats),
+    }
     return eq1, outcomes
 
 
@@ -64,7 +71,7 @@ def test_rule_pruning_both_engines(benchmark):
         run_rule_pruning_eq1, rounds=1, iterations=1
     )
     print()
-    print("Eq. 1 per-rule pruned counts, columnar vs object engine")
+    print("Eq. 1 per-rule pruned counts, columnar search vs object oracle")
     print(f"{'rule':<22} {'col rej':>9} {'obj rej':>9} "
           f"{'col chk':>9} {'obj chk':>9}")
     col_stats = outcomes["columnar"][1]
@@ -74,16 +81,16 @@ def test_rule_pruning_both_engines(benchmark):
               f"{obj_stats[rule].rejections:>9} "
               f"{col_stats[rule].checks:>9} {obj_stats[rule].checks:>9}")
     space = paper_search_space(eq1)
-    for engine in ENGINES:
-        result, rule_stats = outcomes[engine]
+    for search in SEARCHES:
+        result, rule_stats = outcomes[search]
         stats = result.stats
         # every pruned row is charged to exactly one rule
         total = sum(s.rejections for s in rule_stats.values())
         assert total == stats.hardware_pruned + stats.performance_pruned
         pruned = 1 - stats.accepted / space
-        print(f"{engine:>8}: {stats.accepted} survivors of a "
+        print(f"{search:>8}: {stats.accepted} survivors of a "
               f"{space}-point naive space -> {pruned * 100:.2f}% pruned")
         # Section IV-A: "around 97% of the configurations were pruned"
         assert pruned > 0.95
-    # both engines agree on the family totals
+    # both searches agree on the family totals
     assert outcomes["columnar"][0].stats == outcomes["object"][0].stats

@@ -3,17 +3,18 @@
 Two arms:
 
 1. Exact transaction replay: the vectorized equivalence-class replay
-   (`repro.gpu.memory.VectorizedReplay`) against the retained
-   per-(block, step) loop oracle (`count_transactions_reference`) on a
-   mid-size TCCG contraction.  The tentpole target is >=50x with
-   bit-for-bit identical counts.
+   (`repro.gpu.memory.VectorizedReplay`) against the per-(block, step)
+   loop oracle (`count_transactions_reference` in `tests/oracles`) on
+   a mid-size TCCG contraction.  The target is >=50x with bit-for-bit
+   identical counts.
 2. Suite evaluation: `SuiteRunner.compare` serial vs `workers=2`
    (identical rows required) and cold vs warm evaluation cache (the
    warm run must perform zero framework re-evaluations).
 
 Set ``REPRO_BENCH_JSON=path.json`` to dump both comparisons as JSON
 (sections are merged into the file, same env-var convention as
-``bench_codegen_time.py``).
+``bench_codegen_time.py``).  Run from the repository root so
+``tests.oracles`` is importable.
 """
 
 import json
@@ -24,12 +25,9 @@ import pytest
 
 from repro import Cogent
 from repro.evaluation import SuiteRunner
-from repro.gpu.memory import (
-    VectorizedReplay,
-    count_transactions,
-    count_transactions_reference,
-)
+from repro.gpu.memory import VectorizedReplay, count_transactions
 from repro.tccg import by_group, get
+from tests.oracles import count_transactions_reference
 
 #: Mid-size TCCG contraction for the replay throughput comparison: the
 #: AO-to-MO transform stage at half its representative extents keeps
@@ -131,17 +129,17 @@ def test_compare_serial_vs_parallel_and_cache(benchmark, tmp_path):
     parallel = SuiteRunner(arch="V100")
     parallel_rows = benchmark.pedantic(
         parallel.compare, args=(benches, frameworks),
-        kwargs={"_workers": COMPARE_WORKERS}, rounds=1, iterations=1,
+        kwargs={"workers": COMPARE_WORKERS}, rounds=1, iterations=1,
     )
     parallel_s = parallel.last_stats.total_s
     assert _flatten(parallel_rows) == _flatten(serial_rows)  # determinism
 
     cache_dir = tmp_path / "evalcache"
-    cold = SuiteRunner(arch="V100", _cache_dir=cache_dir)
-    cold_rows = cold.compare(benches, frameworks, _workers=COMPARE_WORKERS)
-    warm = SuiteRunner(arch="V100", _cache_dir=cache_dir)
+    cold = SuiteRunner(arch="V100", cache_dir=cache_dir)
+    cold_rows = cold.compare(benches, frameworks, workers=COMPARE_WORKERS)
+    warm = SuiteRunner(arch="V100", cache_dir=cache_dir)
     t0 = time.perf_counter()
-    warm_rows = warm.compare(benches, frameworks, _workers=COMPARE_WORKERS)
+    warm_rows = warm.compare(benches, frameworks, workers=COMPARE_WORKERS)
     warm_s = time.perf_counter() - t0
     assert warm.last_stats.evaluated == 0  # zero re-evaluations
     assert warm.last_stats.cache_hits == len(benches) * len(frameworks)

@@ -1,20 +1,16 @@
 """The blessed high-level API: one options object, four verbs.
 
-Historically the knobs that shape a run — process-pool width, search
-beam, cache directory, target architecture, precision — were scattered
-as keyword arguments across :class:`repro.core.generator.Cogent`,
-:meth:`repro.evaluation.runner.SuiteRunner.compare` and
-:meth:`repro.core.enumeration.Enumerator.search`.  This module gathers
-them into one frozen :class:`Options` dataclass and exposes the four
-common entry points as plain functions:
+The knobs that shape a run — process-pool width, search beam, cache
+directory, target architecture, precision — live in one frozen
+:class:`Options` dataclass, and the common entry points are plain
+functions:
 
 * :func:`compile`  — generate the best kernel for one contraction;
 * :func:`rank`     — cost-model ranking of the pruned configurations;
 * :func:`evaluate` — run benchmark × framework comparison grids;
 * :func:`tune`     — the TC-style genetic autotuner baseline.
 
-The old keyword paths still work but emit :class:`DeprecationWarning`
-(behaviour is unchanged).  Typical use::
+Typical use::
 
     from repro import api
 
@@ -39,7 +35,6 @@ from typing import (
 
 from . import obs
 from .core.cache import KernelCache
-from .core.enumeration import ENGINES
 from .core.generator import Cogent, GeneratedKernel
 from .core.ir import Contraction
 from .core.mapping import KernelConfig
@@ -89,10 +84,6 @@ class Options:
     trace:
         Run each API call inside an observability session; fetch the
         exported payload afterwards with :func:`last_trace`.
-    engine:
-        Configuration-search engine: ``"columnar"`` (default, batch
-        vectorized) or ``"object"`` (per-plan oracle path).  Both
-        return bit-identical rankings.
     store_dir:
         Directory for the content-addressed persistent kernel store
         used by :func:`compile_many` (dedup-first workload
@@ -106,11 +97,6 @@ class Options:
         model (see :mod:`repro.strategies` and
         :func:`select_strategy`).  Folded into the generator's search
         signature, so dedup-first stores cache per-strategy winners.
-    path_engine:
-        Contraction-order search engine for :func:`compile_network`:
-        ``"vectorized"`` (default, NumPy bitmask batch DP) or
-        ``"object"`` (per-pair oracle).  Both return bit-identical
-        paths.
     memory_cap:
         Optional cap (in elements) on the largest intermediate a
         network contraction path may create; paths that cannot fit
@@ -137,10 +123,8 @@ class Options:
     arch: str = "V100"
     dtype: str = "double"
     trace: bool = False
-    engine: str = "columnar"
     store_dir: Optional[Union[str, Path]] = None
     strategy: str = "direct"
-    path_engine: str = "vectorized"
     memory_cap: Optional[int] = None
     target: str = "cuda"
     calibration: str = "off"
@@ -159,11 +143,6 @@ class Options:
             raise ValueError(
                 f"arch must be one of {sorted(ARCHS)}, got {self.arch!r}"
             )
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {sorted(ENGINES)}, "
-                f"got {self.engine!r}"
-            )
         from .core.costmodel import STRATEGY_NAMES
 
         if self.strategy not in ("auto",) + STRATEGY_NAMES:
@@ -171,13 +150,6 @@ class Options:
                 f"strategy must be one of "
                 f"{sorted(('auto',) + STRATEGY_NAMES)}, "
                 f"got {self.strategy!r}"
-            )
-        from .core.network import PATH_ENGINES
-
-        if self.path_engine not in PATH_ENGINES:
-            raise ValueError(
-                f"path_engine must be one of {sorted(PATH_ENGINES)}, "
-                f"got {self.path_engine!r}"
             )
         if self.memory_cap is not None and self.memory_cap < 1:
             raise ValueError(
@@ -235,18 +207,14 @@ def _traced(options: Options, command: str) -> Iterator[None]:
 
 
 def _generator(options: Options) -> Cogent:
-    generator = Cogent(
+    return Cogent(
         arch=options.arch,
         dtype_bytes=options.dtype_bytes,
         top_k=options.top_k,
-        engine=options.engine,
+        workers=options.workers,
         strategy=options.strategy,
         target=options.target,
     )
-    # Attribute assignment, not the constructor keyword: the keyword is
-    # the deprecated spelling this facade replaces.
-    generator.workers = options.workers
-    return generator
 
 
 def compile(
@@ -317,8 +285,8 @@ def compile_network(
 
     Runs parse → path-optimize → schedule → memory-plan → dedup →
     codegen (see :mod:`repro.core.pipeline`): the vectorized DP picks
-    the pairwise contraction order (``options.path_engine``, optionally
-    bounded by ``options.memory_cap`` elements per intermediate), the
+    the pairwise contraction order (optionally bounded by
+    ``options.memory_cap`` elements per intermediate), the
     liveness planner assigns intermediates to a reusable buffer arena,
     isomorphic steps share one search, and ``options.store_dir`` makes
     warm runs search-free.  Returns a
@@ -332,7 +300,6 @@ def compile_network(
         pipeline = NetworkPipeline(
             _generator(options),
             store=options.store_dir,
-            path_engine=options.path_engine,
             memory_cap=options.memory_cap,
             workers=options.workers,
         )
@@ -389,10 +356,10 @@ def evaluate(
         runner = SuiteRunner(
             arch=options.arch,
             dtype_bytes=options.dtype_bytes,
-            _cache_dir=options.cache_dir,
+            cache_dir=options.cache_dir,
         )
         return runner.compare(
-            benchmarks, frameworks, _workers=options.workers
+            benchmarks, frameworks, workers=options.workers
         )
 
 
@@ -414,13 +381,14 @@ def tune(
     curve, best configuration and modelled tuning cost.
 
     With ``guided=True``, runs the calibrated model-guided loop instead
-    (:class:`repro.autotune.ModelGuidedStrategy`): the columnar engine
-    ranks a ``shortlist``, the calibrated correction re-ranks it, the
-    simulator measures at most ``budget`` candidates with exact-replay
-    traffic, the correction refits online, and the loop stops once the
-    predicted best stabilises.  ``options.calibration="auto"`` loads or
-    fits the offline calibration (persisted under ``options.store_dir``
-    so warm runs skip fitting).  Returns a
+    (:class:`repro.autotune.ModelGuidedStrategy`): the configuration
+    search ranks a ``shortlist``, the calibrated correction re-ranks
+    it, the simulator measures at most ``budget`` candidates with
+    exact-replay traffic, the correction refits online, and the loop
+    stops once the predicted best stabilises.
+    ``options.calibration="auto"`` loads or fits the offline
+    calibration (persisted under ``options.store_dir`` so warm runs
+    skip fitting).  Returns a
     :class:`repro.autotune.GuidedTuneResult`.
     """
     from .gpu.arch import get_arch

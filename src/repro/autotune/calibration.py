@@ -641,7 +641,11 @@ def load_calibration(
     """
     if not isinstance(store, KernelStore):
         store = KernelStore(store)
-    payload = store.lookup(calibration_key(arch, dtype_bytes))
+    payload = store.lookup(
+        calibration_key(arch, dtype_bytes),
+        required=("kind", "arch", "dtype_bytes", "code_stamp",
+                  "coefficients", "samples"),
+    )
     if payload is None or payload.get("kind") != "calibration":
         obs.inc("autotune.calibration.store_misses")
         return None

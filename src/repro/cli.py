@@ -58,7 +58,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .core.enumeration import ENGINES
 from .core.generator import Cogent
 from .core.parser import parse, parse_size_spec
 from .core.plan import KernelPlan
@@ -109,17 +108,6 @@ def _run_parent() -> argparse.ArgumentParser:
     p.add_argument(
         "--json", metavar="FILE",
         help="also write the command's results as JSON",
-    )
-    return p
-
-
-def _engine_parent() -> argparse.ArgumentParser:
-    """Shared ``--engine`` flag (configuration-search implementation)."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument(
-        "--engine", default="columnar", choices=sorted(ENGINES),
-        help="search engine: vectorized 'columnar' batches (default) or "
-        "the per-plan 'object' oracle path; results are bit-identical",
     )
     return p
 
@@ -182,14 +170,12 @@ def _resolve_contraction(
 
 
 def _make_generator(args: argparse.Namespace, **extra) -> Cogent:
-    """Build a Cogent from normalized CLI flags (no deprecated kwargs)."""
-    cogent = Cogent(
+    """Build a Cogent from normalized CLI flags."""
+    return Cogent(
         arch=args.arch, dtype_bytes=_dtype_bytes(args),
-        engine=getattr(args, "engine", "columnar"),
+        workers=getattr(args, "workers", 1),
         target=getattr(args, "target", None) or "cuda", **extra
     )
-    cogent.workers = max(1, getattr(args, "workers", 1))
-    return cogent
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -287,38 +273,18 @@ def cmd_save(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rule_pruning_by_engine(cogent: Cogent, contraction) -> dict:
-    """Per-rule pruned counts from both search engines.
+def _rule_pruning(cogent: Cogent, contraction) -> dict:
+    """Per-rule pruned counts of one streaming search.
 
-    Runs the identical streaming search once per engine and reads the
-    checker's accumulated :class:`RuleStats`.  Totals always agree; a
-    row with multiple violations may be charged to different rules
-    (the object path reorders rules adaptively, the columnar path
-    evaluates them in canonical order).
+    Rules run in canonical order, so each pruned configuration is
+    charged to the first rule it violates.
     """
-    from .core.enumeration import Enumerator
-
-    table: dict = {}
-    for engine in ENGINES:
-        enumerator = Enumerator(
-            contraction,
-            cogent.arch,
-            cogent.dtype_bytes,
-            tb_sizes=cogent.tb_sizes,
-            reg_sizes=cogent.reg_sizes,
-            tbk_sizes=cogent.tbk_sizes,
-            policy=cogent.policy,
-            engine=engine,
-        )
-        enumerator.search(keep=1)
-        table[engine] = {
-            name: {
-                "checks": stats.checks,
-                "rejections": stats.rejections,
-            }
-            for name, stats in enumerator.checker.rule_stats.items()
-        }
-    return table
+    enumerator = cogent._enumerator(contraction)
+    enumerator.search(keep=1)
+    return {
+        name: {"checks": stats.checks, "rejections": stats.rejections}
+        for name, stats in enumerator.checker.rule_stats.items()
+    }
 
 
 def _strategy_selector(args: argparse.Namespace):
@@ -376,19 +342,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if selector is not None:
         strategy_choice = selector.choose(contraction)
         _print_strategy_choice(strategy_choice)
-    pruning = _rule_pruning_by_engine(cogent, core)
-    print("\nper-rule pruned counts (columnar | object):")
-    rules = sorted(
-        set(pruning["columnar"]) | set(pruning["object"])
-    )
-    print(f"{'rule':<22} {'col rej':>9} {'obj rej':>9} "
-          f"{'col chk':>9} {'obj chk':>9}")
-    for rule in rules:
-        col = pruning["columnar"].get(rule, {})
-        obj = pruning["object"].get(rule, {})
-        print(f"{rule:<22} {col.get('rejections', 0):>9} "
-              f"{obj.get('rejections', 0):>9} "
-              f"{col.get('checks', 0):>9} {obj.get('checks', 0):>9}")
+    pruning = _rule_pruning(cogent, core)
+    print("\nper-rule pruned counts:")
+    print(f"{'rule':<22} {'rejected':>9} {'checked':>9}")
+    for rule, counts in pruning.items():
+        print(f"{rule:<22} {counts['rejections']:>9} "
+              f"{counts['checks']:>9}")
     if args.json:
         import json
 
@@ -396,7 +355,6 @@ def cmd_rank(args: argparse.Namespace) -> int:
             "arch": args.arch,
             "dtype": args.dtype,
             "expr": args.expr,
-            "engine": getattr(args, "engine", "columnar"),
             "pruned_total": len(ranked),
             "rule_pruning": pruning,
             "top": rows,
@@ -440,10 +398,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     runner = SuiteRunner(
         arch=args.arch,
         dtype_bytes=_dtype_bytes(args),
-        _cache_dir=args.cache_dir,
+        cache_dir=args.cache_dir,
     )
     frameworks = args.frameworks.split(",")
-    rows = runner.compare(benches, frameworks, _workers=args.workers)
+    rows = runner.compare(benches, frameworks, workers=args.workers)
     stats = runner.last_stats
     selector = _strategy_selector(args)
     suite_selection = None
@@ -540,9 +498,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         arch=args.arch,
         dtype_bytes=_dtype_bytes(args),
         top_k=args.top_k,
-        engine=getattr(args, "engine", "columnar"),
+        workers=args.search_workers,
     )
-    cogent.workers = max(1, args.search_workers)
     session = CompilationSession(
         cogent, store=args.store_dir or args.cache_dir
     )
@@ -620,7 +577,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         arch=args.arch,
         dtype_bytes=_dtype_bytes(args),
         top_k=args.top_k,
-        engine=getattr(args, "engine", "columnar"),
     )
     session = CompilationSession(cogent, store=args.store_dir)
     contractions = [bench.contraction() for bench in benches]
@@ -672,12 +628,10 @@ def cmd_network(args: argparse.Namespace) -> int:
         arch=args.arch,
         dtype_bytes=_dtype_bytes(args),
         top_k=args.top_k,
-        engine=getattr(args, "engine", "columnar"),
     )
     pipeline = NetworkPipeline(
         cogent,
         store=args.store_dir,
-        path_engine=args.path_engine,
         memory_cap=args.memory_cap,
         workers=max(1, args.workers),
     )
@@ -791,7 +745,6 @@ def _cmd_tune_guided(args: argparse.Namespace, contraction) -> int:
     options = api.Options(
         arch=args.arch,
         dtype=args.dtype,
-        engine=args.engine,
         calibration="auto",
         store_dir=args.store_dir,
     )
@@ -884,11 +837,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = _common_parent()
     run_opts = _run_parent()
     obs_opts = _obs_parent()
-    engine_opts = _engine_parent()
 
     p_gen = sub.add_parser(
         "gen", help="generate a kernel",
-        parents=[common, run_opts, obs_opts, engine_opts],
+        parents=[common, run_opts, obs_opts],
     )
     p_gen.add_argument("expr", help="contraction expression or TCCG name")
     p_gen.add_argument("--sizes", help="extents, e.g. '24' or 'a=16,b=32'")
@@ -933,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     strategy_opts = _strategy_parent()
     p_rank = sub.add_parser(
         "rank", help="rank configurations by cost",
-        parents=[common, run_opts, engine_opts, strategy_opts],
+        parents=[common, run_opts, strategy_opts],
     )
     p_rank.add_argument("expr")
     p_rank.add_argument("--sizes")
@@ -968,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser(
         "batch", help="batch-generate kernels with search statistics",
-        parents=[common, run_opts, obs_opts, engine_opts],
+        parents=[common, run_opts, obs_opts],
     )
     p_batch.add_argument(
         "names", nargs="*",
@@ -997,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compile",
         help="dedup-first workload compilation (one search per "
         "equivalence class, persistent kernel store)",
-        parents=[common, run_opts, obs_opts, engine_opts],
+        parents=[common, run_opts, obs_opts],
     )
     p_compile.add_argument(
         "names", nargs="*",
@@ -1022,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
         "network",
         help="compile an n-ary contraction network through the staged "
         "pipeline (path search, memory plan, dedup, codegen)",
-        parents=[common, run_opts, obs_opts, engine_opts],
+        parents=[common, run_opts, obs_opts],
     )
     p_network.add_argument(
         "expr", help="n-ary network, e.g. 'ab,bc,cd->ad'",
@@ -1031,12 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sizes", help="extents, e.g. '24' or 'a=16,b=32'",
     )
     p_network.add_argument("--top-k", type=int, default=64)
-    p_network.add_argument(
-        "--path-engine", default="vectorized",
-        choices=("vectorized", "object"),
-        help="contraction-order DP: NumPy bitmask batches (default) or "
-        "the per-pair oracle; paths are bit-identical",
-    )
     p_network.add_argument(
         "--memory-cap", type=int, metavar="ELEMS",
         help="largest intermediate (elements) the path may create",
@@ -1065,7 +1011,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tune = sub.add_parser(
         "tune", help="run the TC-style autotuner",
-        parents=[common, run_opts, obs_opts, engine_opts],
+        parents=[common, run_opts, obs_opts],
     )
     p_tune.add_argument("expr")
     p_tune.add_argument("--sizes")

@@ -13,9 +13,12 @@ fetch from cache), execute the kernel's schedule on the given operands.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
+import tempfile
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
@@ -159,11 +162,12 @@ def eval_cache_key(
 class EvalCache:
     """Persistent on-disk store of framework evaluation results.
 
-    One JSON file per key under ``directory``; payloads are plain dicts
-    (the caller decides the schema — :class:`repro.evaluation.runner`
-    stores ``FrameworkResult.as_dict()``).  Writes are atomic
-    (temp file + rename) so concurrent runs sharing a directory never
-    observe torn entries.
+    One JSON object per key under ``directory``; payloads are plain
+    dicts (the caller decides the schema — :class:`repro.evaluation.
+    runner` stores ``FrameworkResult.as_dict()``).  Each write goes to
+    its own temp file and is renamed into place, so concurrent writers
+    sharing a directory never collide and readers never observe torn
+    entries.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
@@ -175,11 +179,19 @@ class EvalCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def lookup(self, key: str) -> Optional[Dict]:
-        """The stored payload for ``key``, or ``None`` on a miss."""
+    def _read(self, key: str) -> Optional[Dict]:
+        """The stored JSON object for ``key``; ``None`` if absent,
+        unreadable, truncated or not an object."""
         try:
             payload = json.loads(self._path(key).read_text())
         except (OSError, ValueError):
+            return None
+        return payload if isinstance(payload, dict) else None
+
+    def lookup(self, key: str) -> Optional[Dict]:
+        """The stored payload for ``key``, or ``None`` on a miss."""
+        payload = self._read(key)
+        if payload is None:
             self.misses += 1
             return None
         self.hits += 1
@@ -187,10 +199,17 @@ class EvalCache:
 
     def put(self, key: str, payload: Dict) -> None:
         """Persist ``payload`` (JSON-serialisable) under ``key``."""
-        target = self._path(key)
-        tmp = target.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        tmp.replace(target)
+        fd, tmp = tempfile.mkstemp(
+            dir=self.directory, prefix=f"{key}.", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(json.dumps(payload, indent=2, sort_keys=True))
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.json"))

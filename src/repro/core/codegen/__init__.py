@@ -1,12 +1,9 @@
 """Code emission backends behind the pluggable target registry.
 
-The stable surface is the registry API — :func:`get_target`,
+The surface is the registry API — :func:`get_target`,
 :func:`list_targets`, :func:`register_target` and the
-:class:`CodegenTarget` interface.  The legacy free-function names
-(``generate_cuda_kernel`` and friends) still resolve, but lazily: they
-are looked up on attribute access so importing this package no longer
-pulls every backend in, and calling them emits a ``DeprecationWarning``
-pointing at the target API.
+:class:`CodegenTarget` interface.  Backends load lazily on first lookup,
+so importing this package does not pull every backend in.
 """
 
 from .registry import (
@@ -21,43 +18,8 @@ from .registry import (
 __all__ = [
     "CodegenTarget",
     "TargetCapabilityError",
-    "compile_and_run",
-    "generate_c_emulation",
-    "generate_cuda_driver",
-    "generate_cuda_kernel",
-    "generate_launch_snippet",
-    "generate_opencl_kernel",
     "get_target",
     "list_targets",
     "register_target",
     "runnable_targets",
 ]
-
-# Legacy names, resolved lazily (PEP 562).  The deprecated wrappers warn
-# at call time, so plain attribute access stays silent — old import
-# sites only hear about the migration when they actually emit code.
-_LEGACY = {
-    "compile_and_run": ("cemu", "compile_and_run"),
-    "generate_c_emulation": ("cemu", "generate_c_emulation"),
-    "generate_cuda_driver": ("driver", "generate_cuda_driver"),
-    "generate_cuda_kernel": ("cuda", "generate_cuda_kernel"),
-    "generate_launch_snippet": ("cuda", "generate_launch_snippet"),
-    "generate_opencl_kernel": ("opencl", "generate_opencl_kernel"),
-}
-
-
-def __getattr__(name):
-    try:
-        module_name, attr = _LEGACY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __package__)
-    return getattr(module, attr)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LEGACY))

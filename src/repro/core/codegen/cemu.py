@@ -20,7 +20,6 @@ from typing import List
 
 import numpy as np
 
-from ...deprecation import warn_deprecated
 from ..plan import KernelPlan
 from . import indexing as ix
 from .chost import (
@@ -162,17 +161,6 @@ def _emit_program(plan: KernelPlan, kernel_name: str = "tc_kernel_emu") -> str:
     lines.append("")
     lines += host_main_function(plan, kernel_name)
     return "\n".join(lines) + "\n"
-
-
-def generate_c_emulation(
-    plan: KernelPlan, kernel_name: str = "tc_kernel_emu"
-) -> str:
-    """Deprecated alias for the registered ``cemu`` target's emitter."""
-    warn_deprecated(
-        "repro.core.codegen.cemu.generate_c_emulation",
-        'get_target("cemu").emit_kernel or Kernel.source("cemu")',
-    )
-    return _emit_program(plan, kernel_name)
 
 
 def compile_and_run(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import List
 
-from ...deprecation import warn_deprecated
 from ..plan import KernelPlan
 from . import indexing as ix
 from .registry import CodegenTarget, register_target
@@ -243,17 +242,6 @@ def generate_launch_snippet(
             f"{kernel_name}<<<(unsigned)num_blocks_, block_>>>({args});",
         ]
     ) + "\n"
-
-
-def generate_cuda_kernel(
-    plan: KernelPlan, kernel_name: str = "tc_kernel"
-) -> str:
-    """Deprecated alias for the registered ``cuda`` target's emitter."""
-    warn_deprecated(
-        "repro.core.codegen.cuda.generate_cuda_kernel",
-        'get_target("cuda").emit_kernel or Kernel.source("cuda")',
-    )
-    return _emit_kernel(plan, kernel_name)
 
 
 @register_target

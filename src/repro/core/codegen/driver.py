@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import List
 
-from ...deprecation import warn_deprecated
 from ..plan import KernelPlan
 from . import indexing as ix
 from .cuda import _emit_kernel, scalar_type
@@ -115,14 +114,3 @@ def _emit_driver(plan: KernelPlan, kernel_name: str = "tc_kernel") -> str:
         "}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def generate_cuda_driver(
-    plan: KernelPlan, kernel_name: str = "tc_kernel"
-) -> str:
-    """Deprecated alias for the ``cuda`` target's driver emitter."""
-    warn_deprecated(
-        "repro.core.codegen.driver.generate_cuda_driver",
-        'get_target("cuda").emit_driver or Kernel.driver_source("cuda")',
-    )
-    return _emit_driver(plan, kernel_name)

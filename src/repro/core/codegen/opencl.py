@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import List
 
-from ...deprecation import warn_deprecated
 from ..plan import KernelPlan
 from . import indexing as ix
 from .cuda import scalar_type
@@ -197,17 +196,6 @@ def _emit_kernel(plan: KernelPlan, kernel_name: str = "tc_kernel") -> str:
     lines += ix.indent(body, 1)
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def generate_opencl_kernel(
-    plan: KernelPlan, kernel_name: str = "tc_kernel"
-) -> str:
-    """Deprecated alias for the registered ``opencl`` target's emitter."""
-    warn_deprecated(
-        "repro.core.codegen.opencl.generate_opencl_kernel",
-        'get_target("opencl").emit_kernel or Kernel.source("opencl")',
-    )
-    return _emit_kernel(plan, kernel_name)
 
 
 @register_target

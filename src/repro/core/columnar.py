@@ -1,11 +1,10 @@
-"""Struct-of-arrays (columnar) search engine over configuration batches.
+"""Struct-of-arrays (columnar) search over configuration batches.
 
-The object-path search (:meth:`repro.core.enumeration.Enumerator._stream`)
-builds a Python :class:`~repro.core.plan.KernelPlan` and runs ~10 rule
-methods plus a memoised cost estimate *per configuration*.  Everything
-those rules and Algorithm 3 compute, however, is closed-form integer
-arithmetic over the per-family tile choices — so the whole
-prune-and-rank pipeline vectorizes.
+Checking one configuration the direct way builds a Python
+:class:`~repro.core.plan.KernelPlan` and runs ~10 rule methods plus a
+cost estimate.  Everything those rules and Algorithm 3 compute,
+however, is closed-form integer arithmetic over the per-family tile
+choices — so the whole prune-and-rank pipeline vectorizes.
 
 This module encodes each candidate family — the ``(TB_x, REG_x)``
 partials, the ``(TB_y, REG_y)`` partials and the ``TB_k`` tilings — as
@@ -22,8 +21,9 @@ and :meth:`ColumnarBatch.costs` equals
 :meth:`repro.core.costmodel.CostModel.cost` bit-for-bit (all arithmetic
 is int64; the only float is the occupancy fraction, computed with the
 identical operations as :func:`repro.gpu.occupancy.compute_occupancy`).
-The object path remains the oracle; the property tests in
-``tests/test_columnar.py`` pin the agreement.
+The per-plan search in ``tests/oracles`` is the differential-testing
+oracle; the property tests in ``tests/test_columnar.py`` pin the
+agreement.
 
 A flat product position ``p`` decomposes fastest-last to match
 ``itertools.product(x_partials, y_partials, k_partials)``:
@@ -79,8 +79,7 @@ class BatchVerdict:
     accepted: np.ndarray
     #: Rule name -> (rows reaching the rule, rows newly rejected,
     #: predicate seconds).  Rules run in canonical order on the rows
-    #: still alive, so each pruned row is charged to exactly one rule —
-    #: the same invariant the object path's short-circuit keeps.
+    #: still alive, so each pruned row is charged to exactly one rule.
     rule_counts: Dict[str, Tuple[int, int, float]]
 
     @property
@@ -385,7 +384,7 @@ class ColumnarBatch:
 
         Same integer min over the per-SM limits and the same float
         division, so the fraction compared against the policy floor is
-        bit-identical to the object path's.
+        bit-identical to the scalar function's.
         """
         arch = self.space.arch
         threads = self.threads
@@ -472,10 +471,7 @@ class ColumnarBatch:
         Rules run in canonical declaration order with an alive mask, so
         ``checks`` counts the rows that would reach each rule under
         canonical short-circuiting and every rejected row is charged to
-        exactly one rule.  (The object path's *adaptive* ordering can
-        attribute multi-violation rows to a different rule; family
-        verdicts and totals always agree — the families are pure
-        conjunctions.)
+        exactly one rule.
         """
         alive = np.ones(len(self), dtype=bool)
         rule_counts: Dict[str, Tuple[int, int, float]] = {}

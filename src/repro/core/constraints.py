@@ -14,19 +14,15 @@ Configurations are checked against two rule families:
   Violations are fatal during normal search, but the generator may relax
   them when nothing survives (tiny problem sizes).
 
-Two evaluation modes are offered.  :meth:`ConstraintChecker.check`
-evaluates **every** rule and collects all violations (diagnostics,
-tests).  :meth:`ConstraintChecker.classify` is the search engine's fast
-path: within each family it short-circuits on the first violation, and
-it continuously re-orders the rules by their *measured* selectivity per
-unit cost (rejections per second of checking), so the cheapest,
-most-selective predicates run first.  Rule ordering only affects
-wall-time, never the verdict — the families are pure conjunctions.
+:meth:`ConstraintChecker.check` evaluates **every** rule on one plan
+and collects all violations (diagnostics, baselines, tests).  The
+configuration search evaluates the same rules as batched predicates
+(:mod:`repro.core.columnar`) and folds their per-rule counts into the
+checker's :attr:`~ConstraintChecker.rule_stats`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -57,7 +53,7 @@ class ConstraintPolicy:
 
 @dataclass
 class RuleStats:
-    """Measured behaviour of one pruning rule (for adaptive ordering)."""
+    """Measured behaviour of one pruning rule."""
 
     checks: int = 0
     rejections: int = 0
@@ -75,12 +71,10 @@ class RuleStats:
 
     @property
     def efficiency(self) -> float:
-        """Rejections per second of checking — the ordering criterion.
+        """Rejections per second of checking.
 
-        A rule with zero recorded checks ranks neutrally at 0.0: the
-        columnar engine's batched predicates can leave object-path rule
-        counters untouched, and division by a zero check count or zero
-        time must not blow up the adaptive reorder.
+        A rule with zero recorded checks rates neutrally at 0.0, and a
+        zero check time must not divide by zero.
         """
         if self.checks == 0:
             return 0.0
@@ -108,8 +102,7 @@ class ConstraintReport:
 
 
 #: Canonical rule order (declaration order); :meth:`check` reports in
-#: this order so violation listings stay stable regardless of what the
-#: adaptive fast path has learned.
+#: this order so violation listings stay stable.
 HARDWARE_RULES: Tuple[str, ...] = ("smem", "registers", "max_threads",
                                    "nonempty_block")
 PERFORMANCE_RULES: Tuple[str, ...] = (
@@ -121,9 +114,6 @@ PERFORMANCE_RULES: Tuple[str, ...] = (
 class ConstraintChecker:
     """Applies the paper's pruning rules for a target architecture."""
 
-    #: Re-derive the adaptive rule order every this many classifications.
-    REORDER_INTERVAL = 512
-
     def __init__(
         self,
         arch: GpuArch,
@@ -133,13 +123,11 @@ class ConstraintChecker:
         self.arch = arch
         self.dtype_bytes = dtype_bytes
         self.policy = policy or ConstraintPolicy()
-        #: Measured per-rule behaviour, accumulated by :meth:`classify`.
+        #: Measured per-rule behaviour, accumulated by the search via
+        #: :meth:`absorb_batch_counts`.
         self.rule_stats: Dict[str, RuleStats] = {
             name: RuleStats() for name in HARDWARE_RULES + PERFORMANCE_RULES
         }
-        self._classified = 0
-        self._hw_order: Tuple[str, ...] = HARDWARE_RULES
-        self._perf_order: Tuple[str, ...] = PERFORMANCE_RULES
 
     # -- public API ------------------------------------------------------
 
@@ -163,40 +151,16 @@ class ConstraintChecker:
         plan = KernelPlan(contraction, config, self.dtype_bytes)
         return self.check(plan)
 
-    def classify(self, plan: KernelPlan) -> str:
-        """Fast verdict for the search engine.
-
-        Returns ``"accepted"``, ``"hardware"`` (not runnable) or
-        ``"performance"`` (runnable but expected slow).  Within each
-        family the rules short-circuit on the first violation, in an
-        order continuously re-derived from measured selectivity/cost, so
-        the verdict is produced as cheaply as possible.  The verdict is
-        identical to :meth:`check`'s — only the wall-time differs.
-        """
-        self._classified += 1
-        if self._classified % self.REORDER_INTERVAL == 0:
-            self._reorder()
-        if self._run_family(self._hw_order, plan):
-            return "hardware"
-        if self._run_family(self._perf_order, plan):
-            return "performance"
-        return "accepted"
-
-    def rule_order(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-        """Current adaptive (hardware, performance) rule orders."""
-        return self._hw_order, self._perf_order
-
     def absorb_batch_counts(
         self, counts: Mapping[str, Tuple[int, int, float]]
     ) -> None:
         """Fold vectorized per-rule counts into :attr:`rule_stats`.
 
-        The columnar engine evaluates each rule as one batched predicate
-        over whole position batches; ``counts`` maps rule name to
-        ``(rows reaching the rule, rows newly rejected, predicate
-        seconds)``, keeping :class:`RuleStats` semantics aligned with
-        the object path's short-circuit counters (each pruned row is
-        charged to exactly one rule).
+        The search evaluates each rule as one batched predicate over
+        whole position batches; ``counts`` maps rule name to ``(rows
+        reaching the rule, rows newly rejected, predicate seconds)``,
+        so each pruned row is charged to exactly one rule — the first
+        it violates in canonical order.
         """
         for name, (checks, rejections, time_s) in counts.items():
             stats = self.rule_stats[name]
@@ -204,41 +168,8 @@ class ConstraintChecker:
             stats.rejections += rejections
             stats.time_s += time_s
 
-    # -- adaptive machinery ----------------------------------------------
-
     def _rule(self, name: str) -> Callable[[KernelPlan], Optional[str]]:
         return getattr(self, f"_rule_{name}")
-
-    def _run_family(
-        self, order: Tuple[str, ...], plan: KernelPlan
-    ) -> bool:
-        """Run one rule family, short-circuiting; returns True on reject."""
-        for name in order:
-            stats = self.rule_stats[name]
-            start = time.perf_counter()
-            violation = self._rule(name)(plan)
-            stats.time_s += time.perf_counter() - start
-            stats.checks += 1
-            if violation is not None:
-                stats.rejections += 1
-                return True
-        return False
-
-    def _reorder(self) -> None:
-        """Sort each family by measured rejections/second, descending.
-
-        Ties (including the all-zero cold start) fall back to the
-        canonical declaration order, keeping behaviour deterministic.
-        """
-        def order(names: Tuple[str, ...]) -> Tuple[str, ...]:
-            return tuple(sorted(
-                names,
-                key=lambda n: (-self.rule_stats[n].efficiency,
-                               names.index(n)),
-            ))
-
-        self._hw_order = order(HARDWARE_RULES)
-        self._perf_order = order(PERFORMANCE_RULES)
 
     # -- hardware rules -----------------------------------------------------
 

@@ -28,24 +28,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .. import obs
-from ..deprecation import _UNSET, warn_deprecated
 from ..gpu.arch import GpuArch
 from .columnar import DEFAULT_BATCH_SIZE, ColumnarSpace
 from .constraints import ConstraintChecker, ConstraintPolicy, RuleStats
-from .costmodel import CostModel
 from .ir import Contraction, IndexKind
-from .mapping import KernelConfig, canonical_key, config_from_spec
-from .plan import KernelPlan
+from .mapping import KernelConfig, config_from_spec
 
 Entry = Tuple[str, int]  # (index name, tile size)
 #: A scored survivor: (model cost, canonical key, configuration).
 Scored = Tuple[int, str, KernelConfig]
-
-#: Search-engine implementations selectable per Enumerator or per call.
-#: ``"columnar"`` (default) evaluates rule predicates and the Algorithm-3
-#: cost as NumPy column operations over position batches; ``"object"``
-#: is the original per-config KernelPlan path, kept as the oracle.
-ENGINES: Tuple[str, ...] = ("columnar", "object")
 
 #: Paper defaults (Section IV-A.3): thread-block dimension size targets.
 DEFAULT_TB_SIZES: Tuple[int, ...] = (4, 8, 16)
@@ -123,8 +114,6 @@ class SearchStats:
     workers: int = 1
     #: Shards the Cartesian product was striped across.
     shards: int = 1
-    #: Engine that produced the result (``"columnar"`` or ``"object"``).
-    engine: str = "columnar"
     #: Combinations classified against the constraint rules.
     configs_checked: int = 0
     #: Survivors scored by the cost model.
@@ -133,9 +122,6 @@ class SearchStats:
     kept: int = 0
     #: Candidates micro-benchmarked on the simulator.
     simulated: int = 0
-    #: Cost-model per-tensor memo behaviour (summed across workers).
-    cost_memo_hits: int = 0
-    cost_memo_misses: int = 0
 
     @property
     def search_s(self) -> float:
@@ -159,8 +145,6 @@ class SearchStats:
         self.configs_checked += other.configs_checked
         self.configs_ranked += other.configs_ranked
         self.simulated += other.simulated
-        self.cost_memo_hits += other.cost_memo_hits
-        self.cost_memo_misses += other.cost_memo_misses
 
     def as_dict(self) -> Dict[str, float]:
         """Flat dict for JSON reporting (benchmarks, CLI ``--json``)."""
@@ -172,14 +156,11 @@ class SearchStats:
             "total_s": self.total_s,
             "workers": self.workers,
             "shards": self.shards,
-            "engine": self.engine,
             "configs_checked": self.configs_checked,
             "configs_ranked": self.configs_ranked,
             "kept": self.kept,
             "simulated": self.simulated,
             "configs_per_second": self.configs_per_second,
-            "cost_memo_hits": self.cost_memo_hits,
-            "cost_memo_misses": self.cost_memo_misses,
         }
 
     def summary(self) -> str:
@@ -267,7 +248,7 @@ class TopK:
         """(cost, key) of the worst retained entry once the heap is full.
 
         ``None`` while fewer than ``k`` entries are held (everything
-        still enters).  The columnar engine uses this to drop whole
+        still enters).  The search uses this to drop whole
         batch slices that cannot beat the current head.
         """
         if len(self._heap) < self.k:
@@ -344,13 +325,8 @@ class Enumerator:
         tbk_sizes: Sequence[int] = DEFAULT_TBK_SIZES,
         policy: Optional[ConstraintPolicy] = None,
         max_configs: int = 200_000,
-        engine: str = "columnar",
         batch_size: Optional[int] = None,
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown search engine {engine!r}; expected one of {ENGINES}"
-            )
         self.contraction = contraction
         self.arch = arch
         self.dtype_bytes = dtype_bytes
@@ -359,8 +335,7 @@ class Enumerator:
         self.tbk_sizes = tuple(tbk_sizes)
         self.checker = ConstraintChecker(arch, dtype_bytes, policy)
         self.max_configs = max_configs
-        self.engine = engine
-        #: Columnar-engine rows per evaluation batch (None = default).
+        #: Rows per evaluation batch (None = default).
         self.batch_size = batch_size
         self._extents = {
             i: contraction.extent(i) for i in contraction.all_indices
@@ -516,109 +491,6 @@ class Enumerator:
 
     # -- streaming / parallel search ---------------------------------------
 
-    def _stream(
-        self,
-        cost_model: CostModel,
-        keep: int,
-        shard: int = 0,
-        num_shards: int = 1,
-    ) -> _ShardOutcome:
-        """One pass over this shard of the Cartesian product.
-
-        Prunes with the adaptively-ordered fast constraint path and
-        scores survivors straight into a bounded :class:`TopK`, so the
-        shard never materialises its survivors.  Shard ``shard`` of
-        ``num_shards`` processes product positions ``shard, shard +
-        num_shards, ...`` below the global ``max_configs`` budget, which
-        partitions the serial walk exactly.
-        """
-        stream_start = time.perf_counter()
-        contraction = self.contraction
-        x_partials = self.enumerate_x_side()
-        y_partials = self.enumerate_y_side()
-        k_partials = self.enumerate_tb_k()
-
-        stats = EnumerationStats()
-        search = SearchStats(shards=num_shards)
-        seen: Set[Tuple] = set()
-        top = TopK(keep)
-        fallback = TopK(keep)
-        memo_hits0 = cost_model.memo_hits
-        memo_misses0 = cost_model.memo_misses
-        rules0 = {
-            name: (s.checks, s.rejections, s.time_s)
-            for name, s in self.checker.rule_stats.items()
-        }
-        prune_s = 0.0
-        rank_s = 0.0
-
-        combos = itertools.islice(
-            itertools.product(x_partials, y_partials, k_partials),
-            shard, self.max_configs, num_shards,
-        )
-        for xp, yp, kp in combos:
-            stats.raw_combinations += 1
-            key = (xp.tb, xp.reg, yp.tb, yp.reg, kp)
-            if key in seen:
-                stats.duplicates += 1
-                continue
-            seen.add(key)
-            config = config_from_spec(
-                contraction,
-                tb_x=xp.tb,
-                tb_y=yp.tb,
-                reg_x=xp.reg,
-                reg_y=yp.reg,
-                tb_k=kp,
-                fill_defaults=True,
-            )
-            plan = KernelPlan(contraction, config, self.dtype_bytes)
-            t0 = time.perf_counter()
-            verdict = self.checker.classify(plan)
-            prune_s += time.perf_counter() - t0
-            search.configs_checked += 1
-            if verdict == "hardware":
-                stats.hardware_pruned += 1
-                continue
-            if verdict == "performance":
-                stats.performance_pruned += 1
-                # Rejects only matter when *nothing* is accepted (the
-                # generator's tiny-problem fallback); stop scoring them
-                # as soon as this shard has a real survivor.  When the
-                # fallback is used, no shard found survivors, so every
-                # shard scored every reject — deterministically.
-                if len(top) == 0:
-                    t0 = time.perf_counter()
-                    cost = cost_model.cost(plan)
-                    fallback.push(cost, canonical_key(config), config)
-                    rank_s += time.perf_counter() - t0
-                    search.configs_ranked += 1
-                continue
-            stats.accepted += 1
-            t0 = time.perf_counter()
-            cost = cost_model.cost(plan)
-            top.push(cost, canonical_key(config), config)
-            rank_s += time.perf_counter() - t0
-            search.configs_ranked += 1
-
-        total = time.perf_counter() - stream_start
-        search.pruning_s = prune_s
-        search.ranking_s = rank_s
-        search.enumeration_s = max(total - prune_s - rank_s, 0.0)
-        search.cost_memo_hits = cost_model.memo_hits - memo_hits0
-        search.cost_memo_misses = cost_model.memo_misses - memo_misses0
-        rules = {
-            name: RuleStats(
-                checks=s.checks - rules0[name][0],
-                rejections=s.rejections - rules0[name][1],
-                time_s=s.time_s - rules0[name][2],
-            )
-            for name, s in self.checker.rule_stats.items()
-        }
-        return _ShardOutcome(
-            top.items(), fallback.items(), stats, search, rules
-        )
-
     def columnar_space(self) -> ColumnarSpace:
         """The struct-of-arrays encoding of this enumerator's families."""
         return ColumnarSpace(
@@ -631,27 +503,23 @@ class Enumerator:
             policy=self.checker.policy,
         )
 
-    def _stream_columnar(
+    def _stream(
         self,
-        cost_model: CostModel,
         keep: int,
         shard: int = 0,
         num_shards: int = 1,
     ) -> _ShardOutcome:
-        """Columnar counterpart of :meth:`_stream`: batches, not objects.
+        """One pass over this shard of the Cartesian product, in batches.
 
-        The shard walks the same capped position stream the object path
-        does, in batches of ``batch_size`` rows; shard ``shard`` of
-        ``num_shards`` takes every ``num_shards``-th batch.  Each batch
-        is classified by the vectorized Algorithm-2 predicates, scored
-        with the closed-form Algorithm-3 cost over survivors, and top-k
-        candidates are preselected with ``np.argpartition`` before any
-        canonical key or :class:`KernelConfig` is built.  Verdicts,
-        costs and the ranked head are identical to the object path's
-        (``cost_model`` is accepted for signature parity; the closed
-        form needs no memo).
+        The shard walks the capped position stream in batches of
+        ``batch_size`` rows; shard ``shard`` of ``num_shards`` takes
+        every ``num_shards``-th batch.  Each batch is classified by the
+        vectorized Algorithm-2 predicates, scored with the closed-form
+        Algorithm-3 cost over survivors, and top-k candidates are
+        preselected with ``np.argpartition`` before any canonical key or
+        :class:`KernelConfig` is built, so the shard never materialises
+        its survivors.
         """
-        del cost_model  # closed-form cost; kept for signature parity
         stream_start = time.perf_counter()
         space = self.columnar_space()
         stats = EnumerationStats()
@@ -698,10 +566,10 @@ class Enumerator:
                 )
                 search.configs_ranked += n_accepted
             if not seen_accepted:
-                # Object-path parity: perf rejects are scored only while
-                # no accepted survivor has streamed past (they feed the
-                # tiny-problem fallback, which is only consulted when
-                # *nothing* is accepted anywhere).
+                # Perf rejects are scored only while no accepted
+                # survivor has streamed past: they feed the tiny-problem
+                # fallback, which is only consulted when *nothing* is
+                # accepted anywhere.
                 if n_accepted:
                     cutoff = int(np.flatnonzero(accepted)[0])
                     reject_mask = perf_rejected & (np.arange(n) < cutoff)
@@ -734,123 +602,43 @@ class Enumerator:
             stats, search, rules,
         )
 
-    def search(
-        self,
-        keep: int = 64,
-        workers=_UNSET,
-        cost_model: Optional[CostModel] = None,
-        *,
-        _workers: Optional[int] = None,
-        engine: Optional[str] = None,
-        checker=_UNSET,
-    ) -> EnumerationResult:
+    def search(self, keep: int = 64, workers: int = 1) -> EnumerationResult:
         """Streaming search: prune + rank, retaining only ``keep`` best.
 
-        ``engine`` selects the evaluation path: ``"columnar"`` (the
-        default, from the constructor) batches the Cartesian product
-        through vectorized rule predicates and the closed-form
-        Algorithm-3 cost; ``"object"`` is the per-config
-        :class:`KernelPlan` path.  Both produce the identical ranked
-        head (cost, canonical key, config).
-
-        With more than one worker the product is sharded across a
-        :class:`concurrent.futures.ProcessPoolExecutor` — the object
-        engine stripes config positions, the columnar engine stripes
-        position *batches* — and the coordinator merges the bounded
-        per-shard heads with :func:`heapq.nsmallest`, so survivors are
-        never globally materialised or sorted.  Falls back to the
-        serial in-process path when only one worker is requested or the
-        pool cannot be used (sandboxed environments, unpicklable
-        policies, ...).
-
-        .. deprecated::
-            the ``workers`` keyword; set pool width through
-            :class:`repro.api.Options` (``repro.api.compile``/``rank``)
-            instead.  Also the ``checker`` keyword: a custom
-            :class:`ConstraintChecker` forces ``engine="object"`` (the
-            columnar predicates cannot honour arbitrary subclasses);
-            construct the enumerator with ``policy=...`` instead.
-            Behaviour is unchanged when either is passed.
+        The Cartesian product is batched through vectorized rule
+        predicates and the closed-form Algorithm-3 cost.  With more than
+        one worker the position batches are striped across a
+        :class:`concurrent.futures.ProcessPoolExecutor` and the
+        coordinator merges the bounded per-shard heads with
+        :func:`heapq.nsmallest`, so survivors are never globally
+        materialised or sorted.  Falls back to the serial in-process
+        path when only one worker is requested or the pool cannot be
+        used (sandboxed environments, unpicklable policies, ...).
 
         Serial and parallel searches select the identical ranked heads:
-        cost ties break on the canonical config key, and shard striping
-        partitions exactly the combination stream the serial walk sees.
-        (Per-shard *duplicate* counters can differ, since deduplication
-        is per worker.)
+        cost ties break on the canonical config key, and batch striping
+        partitions exactly the position stream the serial walk sees.
         """
-        if workers is not _UNSET:
-            warn_deprecated(
-                "Enumerator.search(workers=...)",
-                "repro.api.Options(workers=...) with repro.api.compile",
-            )
-            _workers = workers
-        if checker is not _UNSET:
-            warn_deprecated(
-                "Enumerator.search(checker=...)",
-                "Enumerator(policy=...), or engine='object' with the "
-                "checker attribute",
-            )
-            if checker is not None:
-                self.checker = checker
-            engine = "object"
-        engine = self.engine if engine is None else engine
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown search engine {engine!r}; expected one of {ENGINES}"
-            )
         start = time.perf_counter()
-        workers = max(1, int(_workers if _workers is not None else 1))
+        workers = max(1, int(workers))
         with obs.span("search"):
             outcomes: List[_ShardOutcome] = []
             used_workers = 1
             if workers > 1:
                 try:
-                    outcomes = self._search_parallel(keep, workers, engine)
+                    outcomes = self._search_parallel(keep, workers)
                     used_workers = workers
                 except Exception:
                     outcomes = []
             if not outcomes:
-                model = cost_model if cost_model is not None else CostModel(
-                    self.dtype_bytes, self.arch.transaction_bytes
-                )
-                stream = (
-                    self._stream_columnar if engine == "columnar"
-                    else self._stream
-                )
-                outcomes = [stream(model, keep)]
+                outcomes = [self._stream(keep)]
                 used_workers = 1
-
-            stats = EnumerationStats()
-            search_stats = SearchStats(workers=used_workers,
-                                       shards=len(outcomes),
-                                       engine=engine)
-            for outcome in outcomes:
-                stats.raw_combinations += outcome.stats.raw_combinations
-                stats.hardware_pruned += outcome.stats.hardware_pruned
-                stats.performance_pruned += outcome.stats.performance_pruned
-                stats.duplicates += outcome.stats.duplicates
-                stats.accepted += outcome.stats.accepted
-                search_stats.add(outcome.search)
-
-            ranked = _merge_scored(
-                (o.top for o in outcomes), keep
-            )
-            rejects = _merge_scored(
-                (o.fallback for o in outcomes), keep
-            )
-            search_stats.kept = len(ranked)
-            search_stats.total_s = time.perf_counter() - start
+            result = _merge_outcomes(outcomes, keep, used_workers)
+            result.search_stats.total_s = time.perf_counter() - start
             self._absorb_observability(
-                outcomes, stats, search_stats, used_workers
+                outcomes, result.stats, result.search_stats, used_workers
             )
-        return EnumerationResult(
-            configs=[cfg for _, _, cfg in ranked],
-            stats=stats,
-            feasible_rejects=[cfg for _, _, cfg in rejects],
-            costs=[cost for cost, _, _ in ranked],
-            reject_costs=[cost for cost, _, _ in rejects],
-            search_stats=search_stats,
-        )
+        return result
 
     def _absorb_observability(
         self,
@@ -879,18 +667,17 @@ class Enumerator:
             session.metrics.absorb_rule_stats(outcome.rules)
 
     def _search_parallel(
-        self, keep: int, workers: int, engine: Optional[str] = None
+        self, keep: int, workers: int
     ) -> List[_ShardOutcome]:
         """Fan the product shards out over a process pool."""
         from concurrent.futures import ProcessPoolExecutor
 
-        engine = self.engine if engine is None else engine
         payloads = [
             (
                 self.contraction, self.arch, self.dtype_bytes,
                 self.tb_sizes, self.reg_sizes, self.tbk_sizes,
                 self.checker.policy, self.max_configs,
-                keep, shard, workers, engine, self.batch_size,
+                keep, shard, workers, self.batch_size,
             )
             for shard in range(workers)
         ]
@@ -901,20 +688,45 @@ class Enumerator:
 def _search_shard(payload: Tuple) -> _ShardOutcome:
     """Process-pool entry point: run one shard of a streaming search."""
     (contraction, arch, dtype_bytes, tb_sizes, reg_sizes, tbk_sizes,
-     policy, max_configs, keep, shard, num_shards, engine,
-     batch_size) = payload
+     policy, max_configs, keep, shard, num_shards, batch_size) = payload
     enumerator = Enumerator(
         contraction, arch, dtype_bytes,
         tb_sizes=tb_sizes, reg_sizes=reg_sizes, tbk_sizes=tbk_sizes,
-        policy=policy, max_configs=max_configs, engine=engine,
-        batch_size=batch_size,
+        policy=policy, max_configs=max_configs, batch_size=batch_size,
     )
-    cost_model = CostModel(dtype_bytes, arch.transaction_bytes)
-    if engine == "columnar":
-        return enumerator._stream_columnar(
-            cost_model, keep, shard, num_shards
-        )
-    return enumerator._stream(cost_model, keep, shard, num_shards)
+    return enumerator._stream(keep, shard, num_shards)
+
+
+def _merge_outcomes(
+    outcomes: Sequence[_ShardOutcome], keep: int, workers: int = 1
+) -> EnumerationResult:
+    """Merge per-shard outcomes into one ranked :class:`EnumerationResult`.
+
+    Pruning counters and phase timings are summed across shards; the
+    bounded heads (and the fallback reject heads) are merged by
+    :func:`_merge_scored`.  ``search_stats.total_s`` is left for the
+    caller, whose clock spans the whole search.
+    """
+    stats = EnumerationStats()
+    search_stats = SearchStats(workers=workers, shards=len(outcomes))
+    for outcome in outcomes:
+        stats.raw_combinations += outcome.stats.raw_combinations
+        stats.hardware_pruned += outcome.stats.hardware_pruned
+        stats.performance_pruned += outcome.stats.performance_pruned
+        stats.duplicates += outcome.stats.duplicates
+        stats.accepted += outcome.stats.accepted
+        search_stats.add(outcome.search)
+    ranked = _merge_scored((o.top for o in outcomes), keep)
+    rejects = _merge_scored((o.fallback for o in outcomes), keep)
+    search_stats.kept = len(ranked)
+    return EnumerationResult(
+        configs=[cfg for _, _, cfg in ranked],
+        stats=stats,
+        feasible_rejects=[cfg for _, _, cfg in rejects],
+        costs=[cost for cost, _, _ in ranked],
+        reject_costs=[cost for cost, _, _ in rejects],
+        search_stats=search_stats,
+    )
 
 
 def _push_candidates(

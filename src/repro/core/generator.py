@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
-from ..deprecation import _UNSET, warn_deprecated
 from ..gpu.arch import GpuArch, get_arch
 from ..gpu.simulator import GpuSimulator, ModelParams, SimulationResult
 from .codegen.registry import get_target, list_targets
@@ -32,7 +31,6 @@ from .enumeration import (
     DEFAULT_REG_SIZES,
     DEFAULT_TB_SIZES,
     DEFAULT_TBK_SIZES,
-    ENGINES,
     EnumerationResult,
     Enumerator,
 )
@@ -125,29 +123,6 @@ class GeneratedKernel:
         name = target or self.target
         return get_target(name).emit_driver(self.plan, self.kernel_name)
 
-    @property
-    def cuda_source(self) -> str:
-        """Deprecated: use :meth:`source` with ``"cuda"``."""
-        warn_deprecated("Kernel.cuda_source", 'Kernel.source("cuda")')
-        return self.source("cuda")
-
-    def cuda_driver_source(self) -> str:
-        """Deprecated: use :meth:`driver_source` with ``"cuda"``."""
-        warn_deprecated(
-            "Kernel.cuda_driver_source()", 'Kernel.driver_source("cuda")'
-        )
-        return self.driver_source("cuda")
-
-    def c_emulation_source(self) -> str:
-        """Deprecated: use :meth:`source` with ``"cemu"``."""
-        warn_deprecated("Kernel.c_emulation_source()", 'Kernel.source("cemu")')
-        return self.source("cemu")
-
-    def opencl_source(self) -> str:
-        """Deprecated: use :meth:`source` with ``"opencl"``."""
-        warn_deprecated("Kernel.opencl_source()", 'Kernel.source("opencl")')
-        return self.source("opencl")
-
     def execute(self, a, b):
         """Run the kernel's schedule numerically on original-shape
         operands, transparently handling merge/split rewrites.
@@ -212,14 +187,6 @@ class Cogent:
         performance simulator.  ``top_k=1`` selects purely by the cost
         model (the paper's primary mode).  The streaming search keeps
         exactly ``top_k`` survivors in its bounded heap.
-    engine:
-        Search-engine implementation: ``"columnar"`` (default)
-        evaluates Algorithm 2's pruning rules and Algorithm 3's cost
-        as vectorized batch predicates over integer-coded columns;
-        ``"object"`` walks materialised :class:`KernelPlan` objects
-        through :class:`ConstraintChecker`/:class:`CostModel`.  Both
-        engines return bit-identical top-k results; the object path is
-        retained as the oracle for differential testing.
     workers:
         Process-pool width for the configuration search: the Cartesian
         product of partial-configuration families is striped across
@@ -227,8 +194,6 @@ class Cogent:
         top-k heap.  ``workers=1`` (default) searches serially
         in-process; serial and parallel searches pick the identical best
         configuration (cost ties break on a canonical config key).
-        Passing this keyword is **deprecated**: set pool width through
-        :class:`repro.api.Options` instead (behaviour is unchanged).
     """
 
     def __init__(
@@ -244,24 +209,10 @@ class Cogent:
         allow_split: bool = True,
         split_factors: Sequence[int] = (4, 8, 16),
         allow_merge: bool = False,
-        engine: str = "columnar",
-        workers=_UNSET,
+        workers: int = 1,
         strategy: str = "direct",
         target: str = "cuda",
     ) -> None:
-        if workers is not _UNSET:
-            # Old call path, kept behaviourally identical: the blessed
-            # way to set pool width is repro.api.Options(workers=...).
-            warn_deprecated(
-                "Cogent(workers=...)",
-                "repro.api.Options(workers=...) with repro.api.compile",
-            )
-        else:
-            workers = 1
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown search engine {engine!r}; choose from {ENGINES}"
-            )
         from .costmodel import STRATEGY_NAMES
 
         if strategy not in ("auto",) + STRATEGY_NAMES:
@@ -276,7 +227,6 @@ class Cogent:
             )
         self.arch = get_arch(arch) if isinstance(arch, str) else arch
         self.dtype_bytes = dtype_bytes
-        self.engine = engine
         #: Default codegen target for emitted kernels
         #: (:func:`repro.core.codegen.list_targets` has the choices).
         self.target = target
@@ -311,9 +261,8 @@ class Cogent:
         (:func:`repro.core.program.workload_key`): two generators with
         equal signatures (and arch/dtype) pick identical kernels for
         identical contractions, so they may share searches and stored
-        winners.  ``workers`` and ``engine`` are deliberately excluded —
-        both are guaranteed bit-identical to their serial/object
-        counterparts.
+        winners.  ``workers`` is deliberately excluded — parallel
+        searches are guaranteed bit-identical to serial ones.
         """
         if self.policy is None:
             policy = "default"
@@ -591,7 +540,6 @@ class Cogent:
             reg_sizes=self.reg_sizes,
             tbk_sizes=self.tbk_sizes,
             policy=self.policy,
-            engine=self.engine,
         )
 
     def _enumerate(self, contraction: Contraction) -> EnumerationResult:
@@ -601,9 +549,7 @@ class Cogent:
     def _search(self, contraction: Contraction) -> EnumerationResult:
         """Streaming prune+rank search, sharded across ``workers``."""
         return self._enumerator(contraction).search(
-            keep=self.top_k,
-            cost_model=self.cost_model,
-            _workers=self.workers,
+            keep=self.top_k, workers=self.workers
         )
 
     def _select(

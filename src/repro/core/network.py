@@ -156,20 +156,14 @@ def _pair_contraction(
     )
 
 
-#: Path-search engines, mirroring the configuration-search ENGINES
-#: pattern: the ``vectorized`` NumPy bitmask DP is the default, the
-#: ``object`` DP is retained as a differential-testing oracle.  Both
-#: implement the identical cost and tie-break specification and return
-#: bit-identical paths.
-PATH_ENGINES: Tuple[str, ...] = ("vectorized", "object")
-
 #: Networks wider than this (or with more distinct indices than an
-#: int64 bitmask holds) silently fall back to the object DP.
+#: int64 bitmask holds) fall back to the per-pair DP, which implements
+#: the identical cost and tie-break specification.
 _VEC_MAX_TENSORS = 16
 _VEC_MAX_INDICES = 62
 
 #: Relative margin for the float near-tie prefilter of the vectorized
-#: engine.  Products/sums of integer extents accumulate < 1e-14
+#: DP.  Products/sums of integer extents accumulate < 1e-14
 #: relative float64 error, so any candidate whose *exact* cost ties the
 #: winner lands inside this band; candidates inside the band are
 #: re-compared with exact integer arithmetic.
@@ -177,13 +171,13 @@ _NEAR_TIE = 1e-9
 
 
 class _SubsetTables:
-    """Per-subset index bookkeeping shared by both path engines.
+    """Per-subset index bookkeeping shared by both path DPs.
 
     ``surviving(s)`` — the ordered indices of subset ``s`` still needed
     outside it — used to be recomputed for every (subset, half) pair of
     the Θ(3^n) DP inner loop; here every per-subset quantity (ordered
     tuple, index set, element-count product) is computed once and
-    memoised, so even the object oracle does no redundant
+    memoised, so even the per-pair DP does no redundant
     O(n·|indices|) work per candidate split.
     """
 
@@ -250,13 +244,16 @@ def _cap_error(memory_cap: int) -> ContractionError:
 def _optimal_split_object(
     tables: _SubsetTables, memory_cap: Optional[int]
 ) -> Tuple[Dict[int, Tuple[int, int]], int, int]:
-    """The object (oracle) DP: per-subset best splits, exact costs.
+    """The per-pair DP: per-subset best splits, exact costs.
+
+    Runs networks too wide for the vectorized DP's bitmask tables, and
+    is the reference the vectorized DP is tested against.
 
     Candidate splits are ranked by the fully specified cost key
     ``(total_flops, peak_intermediate, left_half_bitmask)`` — the third
     component pins every remaining tie to the numerically smallest
     canonical left half, so path choice is deterministic and identical
-    across engines (cost ties no longer depend on subset enumeration
+    across both DPs (cost ties never depend on subset enumeration
     order).  With ``memory_cap`` set (elements), splits whose peak
     intermediate exceeds the cap are discarded; a subset with no
     surviving split is infeasible and skipped by its parents.
@@ -309,7 +306,7 @@ def _optimal_split_object(
 def _optimal_split_vectorized(
     tables: _SubsetTables, memory_cap: Optional[int]
 ) -> Tuple[Dict[int, Tuple[int, int]], int, int]:
-    """NumPy bitmask batch DP, bit-identical to the object oracle.
+    """NumPy bitmask batch DP, bit-identical to the per-pair DP.
 
     All Θ(3^n) candidate splits are evaluated in one batch per subset
     cardinality: subsets of k tensors each have the same ``2^k - 1``
@@ -318,7 +315,7 @@ def _optimal_split_vectorized(
     surviving-index bitmasks.  Winners are taken per row with a float
     argmin; rows whose minimum is not unique beyond the float near-tie
     margin are resolved with exact integer arithmetic under the same
-    ``(flops, peak, left_half)`` key as the oracle, so float rounding
+    ``(flops, peak, left_half)`` key as the per-pair DP, so float rounding
     can never change the chosen path.  With ``memory_cap`` set, the
     float pass only *pre*-filters clearly infeasible candidates and the
     survivors are selected exactly per row (the capped variant trades
@@ -585,7 +582,6 @@ def _emit_steps(
 
 def optimal_path(
     spec: NetworkSpec,
-    engine: str = "vectorized",
     memory_cap: Optional[int] = None,
 ) -> ContractionPath:
     """Optimal pairwise contraction order over tensor subsets.
@@ -593,11 +589,10 @@ def optimal_path(
     Dynamic programming over the Θ(3^n) (subset, half) pairs, minimising
     the fully specified key ``(total_flops, peak_intermediate,
     left_half_bitmask)`` — the last component makes tie-breaking
-    deterministic and engine-independent.  ``engine="vectorized"``
-    (default) evaluates candidate splits as NumPy bitmask batches with
-    exact integer resolution of near-ties; ``engine="object"`` is the
-    per-pair oracle retained for differential testing.  Both return
-    bit-identical paths (same steps, FLOPs and peak totals).
+    deterministic.  Candidate splits are evaluated as NumPy bitmask
+    batches with exact integer resolution of near-ties; networks too
+    wide for the bitmask tables run the per-pair DP, which returns the
+    identical path.
 
     ``memory_cap`` (elements) discards any split whose largest
     intermediate exceeds the cap and raises :class:`ContractionError`
@@ -605,24 +600,13 @@ def optimal_path(
     sub-path peak (not a full Pareto front), so it may conservatively
     reject networks where only a FLOP-suboptimal sub-path would fit.
     """
-    if engine not in PATH_ENGINES:
-        raise ValueError(
-            f"unknown path engine {engine!r}; choose from {PATH_ENGINES}"
-        )
     tables = _SubsetTables(spec)
     n_letters = len(set(itertools.chain.from_iterable(spec.inputs)))
-    if engine == "vectorized" and (
-        tables.n > _VEC_MAX_TENSORS or n_letters > _VEC_MAX_INDICES
-    ):
-        engine = "object"  # bitmask tables would not fit; same results
-    if engine == "vectorized":
-        best_split, total, peak = _optimal_split_vectorized(
-            tables, memory_cap
-        )
+    if tables.n > _VEC_MAX_TENSORS or n_letters > _VEC_MAX_INDICES:
+        optimal_split = _optimal_split_object  # bitmask tables won't fit
     else:
-        best_split, total, peak = _optimal_split_object(
-            tables, memory_cap
-        )
+        optimal_split = _optimal_split_vectorized
+    best_split, total, peak = optimal_split(tables, memory_cap)
     steps = _emit_steps(tables, best_split)
     return ContractionPath(spec, steps, total, peak)
 
@@ -659,7 +643,6 @@ class NetworkContractor:
         schedule=None,
         memory_plan=None,
         workers: int = 1,
-        path_engine: str = "vectorized",
         memory_cap: Optional[int] = None,
     ) -> None:
         from .pipeline import (
@@ -669,9 +652,7 @@ class NetworkContractor:
 
         self.spec = spec
         self.generator = generator or Cogent()
-        self.path = path or optimal_path(
-            spec, engine=path_engine, memory_cap=memory_cap
-        )
+        self.path = path or optimal_path(spec, memory_cap=memory_cap)
         self.workers = max(1, int(workers))
         if program is None:
             if session is None:

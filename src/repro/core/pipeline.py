@@ -11,7 +11,7 @@ in the staged style of codelets' ``CompilationStage``/``CodeletProgram``
 * **parse** — the n-ary einsum expression becomes a
   :class:`~repro.core.network.NetworkSpec`.
 * **path** — :func:`~repro.core.network.optimal_path` (vectorized
-  bitmask DP by default, optionally peak-memory-capped) picks the
+  bitmask DP, optionally peak-memory-capped) picks the
   pairwise contraction order.
 * **schedule** — the pairwise steps become a :class:`ContractionDAG`
   and a :class:`NetworkSchedule`: topological levels of independent
@@ -514,13 +514,11 @@ class NetworkPipeline:
         generator: Optional[Cogent] = None,
         store=None,
         *,
-        path_engine: str = "vectorized",
         memory_cap: Optional[int] = None,
         workers: int = 1,
     ) -> None:
         self.generator = generator or Cogent()
         self.session = CompilationSession(self.generator, store=store)
-        self.path_engine = path_engine
         self.memory_cap = memory_cap
         self.workers = max(1, int(workers))
         self.stages: Tuple[PipelineStage, ...] = (
@@ -555,11 +553,7 @@ class NetworkPipeline:
                 build.workload, build.kernel_names
             )
             return
-        build.path = optimal_path(
-            build.spec,
-            engine=self.path_engine,
-            memory_cap=self.memory_cap,
-        )
+        build.path = optimal_path(build.spec, memory_cap=self.memory_cap)
         build.dag = ContractionDAG.from_path(build.path)
         obs.gauge("network.path.flops", float(build.path.total_flops))
         obs.gauge(

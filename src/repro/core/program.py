@@ -5,7 +5,7 @@ present the generator with a stream of *unique* contractions: they are
 dominated by repeated shapes (the same diagram across solver sweeps,
 isomorphic pairwise steps of a chain, the same TCCG entry across runs).
 Searching the configuration space once per *occurrence* wastes almost
-all of that work — the columnar engine made one search fast; this
+all of that work — the columnar search made one search fast; this
 module makes N occurrences cost one search.
 
 The pipeline has two layers:
@@ -29,8 +29,8 @@ The pipeline has two layers:
 
 Staleness is handled structurally: every class key folds in
 :func:`code_version_stamp`, a hash of the source of the modules that
-decide which configuration wins (cost model, pruning rules, search
-engines, mapping/splitting logic).  Upgrading any of them silently
+decide which configuration wins (cost model, pruning rules, the
+search, mapping/splitting logic).  Upgrading any of them silently
 invalidates every stored entry — a newer cost model never serves a
 configuration tuned by an older one.
 """
@@ -38,7 +38,6 @@ configuration tuned by an older one.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -46,6 +45,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..gpu.arch import GpuArch
+from .cache import EvalCache
 from .enumeration import EnumerationResult, EnumerationStats
 from .generator import CandidateScore, Cogent, GeneratedKernel
 from .ir import Contraction, TensorRef
@@ -64,9 +64,16 @@ from .splitting import SplitSpec, split_index
 #: this first, but the version guards deliberate layout changes).
 STORE_VERSION = 1
 
+#: Keys :func:`kernel_from_store_payload` reads; a kernel entry missing
+#: any of them is a miss, never a ``KeyError`` deep in the rebuild.
+KERNEL_PAYLOAD_KEYS = (
+    "canonical", "split_specs", "config", "dtype_bytes", "cost",
+    "selection_mode",
+)
+
 #: Source files whose contents decide which configuration a search
 #: returns.  Their concatenated hash is folded into every class key so
-#: persistent stores self-invalidate across cost-model / search-engine
+#: persistent stores self-invalidate across cost-model / search
 #: upgrades instead of serving stale tuned configs.
 _STAMP_MODULES = (
     "costmodel.py",
@@ -182,51 +189,38 @@ def _invert(rename: Dict[str, str]) -> Dict[str, str]:
 # -- the persistent kernel store --------------------------------------------
 
 
-class KernelStore:
+class KernelStore(EvalCache):
     """Content-addressed persistent store of per-class winning kernels.
 
-    One JSON file per class key under ``directory``; writes are atomic
-    (temp file + rename) so concurrent sessions sharing a store never
-    observe torn entries.  Payloads are canonical-name descriptions of
-    the winner (contraction, config, split/merge specs, cost), enough
-    to rebuild the kernel for any isomorphic contraction without a
-    search.
+    One JSON file per class key under ``directory``, written like
+    :class:`~repro.core.cache.EvalCache` entries (per-writer temp file
+    + rename), so concurrent sessions sharing a store never observe torn
+    entries.  Payloads are canonical-name descriptions of the winner
+    (contraction, config, split/merge specs, cost), enough to rebuild
+    the kernel for any isomorphic contraction without a search.
     """
 
-    def __init__(self, directory: Union[str, Path]) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
+    def lookup(
+        self, key: str, required: Sequence[str] = KERNEL_PAYLOAD_KEYS
+    ) -> Optional[Dict]:
+        """The stored payload for ``key``, or ``None`` on a miss.
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def lookup(self, key: str) -> Optional[Dict]:
-        """The stored payload for ``key``, or ``None`` on a miss."""
-        try:
-            payload = json.loads(self._path(key).read_text())
-        except (OSError, ValueError):
-            self.misses += 1
-            obs.inc("store.misses")
-            return None
-        if payload.get("store_version") != STORE_VERSION:
+        Unreadable or truncated files, JSON that is not an object, a
+        different ``store_version`` and payloads lacking any of the
+        ``required`` keys all count as misses.
+        """
+        payload = self._read(key)
+        if (
+            payload is None
+            or payload.get("store_version") != STORE_VERSION
+            or any(name not in payload for name in required)
+        ):
             self.misses += 1
             obs.inc("store.misses")
             return None
         self.hits += 1
         obs.inc("store.hits")
         return payload
-
-    def put(self, key: str, payload: Dict) -> None:
-        """Persist ``payload`` (JSON-serialisable) under ``key``."""
-        target = self._path(key)
-        tmp = target.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        tmp.replace(target)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.json"))
 
 
 def _split_to_dict(spec: SplitSpec) -> Dict:

@@ -35,9 +35,9 @@ def _selection(quick: bool):
 def _fig45(out: io.StringIO, arch_name: str, figure: int,
            quick: bool, workers: int = 1,
            cache_dir: Optional[Union[str, Path]] = None) -> None:
-    runner = SuiteRunner(arch=arch_name, _cache_dir=cache_dir)
+    runner = SuiteRunner(arch=arch_name, cache_dir=cache_dir)
     frameworks = ("cogent", "nwchem", "talsh")
-    rows = runner.compare(_selection(quick), frameworks, _workers=workers)
+    rows = runner.compare(_selection(quick), frameworks, workers=workers)
     out.write(f"## Fig. {figure} — TCCG suite on {arch_name} "
               "(double precision)\n\n```\n")
     out.write(format_table(rows, frameworks))
@@ -63,10 +63,10 @@ def _fig67(out: io.StringIO, quick: bool, workers: int = 1,
         runner = SuiteRunner(
             arch=arch_name, dtype_bytes=4,
             tc_population=population, tc_generations=generations,
-            _cache_dir=cache_dir,
+            cache_dir=cache_dir,
         )
         frameworks = ("cogent", "tc", "tc_untuned")
-        rows = runner.compare(SD2_SUBSET, frameworks, _workers=workers)
+        rows = runner.compare(SD2_SUBSET, frameworks, workers=workers)
         out.write(f"## Fig. {figure} — COGENT vs Tensor Comprehensions "
                   f"on {arch_name} (SD2, single precision)\n\n```\n")
         out.write(format_table(rows, frameworks))

@@ -31,7 +31,6 @@ from ..baselines.tc import TcAutotuner
 from ..core.cache import EvalCache, eval_cache_key
 from ..core.generator import Cogent
 from ..core.ir import Contraction
-from ..deprecation import _UNSET, warn_deprecated
 from ..gpu.arch import GpuArch, get_arch
 from ..gpu.simulator import GpuSimulator
 from ..tccg.suite import Benchmark
@@ -143,16 +142,8 @@ class SuiteRunner:
         tc_population: int = 20,
         tc_generations: int = 5,
         tc_seed: int = 0,
-        cache_dir=_UNSET,
-        *,
-        _cache_dir: Optional[Union[str, Path]] = None,
+        cache_dir: Optional[Union[str, Path]] = None,
     ) -> None:
-        if cache_dir is not _UNSET:
-            warn_deprecated(
-                "SuiteRunner(cache_dir=...)",
-                "repro.api.Options(cache_dir=...) with repro.api.evaluate",
-            )
-            _cache_dir = cache_dir
         self.arch = get_arch(arch) if isinstance(arch, str) else arch
         self.dtype_bytes = dtype_bytes
         self.cogent = Cogent(arch=self.arch, dtype_bytes=dtype_bytes)
@@ -166,7 +157,7 @@ class SuiteRunner:
             generations=tc_generations,
             seed=tc_seed,
         )
-        self.cache = EvalCache(_cache_dir) if _cache_dir else None
+        self.cache = EvalCache(cache_dir) if cache_dir else None
         # Execution-strategy selector, built lazily: only the
         # strategy-aware COGENT row pays for it.
         self._selector = None
@@ -368,9 +359,7 @@ class SuiteRunner:
         self,
         benchmarks: Sequence[Benchmark],
         frameworks: Sequence[str] = ("cogent", "nwchem", "talsh"),
-        workers=_UNSET,
-        *,
-        _workers: int = 1,
+        workers: int = 1,
     ) -> List[ComparisonRow]:
         """Evaluate every (benchmark, framework) cell.
 
@@ -378,19 +367,9 @@ class SuiteRunner:
         cache fan out over a process pool; results are merged back in
         grid order, so the returned rows are identical to a serial run.
         Counters and stage timings land in :attr:`last_stats`.
-
-        .. deprecated::
-            Passing ``workers`` here is deprecated; use
-            ``repro.api.Options(workers=...)`` with ``repro.api.evaluate``.
         """
-        if workers is not _UNSET:
-            warn_deprecated(
-                "SuiteRunner.compare(workers=...)",
-                "repro.api.Options(workers=...) with repro.api.evaluate",
-            )
-            _workers = workers
         with obs.span("compare"):
-            return self._compare(benchmarks, frameworks, _workers)
+            return self._compare(benchmarks, frameworks, workers)
 
     def _compare(
         self,

@@ -8,7 +8,6 @@ from .memory import (
     TransactionCounter,
     VectorizedReplay,
     count_transactions,
-    count_transactions_reference,
     sampled_is_exact,
 )
 from .metrics import KernelMetrics, collect_metrics, roofline_chart
@@ -34,7 +33,6 @@ __all__ = [
     "collect_metrics",
     "compute_occupancy",
     "count_transactions",
-    "count_transactions_reference",
     "execute_plan",
     "get_arch",
     "reference_contract",

@@ -93,10 +93,10 @@ class TransactionCounter:
     """Replays generated-kernel addressing for one plan.
 
     Per-block/per-step loop primitives.  :meth:`load_transactions` and
-    :meth:`store_transactions` replay a single tile each; the exact loop
-    in :func:`count_transactions_reference` iterates them over every
-    block and step.  Kept as the slow reference oracle the vectorized
-    replay is tested against.
+    :meth:`store_transactions` replay a single tile each; the sampled
+    count scales one tile up, and the per-block/per-step loop reference
+    in ``tests/oracles`` iterates them over every block and step (the
+    slow oracle the vectorized replay is tested against).
     """
 
     def __init__(self, plan: KernelPlan) -> None:
@@ -275,8 +275,8 @@ def _offset_classes(
 class VectorizedReplay:
     """Batched exact replay of every block and step of one plan.
 
-    Produces bit-for-bit the totals of the loop reference
-    (:func:`count_transactions_reference`) by exploiting two structural
+    Produces bit-for-bit the totals of the per-block/per-step loop
+    reference (``tests/oracles``) by exploiting two structural
     facts of the generated kernels' addressing:
 
     * **Separability** — the byte address of a replayed element is
@@ -594,19 +594,6 @@ def sampled_is_exact(plan: KernelPlan) -> bool:
 
 
 # -- entry points -------------------------------------------------------------
-
-
-def count_transactions_reference(plan: KernelPlan) -> MeasuredTransactions:
-    """Exact counts via the per-block/per-step loop (reference oracle)."""
-    counter = TransactionCounter(plan)
-    contraction = plan.contraction
-    load_a = load_b = store_c = 0
-    for block in range(plan.num_blocks):
-        store_c += counter.store_transactions(block)
-        for step in range(plan.num_steps):
-            load_a += counter.load_transactions(contraction.a, block, step)
-            load_b += counter.load_transactions(contraction.b, block, step)
-    return MeasuredTransactions(load_a, load_b, store_c)
 
 
 def _count_sampled(plan: KernelPlan) -> MeasuredTransactions:

@@ -111,13 +111,10 @@ class MetricsRegistry:
     def absorb_search_stats(self, stats) -> None:
         """Fold one ``SearchStats`` (enumeration search) in."""
         self.inc("search.searches")
-        self.inc(f"search.engine.{getattr(stats, 'engine', 'object')}")
         self.inc("search.configs_checked", stats.configs_checked)
         self.inc("search.configs_ranked", stats.configs_ranked)
         self.inc("search.kept", stats.kept)
         self.inc("search.simulated", stats.simulated)
-        self.inc("costmodel.memo.hits", stats.cost_memo_hits)
-        self.inc("costmodel.memo.misses", stats.cost_memo_misses)
         self.observe("search.total_s", stats.total_s)
         self.observe("search.enumeration_s", stats.enumeration_s)
         self.observe("search.pruning_s", stats.pruning_s)

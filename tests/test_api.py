@@ -6,14 +6,9 @@ import warnings
 import pytest
 
 from repro import api
-from repro.core.enumeration import Enumerator
 from repro.core.generator import Cogent
 from repro.evaluation.runner import SuiteRunner
-from repro.gpu.arch import VOLTA_V100
 from repro.tccg import get
-
-# Three small TCCG entries: fast enough to generate repeatedly.
-TCCG_NAMES = ("ttm_mode1", "ttm_mode2", "mo_stage1")
 
 
 class TestOptions:
@@ -60,49 +55,21 @@ class TestOptions:
 
 
 class TestDeprecationShims:
-    def test_cogent_workers_warns(self):
-        with pytest.warns(DeprecationWarning, match="Cogent"):
-            Cogent(workers=2)
+    """The shims are gone: the plain keyword spellings run without any
+    DeprecationWarning."""
 
     def test_cogent_default_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             Cogent()
 
-    def test_enumerator_search_workers_warns(self):
-        contraction = get("ttm_mode1").contraction()
-        enumerator = Enumerator(contraction, VOLTA_V100)
-        with pytest.warns(DeprecationWarning, match="search"):
-            enumerator.search(keep=4, workers=1)
-
-    def test_suite_runner_cache_dir_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="cache_dir"):
-            SuiteRunner(cache_dir=tmp_path / "eval")
-
-    def test_suite_runner_compare_workers_warns(self):
-        runner = SuiteRunner()
-        with pytest.warns(DeprecationWarning, match="compare"):
-            runner.compare([get("ttm_mode1")], ("talsh",), workers=1)
-
     def test_internal_paths_do_not_warn(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            runner = SuiteRunner(_cache_dir=tmp_path / "eval")
-            runner.compare([get("ttm_mode1")], ("talsh",), _workers=1)
+            Cogent(workers=2)
+            runner = SuiteRunner(cache_dir=tmp_path / "eval")
+            runner.compare([get("ttm_mode1")], ("talsh",), workers=1)
             api.compile("ab-ak-kb", 16, options=api.Options(top_k=2))
-
-    def test_old_api_identical_to_new(self):
-        """The shims change nothing but the spelling (3 TCCG entries)."""
-        opts = api.Options(workers=2, top_k=4)
-        for name in TCCG_NAMES:
-            contraction = get(name).contraction()
-            with pytest.warns(DeprecationWarning):
-                old = Cogent(top_k=4, workers=2).generate(contraction)
-            new = api.compile(contraction, options=opts)
-            assert old.config.describe() == new.config.describe()
-            assert old.candidates[0].simulated.gflops == pytest.approx(
-                new.candidates[0].simulated.gflops
-            )
 
 
 class TestFacade:

@@ -15,6 +15,16 @@ class TestParser:
         assert args.arch == "V100"
         assert args.emit == "cuda"
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "ab-ak-kb", "--engine", "object"],
+        ["network", "ab,bc->ac", "--path-engine", "object"],
+    ])
+    def test_engine_flags_removed(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestSuiteCommand:
     def test_lists_48(self, capsys):
@@ -67,6 +77,20 @@ class TestRankCommand:
         out = capsys.readouterr().out
         assert "configurations after pruning" in out
         assert "GFLOPS" in out
+
+    def test_rank_json_rule_pruning(self, tmp_path, capsys):
+        import json
+
+        from repro.core.constraints import HARDWARE_RULES, PERFORMANCE_RULES
+
+        out_file = tmp_path / "rank.json"
+        assert main(["rank", "ab-ak-kb", "--sizes", "64", "--top", "2",
+                     "--json", str(out_file)]) == 0
+        pruning = json.loads(out_file.read_text())["rule_pruning"]
+        assert tuple(pruning) == HARDWARE_RULES + PERFORMANCE_RULES
+        # The first rule sees every configuration of the one search.
+        assert pruning[HARDWARE_RULES[0]]["checks"] > 0
+        assert "per-rule pruned counts" in capsys.readouterr().out
 
 
 class TestBenchCommand:

@@ -3,8 +3,7 @@
 Covers the registry contract, golden-file snapshots of every registered
 target, differential execution of every runnable target against
 ``numpy.einsum`` (and pairwise), the in-process build/run harness of the
-runnable targets, the deprecation shims over the legacy per-backend
-API, per-target caching/store-key behaviour, and the
+runnable targets, per-target caching/store-key behaviour, and the
 ``codegen.target.*`` observability counters.
 """
 
@@ -208,61 +207,6 @@ class TestDifferentialExecution:
         for x, y in itertools.combinations(sorted(got), 2):
             assert got[x].tobytes() == got[y].tobytes(), \
                 f"{x} and {y} disagree"
-
-
-class TestDeprecatedShims:
-    """Legacy entry points still work, warn, and emit byte-identical
-    source to the registry path."""
-
-    def test_generate_cuda_kernel(self, plan):
-        from repro.core.codegen.cuda import generate_cuda_kernel
-
-        with pytest.warns(DeprecationWarning, match="generate_cuda_kernel"):
-            old = generate_cuda_kernel(plan)
-        assert old == get_target("cuda").emit_kernel(plan)
-
-    def test_generate_cuda_driver(self, plan):
-        from repro.core.codegen.driver import generate_cuda_driver
-
-        with pytest.warns(DeprecationWarning, match="generate_cuda_driver"):
-            old = generate_cuda_driver(plan)
-        assert old == get_target("cuda").emit_driver(plan)
-
-    def test_generate_opencl_kernel(self, plan):
-        from repro.core.codegen.opencl import generate_opencl_kernel
-
-        with pytest.warns(DeprecationWarning,
-                          match="generate_opencl_kernel"):
-            old = generate_opencl_kernel(plan)
-        assert old == get_target("opencl").emit_kernel(plan)
-
-    def test_generate_c_emulation(self, plan):
-        from repro.core.codegen.cemu import generate_c_emulation
-
-        with pytest.warns(DeprecationWarning, match="generate_c_emulation"):
-            old = generate_c_emulation(plan)
-        assert old == get_target("cemu").emit_kernel(plan)
-
-    def test_package_getattr_forwards_lazily(self, plan):
-        import repro.core.codegen as codegen
-
-        fn = codegen.generate_cuda_kernel
-        with pytest.warns(DeprecationWarning):
-            assert fn(plan) == get_target("cuda").emit_kernel(plan)
-        with pytest.raises(AttributeError):
-            codegen.generate_fortran_kernel
-
-    def test_kernel_shims(self, cogent_v100, eq1_repr):
-        kernel = cogent_v100.generate(eq1_repr)
-        with pytest.warns(DeprecationWarning, match="cuda_source"):
-            assert kernel.cuda_source == kernel.source("cuda")
-        with pytest.warns(DeprecationWarning, match="cuda_driver_source"):
-            assert kernel.cuda_driver_source() == \
-                kernel.driver_source("cuda")
-        with pytest.warns(DeprecationWarning, match="c_emulation_source"):
-            assert kernel.c_emulation_source() == kernel.source("cemu")
-        with pytest.warns(DeprecationWarning, match="opencl_source"):
-            assert kernel.opencl_source() == kernel.source("opencl")
 
 
 class TestKernelTargetPlumbing:

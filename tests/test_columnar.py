@@ -1,18 +1,17 @@
-"""Tests for the columnar (struct-of-arrays) search engine.
+"""Tests for the columnar (struct-of-arrays) configuration search.
 
-The object path (:class:`ConstraintChecker` + :class:`CostModel` over
-materialised :class:`KernelPlan` objects) is the oracle; these tests
-pin the columnar engine to it:
+The per-plan search in :mod:`tests.oracles` (:class:`ConstraintChecker`
+rules + :class:`CostModel` over materialised :class:`KernelPlan`
+objects) is the oracle; these tests pin the columnar search to it:
 
-* engine parity — identical top-k (cost, canonical key, config),
+* oracle parity — identical top-k (cost, canonical key, config),
   pruning statistics and fallback sets on real contractions, serial
   and sharded;
 * hypothesis property tests — every vectorized rule predicate agrees
   with the corresponding ``_rule_*`` method and the closed-form
   Algorithm-3 cost equals ``CostModel.cost`` exactly, per product
   position, on random contractions;
-* the ``checker=`` deprecation shim and the zero-call ``RuleStats``
-  regression.
+* the zero-call ``RuleStats`` regression.
 """
 
 import warnings
@@ -26,16 +25,17 @@ from repro import api, parse
 from repro.core.constraints import (
     HARDWARE_RULES,
     PERFORMANCE_RULES,
-    ConstraintChecker,
     RuleStats,
 )
 from repro.core.costmodel import CostModel, row_transaction_columns
-from repro.core.enumeration import ENGINES, Enumerator
+from repro.core.enumeration import Enumerator
 from repro.core.generator import Cogent
 from repro.core.ir import Contraction, TensorRef
 from repro.core.mapping import canonical_key, canonical_key_from_spec
 from repro.core.plan import KernelPlan
 from repro.gpu.arch import PASCAL_P100, VOLTA_V100
+
+from .oracles import object_search
 
 ALPHABET = "abcdefgh"
 
@@ -74,10 +74,12 @@ def _ranked(result):
     return list(zip(result.costs, [c.describe() for c in result.configs]))
 
 
-def _search(contraction, engine, arch=VOLTA_V100, keep=16, **kwargs):
-    return Enumerator(contraction, arch, engine=engine, **kwargs).search(
-        keep=keep
-    )
+def _search(contraction, arch=VOLTA_V100, keep=16, **kwargs):
+    return Enumerator(contraction, arch, **kwargs).search(keep=keep)
+
+
+def _oracle(contraction, arch=VOLTA_V100, keep=16):
+    return object_search(Enumerator(contraction, arch), keep=keep)
 
 
 PARITY_CASES = [
@@ -88,14 +90,14 @@ PARITY_CASES = [
 ]
 
 
-# -- engine parity ----------------------------------------------------------
+# -- oracle parity ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("expr,sizes", PARITY_CASES)
 def test_topk_parity(expr, sizes):
     contraction = parse(expr, sizes)
-    obj = _search(contraction, "object")
-    col = _search(contraction, "columnar")
+    obj = _oracle(contraction)
+    col = _search(contraction)
     assert _ranked(col) == _ranked(obj)
     assert col.stats == obj.stats
     assert list(col.reject_costs) == list(obj.reject_costs)
@@ -106,17 +108,15 @@ def test_topk_parity(expr, sizes):
 
 def test_topk_parity_p100():
     contraction = parse("abcd-aebf-dfce", 16)
-    obj = _search(contraction, "object", arch=PASCAL_P100)
-    col = _search(contraction, "columnar", arch=PASCAL_P100)
+    obj = _oracle(contraction, arch=PASCAL_P100)
+    col = _search(contraction, arch=PASCAL_P100)
     assert _ranked(col) == _ranked(obj)
 
 
 def test_sharded_columnar_matches_serial():
     contraction = parse("abcd-aebf-dfce", 24)
-    serial = _search(contraction, "columnar")
-    sharded = Enumerator(contraction, VOLTA_V100, engine="columnar").search(
-        keep=16, _workers=4
-    )
+    serial = _search(contraction)
+    sharded = Enumerator(contraction, VOLTA_V100).search(keep=16, workers=4)
     assert _ranked(sharded) == _ranked(serial)
     assert sharded.stats == serial.stats
     assert sharded.search_stats.shards == 4
@@ -124,45 +124,35 @@ def test_sharded_columnar_matches_serial():
 
 def test_small_batches_match_one_batch():
     contraction = parse("abcd-aebf-dfce", 24)
-    one = _search(contraction, "columnar")
-    small = _search(contraction, "columnar", batch_size=64)
+    one = _search(contraction)
+    small = _search(contraction, batch_size=64)
     assert _ranked(small) == _ranked(one)
     assert small.stats == one.stats
     assert list(small.reject_costs) == list(one.reject_costs)
 
 
-def test_search_stats_report_engine():
-    contraction = parse("ab-ak-kb", {"a": 24, "b": 16, "k": 12})
-    for engine in ENGINES:
-        result = _search(contraction, engine)
-        assert result.search_stats.engine == engine
-        assert result.search_stats.as_dict()["engine"] == engine
-
-
 def test_unknown_engine_rejected():
+    # The search has one implementation; no engine knob is accepted.
     contraction = parse("ab-ak-kb", 8)
-    with pytest.raises(ValueError, match="engine"):
-        Enumerator(contraction, VOLTA_V100, engine="simd")
-    with pytest.raises(ValueError, match="engine"):
-        Cogent(engine="simd")
-    with pytest.raises(ValueError, match="engine"):
-        api.Options(engine="simd")
+    with pytest.raises(TypeError, match="engine"):
+        Enumerator(contraction, VOLTA_V100, engine="columnar")
+    with pytest.raises(TypeError, match="engine"):
+        Cogent(engine="columnar")
+    with pytest.raises(TypeError, match="engine"):
+        api.Options(engine="columnar")
 
 
-def test_generator_engine_flows_to_enumerator():
-    for engine in ENGINES:
-        cogent = Cogent(engine=engine)
-        enumerator = cogent._enumerator(parse("ab-ak-kb", 8))
-        assert enumerator.engine == engine
-
-
-def test_api_engines_agree():
+def test_api_engines_agree(monkeypatch):
+    """End to end, the facade picks the same kernel with the oracle
+    search swapped in for the columnar one."""
+    sizes = {"a": 24, "b": 16, "k": 12}
     options = api.Options(top_k=4)
-    assert options.engine == "columnar"
-    col = api.compile("ab-ak-kb", {"a": 24, "b": 16, "k": 12},
-                      options=options)
-    obj = api.compile("ab-ak-kb", {"a": 24, "b": 16, "k": 12},
-                      options=options.evolve(engine="object"))
+    col = api.compile("ab-ak-kb", sizes, options=options)
+    monkeypatch.setattr(
+        Cogent, "_search",
+        lambda self, c: object_search(self._enumerator(c), keep=self.top_k),
+    )
+    obj = api.compile("ab-ak-kb", sizes, options=options)
     assert col.config.describe() == obj.config.describe()
     assert col.cost == obj.cost
 
@@ -173,7 +163,7 @@ def test_api_engines_agree():
 def test_columnar_rule_stats_totals():
     """Batched rule counts land in the checker and sum consistently."""
     contraction = parse("abcd-aebf-dfce", 24)
-    enumerator = Enumerator(contraction, VOLTA_V100, engine="columnar")
+    enumerator = Enumerator(contraction, VOLTA_V100)
     result = enumerator.search(keep=8)
     stats = enumerator.checker.rule_stats
     total_rejections = sum(s.rejections for s in stats.values())
@@ -182,16 +172,6 @@ def test_columnar_rule_stats_totals():
     )
     # every row reaches the first canonical rule
     assert stats[HARDWARE_RULES[0]].checks == result.stats.raw_combinations
-
-
-def test_columnar_engine_counter_in_obs():
-    from repro import obs
-
-    with obs.tracing() as session:
-        api.compile("ab-ak-kb", {"a": 24, "b": 16, "k": 12},
-                    options=api.Options(top_k=2))
-    counters = session.payload()["metrics"]["counters"]
-    assert counters.get("search.engine.columnar", 0) >= 1
 
 
 # -- RuleStats zero-call regression ----------------------------------------
@@ -204,22 +184,6 @@ def test_rule_stats_zero_calls_do_not_raise():
     assert stats.cost_s == 0.0
 
 
-# -- deprecation shim -------------------------------------------------------
-
-
-def test_search_checker_kwarg_deprecated_but_working():
-    contraction = parse("ab-ak-kb", {"a": 24, "b": 16, "k": 12})
-    baseline = _search(contraction, "columnar")
-    enumerator = Enumerator(contraction, VOLTA_V100)
-    with pytest.warns(DeprecationWarning, match="checker"):
-        shimmed = enumerator.search(
-            keep=16, checker=ConstraintChecker(VOLTA_V100)
-        )
-    # the shim falls back to the object path with identical results
-    assert shimmed.search_stats.engine == "object"
-    assert _ranked(shimmed) == _ranked(baseline)
-
-
 def test_search_without_checker_kwarg_warns_nothing():
     contraction = parse("ab-ak-kb", {"a": 24, "b": 16, "k": 12})
     with warnings.catch_warnings():
@@ -227,7 +191,7 @@ def test_search_without_checker_kwarg_warns_nothing():
         Enumerator(contraction, VOLTA_V100).search(keep=4)
 
 
-# -- hypothesis: predicates and cost against the object oracle --------------
+# -- hypothesis: predicates and cost against the per-plan rules -------------
 
 
 @settings(
@@ -281,8 +245,8 @@ def test_vectorized_predicates_match_rule_methods(data, contraction):
 )
 @given(contraction=contractions())
 def test_full_search_parity_on_random_contractions(contraction):
-    obj = _search(contraction, "object", keep=8)
-    col = _search(contraction, "columnar", keep=8)
+    obj = _oracle(contraction, keep=8)
+    col = _search(contraction, keep=8)
     assert _ranked(col) == _ranked(obj)
     assert col.stats == obj.stats
     assert list(col.reject_costs or []) == list(obj.reject_costs or [])

@@ -128,18 +128,18 @@ class TestCompareParallelAndCache:
         )
         parallel = SuiteRunner(arch="V100")
         parallel_rows = parallel.compare(
-            benches, self.FRAMEWORKS, _workers=2
+            benches, self.FRAMEWORKS, workers=2
         )
         assert _flatten(parallel_rows) == _flatten(serial_rows)
 
     def test_warm_cache_zero_reevaluations(self, tmp_path):
         benches = [get(n) for n in self.BENCHES]
-        cold = SuiteRunner(arch="V100", _cache_dir=tmp_path / "eval")
+        cold = SuiteRunner(arch="V100", cache_dir=tmp_path / "eval")
         cold_rows = cold.compare(benches, self.FRAMEWORKS)
         assert cold.last_stats.cache_misses == cold.last_stats.cells
         assert cold.last_stats.evaluated == cold.last_stats.cells
 
-        warm = SuiteRunner(arch="V100", _cache_dir=tmp_path / "eval")
+        warm = SuiteRunner(arch="V100", cache_dir=tmp_path / "eval")
         warm_rows = warm.compare(benches, self.FRAMEWORKS)
         assert warm.last_stats.evaluated == 0
         assert warm.last_stats.cache_hits == warm.last_stats.cells
@@ -155,12 +155,12 @@ class TestCompareParallelAndCache:
         bench = get("sd_t_d2_1")
         first = SuiteRunner(
             arch="V100", tc_population=6, tc_generations=2,
-            _cache_dir=tmp_path / "eval",
+            cache_dir=tmp_path / "eval",
         )
         first.compare([bench], ("tc_untuned",))
         second = SuiteRunner(
             arch="V100", tc_population=8, tc_generations=2,
-            _cache_dir=tmp_path / "eval",
+            cache_dir=tmp_path / "eval",
         )
         second.compare([bench], ("tc_untuned",))
         # Different tuner parameters must not hit each other's entries.

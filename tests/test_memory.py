@@ -10,9 +10,10 @@ from repro.gpu.memory import (
     TransactionCounter,
     VectorizedReplay,
     count_transactions,
-    count_transactions_reference,
     sampled_is_exact,
 )
+
+from .oracles import count_transactions_reference
 
 
 def make_plan(c, **spec):

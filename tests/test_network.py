@@ -12,6 +12,12 @@ from repro.core.network import (
     parse_network,
 )
 
+from .oracles import object_optimal_path
+
+#: The production path DP and the per-pair oracle DP; every
+#: tie-break, cap and rejection behaviour must match between them.
+PATH_DPS = (optimal_path, object_optimal_path)
+
 
 @pytest.fixture(scope="module")
 def gen():
@@ -224,7 +230,8 @@ def _path_key(path):
 
 
 class TestPathEngineParity:
-    """The vectorized bitmask DP must be bit-identical to the oracle."""
+    """The vectorized bitmask DP must be bit-identical to the per-pair
+    oracle DP in :mod:`tests.oracles`."""
 
     NETWORKS = [
         ("ab,bc,cd->ad", {"a": 8, "b": 512, "c": 4, "d": 8}),
@@ -247,8 +254,8 @@ class TestPathEngineParity:
     @pytest.mark.parametrize("expr,sizes", NETWORKS)
     def test_engines_bit_identical(self, expr, sizes):
         spec = parse_network(expr, sizes)
-        vec = optimal_path(spec, engine="vectorized")
-        obj = optimal_path(spec, engine="object")
+        vec = optimal_path(spec)
+        obj = object_optimal_path(spec)
         assert _path_key(vec) == _path_key(obj)
 
     def test_randomized_parity_battery(self):
@@ -265,24 +272,25 @@ class TestPathEngineParity:
             sizes = {l: random.randint(2, 9) for l in letters}
             spec = parse_network(expr, sizes)
             try:
-                obj = optimal_path(spec, engine="object")
+                obj = object_optimal_path(spec)
             except ContractionError:
                 with pytest.raises(ContractionError):
-                    optimal_path(spec, engine="vectorized")
+                    optimal_path(spec)
                 continue
-            vec = optimal_path(spec, engine="vectorized")
+            vec = optimal_path(spec)
             assert _path_key(vec) == _path_key(obj)
             checked += 1
         assert checked >= 20
 
     def test_unknown_engine_rejected(self):
+        # One path DP per network size; no engine knob is accepted.
         spec = parse_network("ab,bc->ac", 4)
-        with pytest.raises(ValueError, match="path engine"):
-            optimal_path(spec, engine="columnar")
+        with pytest.raises(TypeError, match="engine"):
+            optimal_path(spec, engine="object")
 
     def test_tie_break_pinned(self):
         # Fully specified tie-breaking: among (flops, peak)-tied splits
-        # the engines take the numerically smallest canonical left-half
+        # both DPs take the numerically smallest canonical left-half
         # bitmask.  An all-equal-extent chain ties everywhere; the
         # resulting step sequence is pinned here so any future change
         # to the rule is a visible, deliberate one.
@@ -290,8 +298,8 @@ class TestPathEngineParity:
         # the tree splits {0} | {1,2,3} and recursion emits the right
         # subtree innermost-first.
         spec = parse_network("ab,bc,cd,de->ae", 4)
-        for engine in ("vectorized", "object"):
-            path = optimal_path(spec, engine=engine)
+        for dp in PATH_DPS:
+            path = dp(spec)
             assert [
                 (s.left, s.right, s.result) for s in path.steps
             ] == [(2, 3, 4), (1, 4, 5), (0, 5, 6)]
@@ -309,27 +317,22 @@ class TestMemoryCap:
     def test_cap_below_feasible_raises(self):
         spec = parse_network("ab,bc,cd,de->ae", self.SIZES)
         base = optimal_path(spec)
-        for engine in ("vectorized", "object"):
+        for dp in PATH_DPS:
             with pytest.raises(ContractionError, match="memory cap"):
-                optimal_path(
-                    spec, engine=engine,
-                    memory_cap=base.peak_intermediate - 1,
-                )
+                dp(spec, memory_cap=base.peak_intermediate - 1)
 
     def test_cap_steers_to_smaller_peak_path(self):
         # The 7200-FLOP optimum contracts (ab,bc) first, peaking at
         # a*c = 100 elements; a 10296-FLOP plan contracting (bc,cd)
         # first peaks at b*d = 99.  Capping at 99 must find it,
-        # identically per engine.
+        # identically per DP.
         sizes = {"a": 2, "b": 33, "c": 50, "d": 3}
         spec = parse_network("ab,bc,cd->ad", sizes)
         base = optimal_path(spec)
         assert base.total_flops == 7200
         assert base.peak_intermediate == 100
-        capped_vec = optimal_path(
-            spec, engine="vectorized", memory_cap=99
-        )
-        capped_obj = optimal_path(spec, engine="object", memory_cap=99)
+        capped_vec = optimal_path(spec, memory_cap=99)
+        capped_obj = object_optimal_path(spec, memory_cap=99)
         assert _path_key(capped_vec) == _path_key(capped_obj)
         assert capped_vec.peak_intermediate == 99
         assert capped_vec.total_flops == 10296
@@ -352,19 +355,19 @@ class TestDegenerateNetworks:
         # An index shared by >= 3 tensors survives every pairwise step
         # it touches, so some step sees it in all three tensors — a
         # batch dimension the binary kernel template rejects.  Both
-        # engines must agree.
+        # DPs must agree.
         spec = parse_network("ab,ac,ad->bcd", 4)
-        for engine in ("vectorized", "object"):
+        for dp in PATH_DPS:
             with pytest.raises(ContractionError, match="batch"):
-                optimal_path(spec, engine=engine)
+                dp(spec)
 
     def test_disconnected_index_rejected(self):
         # 'c'/'d' appear once and not in the output: no valid
-        # contraction structure, rejected identically by both engines.
+        # contraction structure, rejected identically by both DPs.
         spec = parse_network("ab,cd->ab", 4)
-        for engine in ("vectorized", "object"):
+        for dp in PATH_DPS:
             with pytest.raises(ContractionError, match="exactly two"):
-                optimal_path(spec, engine=engine)
+                dp(spec)
 
     def test_planned_peak_recorded_on_path(self, gen):
         spec = parse_network("ab,bc,cd->ad", 8)

@@ -14,9 +14,7 @@ def _generate_traced(search_workers):
     """Run one generation under tracing; return the session."""
     contraction = get("ttm_mode1").contraction()
     with obs.tracing(meta={"command": "test"}) as session:
-        generator = Cogent(top_k=4)
-        generator.workers = search_workers
-        generator.generate(contraction)
+        Cogent(top_k=4, workers=search_workers).generate(contraction)
     return session
 
 

@@ -26,6 +26,8 @@ from repro.core.pipeline import (
     plan_memory,
 )
 
+from .oracles import object_optimal_path
+
 
 @pytest.fixture(scope="module")
 def gen():
@@ -308,11 +310,8 @@ class TestApiAndCli:
         assert len(net.kernels) == 2
 
     def test_options_validation(self):
-        with pytest.raises(ValueError, match="path_engine"):
-            api.Options(path_engine="columnar")
         with pytest.raises(ValueError, match="memory_cap"):
             api.Options(memory_cap=0)
-        assert api.Options(path_engine="object").path_engine == "object"
 
     def test_cli_network_smoke(self, tmp_path, capsys):
         from repro.cli import main
@@ -361,12 +360,12 @@ class TestProperties:
         sizes = {l: e for l, e in zip(letters, extents)}
         spec = parse_network(expr, sizes)
         try:
-            obj = optimal_path(spec, engine="object")
+            obj = object_optimal_path(spec)
         except ContractionError:
             with pytest.raises(ContractionError):
-                optimal_path(spec, engine="vectorized")
+                optimal_path(spec)
             return
-        vec = optimal_path(spec, engine="vectorized")
+        vec = optimal_path(spec)
         assert vec.total_flops == obj.total_flops
         assert vec.peak_intermediate == obj.peak_intermediate
         assert [

@@ -1,6 +1,7 @@
 """Tests for dedup-first workload compilation (repro.core.program)."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from repro.core import program as program_mod
 from repro.core.generator import Cogent
 from repro.core.parser import parse
 from repro.core.program import (
+    STORE_VERSION,
     CompilationSession,
     KernelStore,
     canonical_form,
@@ -23,6 +25,43 @@ from repro.core.program import (
 @pytest.fixture(scope="module")
 def gen():
     return Cogent(arch="V100", top_k=4)
+
+
+#: Keys a kernel store entry must carry to count as a hit.
+_KERNEL_KEYS = (
+    "canonical", "split_specs", "config", "dtype_bytes", "cost",
+    "selection_mode",
+)
+_HAMMER_KEY = "hammered"
+_HAMMER_PUTS = 300
+
+
+def _hammer_payload(writer):
+    payload = {"store_version": STORE_VERSION, "writer": writer}
+    payload.update({key: writer for key in _KERNEL_KEYS})
+    payload["blob"] = str(writer) * 50_000
+    return payload
+
+
+def _hammer_store(job):
+    """Put one key over and over, reading it back after every put.
+
+    Returns the errors raised by ``put`` and the lookups that did not
+    return a complete payload.
+    """
+    directory, writer = job
+    store = KernelStore(directory)
+    payload = _hammer_payload(writer)
+    errors, torn = [], 0
+    for _ in range(_HAMMER_PUTS):
+        try:
+            store.put(_HAMMER_KEY, payload)
+        except OSError as exc:
+            errors.append(repr(exc))
+        got = store.lookup(_HAMMER_KEY)
+        if got is None or got["blob"] != str(got["writer"]) * 50_000:
+            torn += 1
+    return errors, torn
 
 
 def _operands(contraction, seed=0):
@@ -93,12 +132,13 @@ class TestSearchSignature:
             != base
 
     def test_workers_and_engine_do_not(self):
-        # Parallel and object-engine searches are bit-identical, so
-        # they must share equivalence classes.
+        # Parallel and serial searches are bit-identical, so they must
+        # share equivalence classes; there is one search implementation,
+        # so no engine name is folded in either.
         a = Cogent(arch="V100")
-        b = Cogent(arch="V100", engine="object")
-        b.workers = 4
+        b = Cogent(arch="V100", workers=4)
         assert a.search_signature() == b.search_signature()
+        assert "engine" not in a.search_signature()
 
 
 class TestCompilationSession:
@@ -240,6 +280,42 @@ class TestKernelStore:
         session.compile([parse("ab-ak-kb", 24)])
         assert not list(tmp_path.glob("*.tmp"))
         assert len(session.store) == 1
+
+
+    def test_concurrent_writers_one_key(self, tmp_path):
+        writers = 4
+        with multiprocessing.get_context("spawn").Pool(writers) as pool:
+            results = pool.map_async(
+                _hammer_store, [(tmp_path, w) for w in range(writers)]
+            ).get(timeout=300)
+        errors = [e for errs, _ in results for e in errs]
+        assert errors == [], f"{len(errors)} puts raised: {errors[:3]}"
+        assert sum(torn for _, torn in results) == 0
+        final = json.loads((tmp_path / f"{_HAMMER_KEY}.json").read_text())
+        assert final in [_hammer_payload(w) for w in range(writers)]
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("content", [
+        '{"store_version": 1, "canonical": {"c"',   # truncated
+        "[1, 2]",                                     # not an object
+        json.dumps({"store_version": STORE_VERSION}),  # keys missing
+    ], ids=["truncated", "list", "missing-keys"])
+    def test_malformed_entry_is_counted_miss(self, gen, tmp_path, content):
+        from repro import obs
+
+        contraction = parse("ab-ak-kb", 24)
+        session = CompilationSession(gen, store=tmp_path)
+        key = session.class_key(contraction)
+        (tmp_path / f"{key}.json").write_text(content)
+        with obs.tracing() as trace:
+            assert session.store.lookup(key) is None
+        assert session.store.misses == 1
+        assert trace.metrics.counters["store.misses"] == 1
+        # A compile against the malformed entry re-searches and repairs it.
+        program = session.compile([contraction])
+        assert program.stats.searches == 1
+        assert program.stats.store_misses == 1
+        assert session.store.lookup(key) is not None
 
 
 class TestApiCompileMany:

@@ -26,9 +26,10 @@ from repro.gpu.executor import (
 from repro.gpu.memory import (
     VectorizedReplay,
     count_transactions,
-    count_transactions_reference,
     sampled_is_exact,
 )
+
+from .oracles import count_transactions_reference
 
 # -- strategies -------------------------------------------------------------
 

@@ -19,6 +19,8 @@ from repro.core.mapping import canonical_key
 from repro.core.plan import KernelPlan
 from repro.tccg import get
 
+from .oracles import AdaptiveChecker
+
 #: TCCG entries the determinism guard runs over (>= 5 per the issue).
 DETERMINISM_SUITE = (
     "ttm_mode1", "ttm_mode2", "ttm_4d", "mo_stage1", "ccsd_eq1",
@@ -114,8 +116,8 @@ class TestStreamingSearch:
         }
 
     def test_parallel_equals_serial(self, eq1, v100):
-        serial = Enumerator(eq1, v100).search(keep=24, _workers=1)
-        parallel = Enumerator(eq1, v100).search(keep=24, _workers=3)
+        serial = Enumerator(eq1, v100).search(keep=24, workers=1)
+        parallel = Enumerator(eq1, v100).search(keep=24, workers=3)
         assert parallel.search_stats.workers in (1, 3)  # 1 = fallback
         assert [c.describe() for c in serial.configs] == \
             [c.describe() for c in parallel.configs]
@@ -130,7 +132,7 @@ class TestStreamingSearch:
             raise OSError("no process pool in this sandbox")
 
         monkeypatch.setattr(Enumerator, "_search_parallel", boom)
-        result = Enumerator(eq1, v100).search(keep=8, _workers=4)
+        result = Enumerator(eq1, v100).search(keep=8, workers=4)
         assert result.search_stats.workers == 1
         assert result.configs
 
@@ -152,9 +154,7 @@ class TestDeterminismGuard:
     def test_workers_agree_on_best_config(self, name):
         contraction = get(name).contraction()
         serial = Cogent(arch="V100").generate(contraction)
-        parallel_gen = Cogent(arch="V100")
-        parallel_gen.workers = 2
-        parallel = parallel_gen.generate(contraction)
+        parallel = Cogent(arch="V100", workers=2).generate(contraction)
         assert serial.config.describe() == parallel.config.describe()
         assert serial.cost == parallel.cost
         assert serial.selection_mode == parallel.selection_mode
@@ -168,7 +168,7 @@ class TestDeterminismGuard:
 class TestAdaptiveConstraintOrdering:
     def test_classify_agrees_with_check(self, eq1, v100):
         enumerator = Enumerator(eq1, v100)
-        checker = ConstraintChecker(v100)
+        checker = AdaptiveChecker(v100)
         fresh = ConstraintChecker(v100)
         count = 0
         for xp in enumerator.enumerate_x_side()[:6]:
@@ -205,7 +205,7 @@ class TestAdaptiveConstraintOrdering:
         assert all(0.0 <= s.selectivity <= 1.0 for s in stats.values())
 
     def test_reorder_prefers_selective_cheap_rules(self, v100):
-        checker = ConstraintChecker(v100)
+        checker = AdaptiveChecker(v100)
         # Simulate measurements: make one rule overwhelmingly the most
         # efficient rejector and verify it is hoisted to the front.
         for name in PERFORMANCE_RULES:
@@ -223,7 +223,7 @@ class TestAdaptiveConstraintOrdering:
         assert tuple(HARDWARE_RULES) == (
             "smem", "registers", "max_threads", "nonempty_block"
         )
-        checker = ConstraintChecker(v100)
+        checker = AdaptiveChecker(v100)
         hw, perf = checker.rule_order()
         assert set(hw) == set(HARDWARE_RULES)
         assert set(perf) == set(PERFORMANCE_RULES)
