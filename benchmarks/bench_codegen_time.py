@@ -55,7 +55,7 @@ def _run_batch(workers: int, search_workers: int):
     contractions = [get(n).contraction() for n in SEARCH_BATCH]
     generator = Cogent(arch="V100", workers=search_workers)
     t0 = time.perf_counter()
-    kernels = generator.generate_many(contractions, workers=workers)
+    kernels = generator.compile_batch(contractions, workers=workers).kernels
     wall_s = time.perf_counter() - t0
     rows = []
     for name, kernel in zip(SEARCH_BATCH, kernels):

@@ -6,7 +6,7 @@ same 18 contraction shapes, which is exactly the repetition the
 dedup-first compiler exploits.  Three modes over the identical batch:
 
 * ``per-contraction`` — one full Algorithm-2/3 search per occurrence
-  (the pre-dedup behaviour of ``generate_many``/the apps);
+  (the pre-dedup behaviour of the apps);
 * ``dedup (cold)``    — one :class:`CompilationSession` against an
   empty store: one search per equivalence class, fanned out;
 * ``warm store``      — a fresh session against the now-populated

@@ -34,7 +34,6 @@ from typing import (
 )
 
 from . import obs
-from .core.cache import KernelCache
 from .core.generator import Cogent, GeneratedKernel
 from .core.ir import Contraction
 from .core.mapping import KernelConfig
@@ -74,9 +73,9 @@ class Options:
         micro-benchmarked on the simulator.  ``top_k=1`` selects purely
         by the cost model (the paper's primary mode).
     cache_dir:
-        Directory for persistent caches — generated-kernel packages in
-        :func:`compile`, framework evaluation results in
-        :func:`evaluate`.  ``None`` disables persistence.
+        Directory for the persistent framework-evaluation cache of
+        :func:`evaluate`.  ``None`` disables persistence.  Kernels
+        persist under ``store_dir``.
     arch:
         Target GPU name (``"P100"`` or ``"V100"``).
     dtype:
@@ -86,8 +85,8 @@ class Options:
         exported payload afterwards with :func:`last_trace`.
     store_dir:
         Directory for the content-addressed persistent kernel store
-        used by :func:`compile_many` (dedup-first workload
-        compilation).  Warm runs against a populated store perform
+        used by :func:`compile` and :func:`compile_many` (dedup-first
+        workload compilation).  Warm runs against a populated store perform
         zero configuration searches.  ``None`` disables persistence
         (dedup within one call still applies).
     strategy:
@@ -228,19 +227,16 @@ def compile(
     ``expression`` may use any syntax accepted by
     :func:`repro.core.parser.parse`, or be an already-built
     :class:`~repro.core.ir.Contraction` (``sizes`` is then ignored).
-    With ``options.cache_dir`` set, generated kernels persist on disk
-    and repeat calls replay them.
+    With ``options.store_dir`` set, the winning kernel persists in the
+    content-addressed :class:`~repro.core.program.KernelStore`, and a
+    repeat call — in this or any later process — performs zero
+    searches.
     """
     with _traced(options, "compile"):
-        generator = _generator(options)
-        if options.cache_dir is not None:
-            contraction = (
-                parse(expression, sizes)
-                if isinstance(expression, str) else expression
-            )
-            cache = KernelCache(generator, directory=options.cache_dir)
-            return cache.get(contraction)
-        return generator.generate(expression, sizes, kernel_name)
+        return _generator(options).compile_batch(
+            [expression], sizes, kernel_name=kernel_name,
+            store=options.store_dir,
+        ).kernels[0]
 
 
 def compile_many(

@@ -10,21 +10,18 @@ This driver reproduces that *structure* with three canonical diagram
 shapes (particle-particle ladder, hole-hole ladder, ring), synthetic
 integrals scaled for contractivity, genuine denominators, and a
 correlation-energy functional — evaluating every contraction through
-COGENT kernels fetched from a :class:`~repro.core.cache.KernelCache`
-(the same three kernels are reused across sweeps, which is exactly the
-scenario kernel caching exists for).  A pure-``einsum`` twin validates
-every sweep.
+COGENT kernels compiled once per diagram and reused across sweeps.  A
+pure-``einsum`` twin validates every sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.cache import KernelCache
-from ..core.generator import Cogent
+from ..core.generator import Cogent, GeneratedKernel
 from ..core.parser import parse_compact
 from ..gpu.executor import reference_contract
 
@@ -63,7 +60,8 @@ class CcsdDriver:
     ) -> None:
         self.no = n_occupied
         self.nv = n_virtual
-        self.cache = KernelCache(generator or Cogent())
+        self.generator = generator or Cogent()
+        self._kernels: Dict[str, GeneratedKernel] = {}
         self.store_dir = store_dir
         self._precompiled = False
         rng = np.random.default_rng(seed)
@@ -106,21 +104,20 @@ class CcsdDriver:
         process performs zero searches.  Diagrams keep their exact
         :class:`Contraction` objects (workload mode never rewrites
         operand or output index orders), so kernels are bit-identical
-        to per-diagram compilation.  The resulting kernels seed the
-        sweep-level :class:`KernelCache`, so every subsequent
-        :meth:`residual` sweep is a pure cache hit.
+        to per-diagram compilation.  Every subsequent :meth:`residual`
+        sweep reuses these kernels without a search.
         """
         from ..core.pipeline import NetworkPipeline
 
-        pipeline = NetworkPipeline(
-            self.cache.generator, store=self.store_dir
-        )
-        contractions = [self._contraction(expr) for _, expr in DIAGRAMS]
+        pipeline = NetworkPipeline(self.generator, store=self.store_dir)
         net = pipeline.compile_workload(
-            contractions, kernel_names=[name for name, _ in DIAGRAMS]
+            [self._contraction(expr) for _, expr in DIAGRAMS],
+            kernel_names=[name for name, _ in DIAGRAMS],
         )
-        for contraction, kernel in zip(contractions, net.kernels):
-            self.cache.put(contraction, kernel)
+        self._kernels.update(
+            (name, kernel)
+            for (name, _), kernel in zip(DIAGRAMS, net.kernels)
+        )
         self._precompiled = True
         return net.stats
 
@@ -130,14 +127,20 @@ class CcsdDriver:
         """V + the three diagram contributions at amplitudes ``t2``."""
         out = self.v_oovv.copy()
         for name, expr in DIAGRAMS:
-            contraction = self._contraction(expr)
             a, b = self._diagram_operands(name, t2)
             if use_kernels:
-                kernel = self.cache.get(contraction)
-                out += kernel.execute(a, b)
+                out += self.kernel_for(name, expr).execute(a, b)
             else:
-                out += reference_contract(contraction, a, b)
+                out += reference_contract(self._contraction(expr), a, b)
         return out
+
+    def kernel_for(self, name: str, expr: str) -> GeneratedKernel:
+        """The diagram's kernel, generated on first use."""
+        if name not in self._kernels:
+            self._kernels[name] = self.generator.generate(
+                self._contraction(expr), kernel_name=name
+            )
+        return self._kernels[name]
 
     def _diagram_operands(self, name: str, t2: np.ndarray):
         if name == "pp_ladder":
@@ -179,10 +182,10 @@ class CcsdDriver:
                 break
         sweep_time = 0.0
         for name, expr in DIAGRAMS:
-            kernel = self.cache.get(self._contraction(expr))
+            kernel = self.kernel_for(name, expr)
             sim = kernel.candidates[0].simulated
             if sim is None:
-                sim = self.cache.generator.predict(kernel.plan)
+                sim = self.generator.predict(kernel.plan)
             sweep_time += sim.time_s
         return CcsdResult(
             energy=energies[-1],
@@ -200,10 +203,10 @@ class CcsdDriver:
             f"  converged  : {result.converged} in "
             f"{result.iterations} sweeps",
             f"  energy     : {result.energy:+.10f}",
-            f"  kernels    : {len(self.cache)} generated, "
-            f"{self.cache.hits} cache hits across sweeps",
+            f"  kernels    : {len(self._kernels)} generated, "
+            f"{result.iterations * len(DIAGRAMS)} cache hits across sweeps",
             f"  sweep time : {result.predicted_sweep_time_s * 1e6:.1f} "
-            f"us predicted on {self.cache.generator.arch.name}",
+            f"us predicted on {self.generator.arch.name}",
         ]
         for pos, norm in enumerate(result.residual_norms[:8], start=1):
             lines.append(f"    sweep {pos:>2}  |dT| = {norm:.3e}")

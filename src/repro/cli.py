@@ -183,15 +183,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     cogent = _make_generator(
         args, top_k=args.top_k, allow_split=not args.no_split
     )
-    contraction = _resolve_contraction(args)
-    if args.cache_dir:
-        from .core.cache import KernelCache
-
-        kernel = KernelCache(cogent, directory=args.cache_dir).get(
-            contraction
-        )
-    else:
-        kernel = cogent.generate(contraction)
+    kernel = cogent.compile_batch(
+        [_resolve_contraction(args)], store=args.cache_dir
+    ).kernels[0]
     # --target selects a registered backend directly; the legacy --emit
     # spellings map onto the same registry names ("driver" = the cuda
     # host driver).

@@ -1,14 +1,17 @@
-"""Kernel caching and the high-level ``contract`` entry point.
+"""The in-process kernel memo, the evaluation cache and ``contract``.
 
 Code generation costs ~0.3-1.5 s per contraction (search dominated);
 applications like the CCSD(T) driver evaluate the same contraction
-shapes repeatedly.  :class:`KernelCache` memoises generated kernels by
-(expression structure, size bucket, architecture, dtype) in memory and
-— optionally — persists kernel packages on disk via
-:mod:`repro.core.serialize`.
+shapes repeatedly.  :class:`KernelCache` memoises generated kernels in
+memory by (expression structure, size bucket, architecture, dtype), so
+nearby extents share one search.  Kernels persist across processes
+only through :class:`repro.core.program.KernelStore`; ``cogent save``
+(:mod:`repro.core.serialize`) is the explicit package export.
+:class:`EvalCache` persists framework evaluation results.
 
 :func:`contract` is the one-call numpy-facing API: parse, generate (or
-fetch from cache), execute the kernel's schedule on the given operands.
+fetch from the memo), execute the kernel's schedule on the given
+operands.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from .. import obs
 from ..gpu.arch import GpuArch
 from .generator import Cogent, GeneratedKernel
-from .ir import Contraction
+from .ir import Contraction, ContractionError
 from .parser import parse
 
 
@@ -60,15 +64,10 @@ def cache_key(
 
 
 class KernelCache:
-    """Memoises generated kernels; optionally persists them to disk."""
+    """Memoises generated kernels in memory by size bucket."""
 
-    def __init__(
-        self,
-        generator: Optional[Cogent] = None,
-        directory: Optional[Union[str, Path]] = None,
-    ) -> None:
+    def __init__(self, generator: Optional[Cogent] = None) -> None:
         self.generator = generator or Cogent()
-        self.directory = Path(directory) if directory else None
         self._memory: Dict[str, GeneratedKernel] = {}
         self.hits = 0
         self.misses = 0
@@ -80,8 +79,6 @@ class KernelCache:
 
     def lookup(self, contraction: Contraction) -> Optional[GeneratedKernel]:
         """Cached kernel for ``contraction``, or ``None`` (no generation)."""
-        from .. import obs
-
         kernel = self._memory.get(self._key(contraction))
         if kernel is not None:
             self.hits += 1
@@ -91,35 +88,13 @@ class KernelCache:
             obs.inc("cache.kernel.misses")
         return kernel
 
-    def put(
-        self, contraction: Contraction, kernel: GeneratedKernel
-    ) -> None:
-        """Insert an externally generated kernel (batch generation)."""
-        key = self._key(contraction)
-        self._memory[key] = kernel
-        if self.directory is not None:
-            from .serialize import save_kernel
-
-            save_kernel(kernel, self.directory / key)
-
     def get(self, contraction: Contraction) -> GeneratedKernel:
         """Fetch or generate the kernel for ``contraction``."""
         kernel = self.lookup(contraction)
-        if kernel is not None:
-            return kernel
-        kernel = self.generator.generate(contraction)
-        self.put(contraction, kernel)
+        if kernel is None:
+            kernel = self.generator.generate(contraction)
+            self._memory[self._key(contraction)] = kernel
         return kernel
-
-    def get_many(
-        self, contractions, workers: int = 1
-    ) -> "list[GeneratedKernel]":
-        """Batch :meth:`get`: parallelises generation of the misses
-        across ``workers`` processes via :meth:`Cogent.generate_many`,
-        with this cache shared for lookups and insertion."""
-        return self.generator.generate_many(
-            contractions, workers=workers, cache=self
-        )
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -273,7 +248,8 @@ def contract(
         # new extent), fall back to a fresh generation.
         try:
             kernel = _rebind_kernel(kernel, contraction)
-        except Exception:
+        except ContractionError:
+            obs.inc("cache.kernel.rebind_fallbacks")
             kernel = cache.generator.generate(contraction)
     return kernel.execute(a, b)
 

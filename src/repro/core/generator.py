@@ -15,7 +15,6 @@ emit CUDA for the winner.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -412,107 +411,6 @@ class Cogent:
             obs.observe("generate.time_s", best.generation_time_s)
         return best
 
-    def generate_many(
-        self,
-        contractions: Iterable[Union[str, Contraction]],
-        sizes: SizesArg = None,
-        kernel_name: str = "tc_kernel",
-        workers: Optional[int] = None,
-        cache: Optional["KernelCache"] = None,  # noqa: F821
-    ) -> List[GeneratedKernel]:
-        """Generate kernels for a whole batch of contractions.
-
-        The suite-level companion of :meth:`generate`: contractions are
-        distributed across a process pool (``workers``, defaulting to
-        this generator's ``workers`` setting), with each worker running
-        a serial search so the two parallelism levels do not nest.  When
-        ``cache`` (a :class:`~repro.core.cache.KernelCache`) is given,
-        cached kernels are reused, contractions sharing a cache key are
-        generated once, and fresh kernels are inserted back — exactly
-        what the TCCG suite paths and the CCSD(T) driver need.
-
-        Results come back in input order.  Falls back to a serial loop
-        when the pool is unavailable.
-        """
-        from .cache import cache_key
-
-        workers = self.workers if workers is None else max(1, int(workers))
-        items = [
-            parse(c, sizes) if isinstance(c, str) else c
-            for c in contractions
-        ]
-        results: List[Optional[GeneratedKernel]] = [None] * len(items)
-        jobs: List[Tuple[List[int], Contraction]] = []
-        if cache is None:
-            jobs = [([i], c) for i, c in enumerate(items)]
-        else:
-            by_key: Dict[str, List[int]] = {}
-            for i, contraction in enumerate(items):
-                cached = cache.lookup(contraction)
-                if cached is not None:
-                    results[i] = cached
-                    continue
-                key = cache_key(contraction, self.arch, self.dtype_bytes)
-                by_key.setdefault(key, []).append(i)
-            jobs = [
-                (positions, items[positions[0]])
-                for positions in by_key.values()
-            ]
-
-        kernels = self._generate_batch(
-            [c for _, c in jobs], workers, kernel_name
-        )
-        for (positions, contraction), kernel in zip(jobs, kernels):
-            if cache is not None:
-                cache.put(contraction, kernel)
-            for i in positions:
-                results[i] = kernel
-        assert all(k is not None for k in results)
-        return results  # type: ignore[return-value]
-
-    def _generate_batch(
-        self,
-        contractions: Sequence[Contraction],
-        workers: int,
-        kernel_name: str,
-    ) -> List[GeneratedKernel]:
-        """Generate each contraction, fanning out across processes.
-
-        When an observability session is active, each worker records its
-        own span tree and metrics; the coordinator merges them back in
-        input order (deterministic — spans aggregate by name), with
-        worker wall times normalised to pool latency.
-        """
-        if workers > 1 and len(contractions) > 1:
-            worker_gen = copy.copy(self)
-            worker_gen.workers = 1  # no nested pools inside pool workers
-            trace = obs.enabled()
-            payloads = [
-                (worker_gen, c, kernel_name, trace) for c in contractions
-            ]
-            try:
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(contractions))
-                ) as pool:
-                    outcomes = list(pool.map(_generate_job, payloads))
-            except Exception:
-                pass  # pool unavailable: fall through to the serial loop
-            else:
-                session = obs.session()
-                for _, trace_payload, metrics_payload in outcomes:
-                    if session is None or trace_payload is None:
-                        continue
-                    session.tracer.absorb(trace_payload, workers=workers)
-                    session.metrics.merge(
-                        obs.MetricsRegistry.from_dict(metrics_payload)
-                    )
-                return [kernel for kernel, _, _ in outcomes]
-        return [
-            self.generate(c, kernel_name=kernel_name) for c in contractions
-        ]
-
     def rank_configs(
         self, contraction: Contraction
     ) -> List[Tuple[KernelConfig, int]]:
@@ -602,18 +500,3 @@ class Cogent:
             stats.simulated += len(head)
         return head + candidates[self.top_k:], "model+microbench"
 
-
-def _generate_job(payload: Tuple[Cogent, Contraction, str, bool]):
-    """Process-pool entry point for :meth:`Cogent.generate_many`.
-
-    Returns ``(kernel, trace, metrics)``; the trace/metrics payloads are
-    ``None`` unless the coordinator had an observability session active.
-    """
-    generator, contraction, kernel_name, trace = payload
-    if not trace:
-        kernel = generator.generate(contraction, kernel_name=kernel_name)
-        return kernel, None, None
-    with obs.tracing(root_name="worker") as session:
-        kernel = generator.generate(contraction, kernel_name=kernel_name)
-    exported = session.payload()
-    return kernel, exported["trace"], exported["metrics"]

@@ -37,6 +37,7 @@ configuration tuned by an older one.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import time
 from dataclasses import dataclass, field, replace
@@ -448,7 +449,7 @@ class CompilationSession:
         ``kernel_names`` optionally names each member's kernel (same
         length as the batch); otherwise every kernel is ``kernel_name``.
         ``workers`` parallelises the representative searches across
-        processes exactly like :meth:`Cogent.generate_many`.
+        processes (default: the generator's ``workers`` setting).
         """
         from .cache import _rebind_kernel
 
@@ -505,8 +506,8 @@ class CompilationSession:
 
             reps = [items[classes[key].members[0]] for key in searched]
             rep_names = [names[classes[key].members[0]] for key in searched]
-            rep_kernels = self._search_representatives(
-                reps, rep_names, workers
+            rep_kernels = _generate_batch(
+                self.generator, reps, rep_names, workers
             )
             stamp = code_version_stamp()
             for key, kernel in zip(searched, rep_kernels):
@@ -594,32 +595,6 @@ class CompilationSession:
 
     # -- internals -------------------------------------------------------
 
-    def _search_representatives(
-        self,
-        reps: Sequence[Contraction],
-        rep_names: Sequence[str],
-        workers: Optional[int],
-    ) -> List[GeneratedKernel]:
-        """One full search per class representative (possibly pooled)."""
-        workers = (
-            self.generator.workers if workers is None
-            else max(1, int(workers))
-        )
-        if workers > 1 and len(reps) > 1:
-            kernels = self.generator._generate_batch(
-                list(reps), workers, "tc_kernel"
-            )
-            return [
-                kernel
-                if kernel.kernel_name == name
-                else replace(kernel, kernel_name=name, _sources={})
-                for kernel, name in zip(kernels, rep_names)
-            ]
-        return [
-            self.generator.generate(contraction, kernel_name=name)
-            for contraction, name in zip(reps, rep_names)
-        ]
-
     def _fan_out(
         self,
         kernel: GeneratedKernel,
@@ -643,3 +618,73 @@ class CompilationSession:
             kernel, target, rename=dict(rename or {}) or None,
             kernel_name=name,
         )
+
+
+def _generate_batch(
+    generator: Cogent,
+    contractions: Sequence[Contraction],
+    names: Sequence[str],
+    workers: Optional[int],
+) -> List[GeneratedKernel]:
+    """Search each contraction, fanning out across ``workers`` processes
+    (default: the generator's ``workers`` setting).
+
+    Each worker runs a serial search (its generator copy has
+    ``workers=1``), so the two parallelism levels do not nest.  When an
+    observability session is active, each worker records its own span
+    tree and metrics; the coordinator merges them back in input order
+    (deterministic — spans aggregate by name), with worker wall times
+    normalised to pool latency.  Only a pool that cannot be created
+    falls back to the serial loop (counted as
+    ``program.pool_fallbacks``); an exception raised inside a job
+    propagates.
+    """
+    workers = generator.workers if workers is None else max(1, int(workers))
+    if workers > 1 and len(contractions) > 1:
+        try:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(
+                max_workers=min(workers, len(contractions))
+            )
+        except (OSError, NotImplementedError, ImportError):
+            obs.inc("program.pool_fallbacks")
+        else:
+            worker_gen = copy.copy(generator)
+            worker_gen.workers = 1  # no nested pools inside pool workers
+            trace = obs.enabled()
+            payloads = [
+                (worker_gen, contraction, name, trace)
+                for contraction, name in zip(contractions, names)
+            ]
+            with pool:
+                outcomes = list(pool.map(_generate_job, payloads))
+            session = obs.session()
+            for _, trace_payload, metrics_payload in outcomes:
+                if session is None or trace_payload is None:
+                    continue
+                session.tracer.absorb(trace_payload, workers=workers)
+                session.metrics.merge(
+                    obs.MetricsRegistry.from_dict(metrics_payload)
+                )
+            return [kernel for kernel, _, _ in outcomes]
+    return [
+        generator.generate(contraction, kernel_name=name)
+        for contraction, name in zip(contractions, names)
+    ]
+
+
+def _generate_job(payload: Tuple[Cogent, Contraction, str, bool]):
+    """Process-pool entry point for :func:`_generate_batch`.
+
+    Returns ``(kernel, trace, metrics)``; the trace/metrics payloads are
+    ``None`` unless the coordinator had an observability session active.
+    """
+    generator, contraction, kernel_name, trace = payload
+    if not trace:
+        kernel = generator.generate(contraction, kernel_name=kernel_name)
+        return kernel, None, None
+    with obs.tracing(root_name="worker") as session:
+        kernel = generator.generate(contraction, kernel_name=kernel_name)
+    exported = session.payload()
+    return kernel, exported["trace"], exported["metrics"]

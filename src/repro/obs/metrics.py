@@ -3,7 +3,7 @@
 One :class:`MetricsRegistry` per observability session unifies every
 counter the pipeline previously kept in ad-hoc stat objects —
 ``SearchStats`` (enumeration), ``RuleStats`` (constraint pruning),
-cost-model memo hits/misses, ``KernelCache``/``EvalCache`` hits/misses,
+cost-model memo hits/misses, ``EvalCache`` hits/misses,
 ``CompareStats`` and ``FrameworkResult`` stage timings (evaluation) —
 under one dotted naming scheme:
 
@@ -161,11 +161,6 @@ class MetricsRegistry:
         self.observe(f"{prefix}.setup_s", result.setup_time_s)
         self.observe(f"{prefix}.search_s", result.search_time_s)
         self.observe(f"{prefix}.simulate_s", result.simulate_time_s)
-
-    def absorb_kernel_cache(self, cache) -> None:
-        """Fold a ``KernelCache``'s hit/miss counters in."""
-        self.inc("cache.kernel.hits", cache.hits)
-        self.inc("cache.kernel.misses", cache.misses)
 
     def absorb_eval_cache(self, cache) -> None:
         """Fold an ``EvalCache``'s hit/miss counters in."""

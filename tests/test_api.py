@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from repro import api
+from repro import api, obs
 from repro.core.generator import Cogent
 from repro.evaluation.runner import SuiteRunner
 from repro.tccg import get
@@ -79,10 +79,25 @@ class TestFacade:
         assert kernel.config is not None
         assert "__global__" in kernel.source("cuda")
 
-    def test_compile_cache_dir_persists(self, tmp_path):
-        opts = api.Options(top_k=2, cache_dir=tmp_path / "kernels")
-        api.compile("ab-ak-kb", 32, options=opts)
-        assert any((tmp_path / "kernels").iterdir())
+    def test_compile_store_dir_warm_call_searches_nothing(self, tmp_path):
+        opts = api.Options(top_k=2, store_dir=tmp_path / "store")
+        cold = api.compile("ab-ak-kb", 32, options=opts)
+        with obs.tracing() as session:
+            warm = api.compile("ab-ak-kb", 32, options=opts)
+        assert session.metrics.counter("program.searches") == 0
+        assert session.metrics.counter("store.hits") == 1
+        assert warm.config.describe() == cold.config.describe()
+        assert warm.source("cuda") == cold.source("cuda")
+
+    @pytest.mark.parametrize("expr, size", [
+        ("ab-ak-kb", 64), ("abcd-aebf-dfce", 24), ("abc-ak-kbc", 32),
+    ])
+    def test_compile_matches_generate(self, expr, size):
+        kernel = api.compile(expr, size, options=api.Options(top_k=4))
+        direct = Cogent(top_k=4).generate(expr, size)
+        assert kernel.config.describe() == direct.config.describe()
+        assert kernel.cost == direct.cost
+        assert kernel.source("cuda") == direct.source("cuda")
 
     def test_rank(self):
         ranked = api.rank("ab-ak-kb", 64)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Cogent
+from repro import Cogent, obs
 from repro.apps.ccsd import DIAGRAMS, CcsdDriver
 
 
@@ -56,12 +56,13 @@ class TestSolve:
         assert via_kernels.iterations == via_einsum.iterations
 
     def test_cache_reuse_across_sweeps(self, driver):
-        driver.cache.hits = driver.cache.misses = 0
-        result = driver.solve()
-        # 3 kernels, one miss each on first sweep (if not already
-        # cached), then pure hits.
-        assert len(driver.cache) == 3
-        assert driver.cache.hits >= 3 * (result.iterations - 1)
+        driver.solve()
+        with obs.tracing() as session:
+            result = driver.solve()
+        # Every sweep reuses the three diagram kernels: no searches.
+        assert result.iterations > 1
+        assert session.metrics.counter("search.searches") == 0
+        assert session.metrics.counter("generate.contractions") == 0
 
     def test_deterministic(self):
         gen = Cogent(arch="V100", top_k=1)

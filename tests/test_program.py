@@ -360,16 +360,17 @@ class TestNetworkIntegration:
 
 class TestAppsIntegration:
     def test_ccsd_precompile_seeds_cache(self):
+        from repro import obs
         from repro.apps.ccsd import CcsdDriver
 
         driver = CcsdDriver(3, 4, generator=Cogent(arch="V100", top_k=2))
         stats = driver.precompile()
         assert stats.contractions == 3
-        assert len(driver.cache) == 3
-        # Sweeps are now pure cache hits.
-        driver.cache.hits = driver.cache.misses = 0
-        driver.residual(np.zeros((4, 4, 3, 3)))
-        assert driver.cache.misses == 0
+        # Sweeps now reuse the precompiled kernels without a search.
+        with obs.tracing() as session:
+            driver.residual(np.zeros((4, 4, 3, 3)))
+        assert session.metrics.counter("search.searches") == 0
+        assert session.metrics.counter("generate.contractions") == 0
 
     def test_ccsdt_precompile_with_store(self, tmp_path):
         from repro.apps.ccsdt import TriplesDriver

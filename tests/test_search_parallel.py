@@ -2,13 +2,15 @@
 
 Covers the bounded top-k collector, the serial/parallel determinism
 guarantee (the issue's "determinism guard"), the ``SearchStats`` timing
-breakdown, the pool-unavailable serial fallback, and the batch
-generation API.
+breakdown, the pool-unavailable serial fallback, and the dedup
+session's process-pool path.
 """
+
+import os
 
 import pytest
 
-from repro import Cogent, parse
+from repro import Cogent, obs, parse
 from repro.core.constraints import (
     HARDWARE_RULES,
     PERFORMANCE_RULES,
@@ -229,47 +231,59 @@ class TestAdaptiveConstraintOrdering:
         assert set(perf) == set(PERFORMANCE_RULES)
 
 
-class TestGenerateMany:
-    def test_results_in_input_order(self):
-        names = ("ttm_mode1", "ttm_mode2")
-        contractions = [get(n).contraction() for n in names]
-        gen = Cogent(arch="V100")
-        kernels = gen.generate_many(contractions)
-        singles = [gen.generate(c) for c in contractions]
-        for kernel, single in zip(kernels, singles):
-            assert kernel.config.describe() == single.config.describe()
+class TestSessionPool:
+    """The dedup session's process-pool path for representative searches."""
 
     def test_parallel_batch_matches_serial(self):
         contractions = [
             get(n).contraction() for n in ("ttm_mode1", "ttm_mode3")
         ]
-        serial = Cogent(arch="V100").generate_many(
+        serial = Cogent(arch="V100").compile_batch(
             contractions, workers=1
         )
-        parallel = Cogent(arch="V100").generate_many(
-            contractions, workers=2
+        parallel = Cogent(arch="V100").compile_batch(
+            contractions, kernel_names=["mode1", "mode3"], workers=2
         )
-        for a, b in zip(serial, parallel):
+        assert parallel.stats.searches == 2
+        assert [k.kernel_name for k in parallel.kernels] \
+            == ["mode1", "mode3"]
+        for a, b in zip(serial.kernels, parallel.kernels):
             assert a.config.describe() == b.config.describe()
             assert a.cost == b.cost
 
-    def test_accepts_expression_strings(self):
-        kernels = Cogent(arch="V100").generate_many(
-            ["ab-ak-kb", "ab-a-b"], sizes=64
-        )
-        assert len(kernels) == 2
-        assert kernels[0].contraction.internal_indices == ("k",)
+    def test_pool_creation_failure_falls_back_to_serial(self, monkeypatch):
+        import concurrent.futures
 
-    def test_shared_cache_dedupes_repeats(self):
-        gen = Cogent(arch="V100")
-        from repro.core.cache import KernelCache
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise OSError("no process pool on this platform")
 
-        cache = KernelCache(gen)
-        c = get("ttm_mode1").contraction()
-        kernels = gen.generate_many([c, c, c], cache=cache)
-        assert kernels[0] is kernels[1] is kernels[2]
-        assert len(cache) == 1
-        # A second batch is served fully from cache.
-        again = gen.generate_many([c], cache=cache)
-        assert again[0] is kernels[0]
-        assert cache.hits >= 1
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            NoPool)
+        items = [parse("ab-ak-kb", 32), parse("abc-ak-kbc", 16)]
+        gen = Cogent(arch="V100", top_k=2)
+        with obs.tracing() as session:
+            program = gen.compile_batch(
+                items, kernel_names=["first", "second"], workers=2
+            )
+        assert session.metrics.counter("program.pool_fallbacks") == 1
+        assert [k.kernel_name for k in program.kernels] \
+            == ["first", "second"]
+        for contraction, kernel in zip(items, program.kernels):
+            independent = gen.generate(contraction)
+            assert kernel.config.describe() \
+                == independent.config.describe()
+
+    def test_job_error_propagates(self, monkeypatch):
+        coordinator = os.getpid()
+        generate = Cogent.generate
+
+        def fails_in_worker(self, *args, **kwargs):
+            if os.getpid() != coordinator:
+                raise TypeError("bug inside a pool job")
+            return generate(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cogent, "generate", fails_in_worker)
+        items = [parse("ab-ak-kb", 32), parse("abc-ak-kbc", 16)]
+        with pytest.raises(TypeError, match="pool job"):
+            Cogent(arch="V100", top_k=2).compile_batch(items, workers=2)
