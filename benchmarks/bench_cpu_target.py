@@ -1,12 +1,13 @@
 """OpenMP-C CPU target vs the serial C emulation backend.
 
 Both backends execute the *same* four-phase tiled schedule (staged
-tiles, register blocking, outer-product accumulation), so this measures
-what the ``openmp`` target's emission style buys on a real CPU: a
-collapsed, unit-stride block-tile accumulator that the compiler can
-vectorize, ``restrict``-qualified tile pointers, ``-O3 -march=native``,
-and an OpenMP parallel-for over thread-block tiles when cores are
-available.
+tiles, register blocking, outer-product accumulation) and produce
+byte-identical output, so this measures what the ``openmp`` target's
+emission style buys on a real CPU: the paper's register tile as an
+``MR x NR`` register-blocked micro-tile held in named scalars across
+each step's ``kk_`` loop, staging and store loops free of per-element
+``%``/``/``, and an OpenMP parallel-for over thread-block tiles when
+cores are available.
 
 Compilation and execution are timed *separately* — the paper's use case
 compiles once and contracts many times, and folding a one-off ``cc``
@@ -16,7 +17,9 @@ called ``REPEATS`` times in-process via :func:`chost.run_executable`,
 and scored on its best run.  ``run_s`` is the foreign call plus operand
 layout conversion: no process spawn and no file IO.  Results (plus a
 bit-exactness check of both arms against ``numpy.einsum`` on integer
-operands) land in ``BENCH_cpu_target.json`` at the repo root.
+operands) land in ``BENCH_cpu_target.json`` at the repo root; the
+``baseline`` entry carries the openmp arm of the file's previous run
+at the same size, so each run names the value it replaces.
 Target: openmp >= 2x faster than cemu on the mid-size Eq. 1
 contraction.
 """
@@ -95,6 +98,23 @@ def run_arms(size: int, repeats: int):
     return plan, rows
 
 
+def previous_openmp(size: int):
+    """The openmp arm of the previous result file, if it ran at ``size``."""
+    try:
+        previous = json.loads(RESULT_PATH.read_text())
+    except (OSError, ValueError):
+        return None
+    if previous.get("expr") != EXPR or previous.get("size") != size:
+        return None
+    arm = previous["arms"]["openmp"]
+    return {
+        "source": "previous BENCH_cpu_target.json",
+        "best_run_s": arm["best_run_s"],
+        "compile_s": arm["compile_s"],
+        "speedup_run_only": previous["speedup_run_only"],
+    }
+
+
 def test_openmp_target_beats_cemu(benchmark):
     size = SIZE_QUICK if quick_mode() else SIZE
     repeats = REPEATS_QUICK if quick_mode() else REPEATS
@@ -115,8 +135,14 @@ def test_openmp_target_beats_cemu(benchmark):
               f"best of {repeats} runs {row['best_run_s'] * 1e3:8.1f} ms")
     print(f"  openmp speedup over cemu: {speedup:.2f}x "
           f"(target >= {threshold:.1f}x)")
+    baseline = previous_openmp(size)
+    if baseline is not None:
+        print(f"  openmp best run vs previous BENCH value: "
+              f"{rows['openmp']['best_run_s'] * 1e3:.1f} ms vs "
+              f"{baseline['best_run_s'] * 1e3:.1f} ms")
 
     payload = {
+        "baseline": baseline,
         "expr": EXPR,
         "size": size,
         "config": plan.config.describe(),

@@ -69,40 +69,45 @@ def serial_stage_loops(
     inner, addr, bounds, smem_idx = frag.body("l_")
     n_elems = plan.tile_elements(tensor)
     width = plan.staging_vector_width(tensor)
-    lines: List[str] = []
-    if width == 1:
-        lines.append(
-            f"for (long l_ = 0; l_ < {n_elems}; ++l_) {{"
-        )
-        lines += ix.indent(inner, 1)
-        lines += ix.indent(
-            [
-                f"{buffer}[{smem_idx}] = ({bounds})"
-                f" ? g_{tensor.name}[{addr}] : ({scalar})0;",
-            ],
-            1,
-        )
-        lines.append("}")
-        return lines
-    lane_stride = plan.smem_lane_stride(tensor)
-    lines.append(
-        f"for (long l_ = 0; l_ < {n_elems}; l_ += {width}) {{"
-    )
+    lines = [f"for (long l_ = 0; l_ < {n_elems}; l_ += {width}) {{"
+             if width > 1 else
+             f"for (long l_ = 0; l_ < {n_elems}; ++l_) {{"]
     lines += ix.indent(inner, 1)
-    grouped = [f"if ({bounds}) {{"]
+    lines += ix.indent(
+        stage_group(plan, tensor, buffer, scalar, addr, bounds, smem_idx), 1
+    )
+    lines.append("}")
+    return lines
+
+
+def stage_group(
+    plan: KernelPlan, tensor, buffer: str, scalar: str,
+    addr: str, bounds: str, smem_idx: str,
+) -> List[str]:
+    """Stage one element, or one vector group of scalar lanes.
+
+    ``addr``/``bounds``/``smem_idx`` address the group's first element;
+    out-of-range elements stage as zero.
+    """
+    width = plan.staging_vector_width(tensor)
+    if width == 1:
+        return [
+            f"{buffer}[{smem_idx}] = ({bounds})"
+            f" ? g_{tensor.name}[{addr}] : ({scalar})0;",
+        ]
+    lane_stride = plan.smem_lane_stride(tensor)
+    lines = [f"if ({bounds}) {{"]
     for lane in range(width):
-        grouped.append(
+        lines.append(
             f"    {buffer}[({smem_idx}) + {lane * lane_stride}]"
             f" = g_{tensor.name}[({addr}) + {lane}];"
         )
-    grouped.append("} else {")
+    lines.append("} else {")
     for lane in range(width):
-        grouped.append(
+        lines.append(
             f"    {buffer}[({smem_idx}) + {lane * lane_stride}]"
             f" = ({scalar})0;"
         )
-    grouped.append("}")
-    lines += ix.indent(grouped, 1)
     lines.append("}")
     return lines
 
@@ -206,10 +211,12 @@ def build_executable(
     The library is memoized in-process by a hash of source, entry,
     compiler and flags, so a source is compiled once per process
     (``chost.builds`` counts the compilations, ``chost.build_hits`` the
-    reuses).  The ``.so`` is written to a temporary directory that is
-    removed right after ``dlopen``.  ``fallback_cflags`` retries the compilation with a
-    second flag set when the first fails (e.g. ``-march=native`` on
-    compilers that do not support it).
+    reuses); the compiler runs of a build miss are traced as the
+    ``codegen.compile`` span.  The ``.so`` is written to a temporary
+    directory that is removed right after ``dlopen``.
+    ``fallback_cflags`` retries the compilation with a second flag set
+    when the first fails (e.g. ``-march=native`` on compilers that do
+    not support it).
     """
     key = hashlib.sha256(
         "\0".join((source, entry, cc, *cflags)).encode()
@@ -227,25 +234,26 @@ def build_executable(
             src = Path(tmp) / "kernel.c"
             so = Path(tmp) / "kernel.so"
             src.write_text(source)
-            for flags in attempts:
-                try:
-                    proc = subprocess.run(
-                        [cc, *flags, "-shared", "-fPIC",
-                         "-o", str(so), str(src)],
-                        capture_output=True, text=True,
-                    )
-                except FileNotFoundError as exc:
+            with obs.span("codegen.compile"):
+                for flags in attempts:
+                    try:
+                        proc = subprocess.run(
+                            [cc, *flags, "-shared", "-fPIC",
+                             "-o", str(so), str(src)],
+                            capture_output=True, text=True,
+                        )
+                    except FileNotFoundError as exc:
+                        raise EmulationError(
+                            f"C compiler {cc!r} not found"
+                        ) from exc
+                    if proc.returncode == 0:
+                        break
+                    stderr = proc.stderr
+                else:
                     raise EmulationError(
-                        f"C compiler {cc!r} not found"
-                    ) from exc
-                if proc.returncode == 0:
-                    break
-                stderr = proc.stderr
-            else:
-                raise EmulationError(
-                    f"compilation failed:\n{stderr}\n"
-                    f"--- source ---\n{source}"
-                )
+                        f"compilation failed:\n{stderr}\n"
+                        f"--- source ---\n{source}"
+                    )
             handle = ctypes.CDLL(str(so))
         function = getattr(handle, entry)
         function.restype = ctypes.c_int
@@ -267,6 +275,7 @@ def run_executable(
     operands are passed as Fortran-ordered buffers and the output is a
     Fortran-ordered array allocated here.  Operand shapes are checked
     against the plan before the call: the C code trusts its extents.
+    The entry call itself is traced as the ``codegen.run`` span.
     """
     contraction = plan.contraction
     scalar = np.float64 if plan.dtype_bytes == 8 else np.float32
@@ -288,9 +297,11 @@ def run_executable(
         lib.entry.argtypes = (
             [ctypes.c_void_p] * 3 + [ctypes.c_int] * len(extents)
         )
-        status = lib.entry(
-            out.ctypes.data, *(x.ctypes.data for x in operands), *extents
-        )
+        with obs.span("codegen.run"):
+            status = lib.entry(
+                out.ctypes.data, *(x.ctypes.data for x in operands),
+                *extents,
+            )
     if status != 0:
         raise EmulationError(
             f"generated kernel returned status {status}"

@@ -18,7 +18,7 @@ tensor named ``A``):
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir import TensorRef
 from ..mapping import Dim
@@ -142,31 +142,41 @@ class TileLoadFragment:
             if i + 1 < len(axes):
                 lines.append(f"rem_ /= {axis.tile};")
         lines.append("(void)rem_;")
+        lines += [self.global_coord_decl(axis.index, coords[axis.index])
+                  for axis in axes]
+        addr, bounds = self.address_and_bounds()
+        return lines, addr, bounds, self.smem_index_expr(coords)
 
-        block_indices = {a.index for a in plan.block_axes}
+    def global_coord_decl(self, index: str, coord: str) -> str:
+        """Declare ``g_<index>``: the tile's offset plus ``coord``."""
+        if any(a.index == index for a in self.plan.block_axes):
+            offset = block_offset_var(index)
+        else:
+            offset = step_offset_var(index)
+        return f"const int g_{index} = {offset} + {coord};"
+
+    def address_and_bounds(
+        self, indices: Optional[Sequence[str]] = None
+    ) -> Tuple[str, str]:
+        """Global address and bounds predicate over the ``g_<i>`` coords.
+
+        ``indices`` restricts both to a subset of the tensor's indices
+        (default: all of them).  Bounds checks are always emitted; the
+        compiler removes them when extents are compile-time known.
+        """
         addr_terms: List[str] = []
         bound_terms: List[str] = []
-        for axis in axes:
-            if axis.index in block_indices:
-                offset = block_offset_var(axis.index)
-            else:
-                offset = step_offset_var(axis.index)
-            gvar = f"g_{axis.index}"
-            lines.append(f"const int {gvar} = {offset} + {coords[axis.index]};")
+        for index in self.tensor.indices if indices is None else indices:
+            gvar = f"g_{index}"
             addr_terms.append(
-                f"(long){gvar} * {stride_var(tensor.name, axis.index)}"
+                f"(long){gvar} * {stride_var(self.tensor.name, index)}"
             )
-            if axis.tile < axis.extent or True:
-                # Bounds checks are always emitted; the compiler removes
-                # them when extents are compile-time known.
-                bound_terms.append(f"({gvar} < {extent_param(axis.index)})")
+            bound_terms.append(f"({gvar} < {extent_param(index)})")
         addr = " + ".join(addr_terms) if addr_terms else "0"
         bounds = " && ".join(bound_terms) if bound_terms else "1"
+        return addr, bounds
 
-        smem_idx = self._smem_index_expr(coords)
-        return lines, addr, bounds, smem_idx
-
-    def _smem_index_expr(self, coords: Dict[str, str]) -> str:
+    def smem_index_expr(self, coords: Dict[str, str]) -> str:
         """Staging-buffer flat index ``int_flat * EXT + ext_flat``."""
         plan = self.plan
         ext_order = [
@@ -202,44 +212,38 @@ class StoreFragment:
         self, tx_var: str = "tx_", ty_var: str = "ty_"
     ) -> Tuple[List[str], Dict[str, str]]:
         """Declare per-index coordinates carried by thread x/y position."""
-        plan = self.plan
-        lines: List[str] = []
-        coords: Dict[str, str] = {}
-        for source, entries in (
-            (tx_var, plan.config.by_dim(Dim.TB_X)),
-            (ty_var, plan.config.by_dim(Dim.TB_Y)),
-        ):
-            rem = f"rem{source}"
-            lines.append(f"int {rem} = {source};")
-            for i, m in enumerate(entries):
-                cvar = f"tc_{m.index}"
-                coords[m.index] = cvar
-                lines.append(f"const int {cvar} = {rem} % {m.tile};")
-                if i + 1 < len(entries):
-                    lines.append(f"{rem} /= {m.tile};")
-            lines.append(f"(void){rem};")
-        return lines, coords
+        x_lines, x_coords = self.dim_coord_decls(Dim.TB_X, tx_var)
+        y_lines, y_coords = self.dim_coord_decls(Dim.TB_Y, ty_var)
+        return x_lines + y_lines, {**x_coords, **y_coords}
 
     def reg_coord_decls(
         self, rx_var: str, ry_var: str
     ) -> Tuple[List[str], Dict[str, str]]:
         """Declare per-index coordinates carried by register position."""
-        plan = self.plan
-        lines: List[str] = []
+        x_lines, x_coords = self.dim_coord_decls(Dim.REG_X, rx_var)
+        y_lines, y_coords = self.dim_coord_decls(Dim.REG_Y, ry_var)
+        return x_lines + y_lines, {**x_coords, **y_coords}
+
+    def dim_coord_decls(
+        self, dim: Dim, source: str
+    ) -> Tuple[List[str], Dict[str, str]]:
+        """Decompose ``source`` into the coordinates of ``dim``'s indices.
+
+        Thread dimensions name their coordinates ``tc_<i>``, register
+        dimensions ``rc_<i>``.
+        """
+        prefix = "tc_" if dim in (Dim.TB_X, Dim.TB_Y) else "rc_"
+        entries = self.plan.config.by_dim(dim)
+        rem = f"rem{source}"
+        lines = [f"int {rem} = {source};"]
         coords: Dict[str, str] = {}
-        for source, entries in (
-            (rx_var, plan.config.by_dim(Dim.REG_X)),
-            (ry_var, plan.config.by_dim(Dim.REG_Y)),
-        ):
-            rem = f"rem{source}"
-            lines.append(f"int {rem} = {source};")
-            for i, m in enumerate(entries):
-                cvar = f"rc_{m.index}"
-                coords[m.index] = cvar
-                lines.append(f"const int {cvar} = {rem} % {m.tile};")
-                if i + 1 < len(entries):
-                    lines.append(f"{rem} /= {m.tile};")
-            lines.append(f"(void){rem};")
+        for i, m in enumerate(entries):
+            cvar = f"{prefix}{m.index}"
+            coords[m.index] = cvar
+            lines.append(f"const int {cvar} = {rem} % {m.tile};")
+            if i + 1 < len(entries):
+                lines.append(f"{rem} /= {m.tile};")
+        lines.append(f"(void){rem};")
         return lines, coords
 
     def address_and_bounds(

@@ -611,9 +611,10 @@ class Enumerator:
         :class:`concurrent.futures.ProcessPoolExecutor` and the
         coordinator merges the bounded per-shard heads with
         :func:`heapq.nsmallest`, so survivors are never globally
-        materialised or sorted.  Falls back to the serial in-process
-        path when only one worker is requested or the pool cannot be
-        used (sandboxed environments, unpicklable policies, ...).
+        materialised or sorted.  Runs the serial in-process path when
+        only one worker is requested.  Only a pool that cannot be
+        created falls back to it (counted as ``search.pool_fallbacks``);
+        an exception raised inside a shard propagates.
 
         Serial and parallel searches select the identical ranked heads:
         cost ties break on the canonical config key, and batch striping
@@ -626,13 +627,17 @@ class Enumerator:
             used_workers = 1
             if workers > 1:
                 try:
-                    outcomes = self._search_parallel(keep, workers)
+                    from concurrent.futures import ProcessPoolExecutor
+
+                    pool = ProcessPoolExecutor(max_workers=workers)
+                except (OSError, NotImplementedError, ImportError):
+                    obs.inc("search.pool_fallbacks")
+                else:
+                    with pool:
+                        outcomes = self._search_parallel(pool, keep, workers)
                     used_workers = workers
-                except Exception:
-                    outcomes = []
             if not outcomes:
                 outcomes = [self._stream(keep)]
-                used_workers = 1
             result = _merge_outcomes(outcomes, keep, used_workers)
             result.search_stats.total_s = time.perf_counter() - start
             self._absorb_observability(
@@ -667,11 +672,9 @@ class Enumerator:
             session.metrics.absorb_rule_stats(outcome.rules)
 
     def _search_parallel(
-        self, keep: int, workers: int
+        self, pool, keep: int, workers: int
     ) -> List[_ShardOutcome]:
-        """Fan the product shards out over a process pool."""
-        from concurrent.futures import ProcessPoolExecutor
-
+        """Fan the product shards out over ``pool``."""
         payloads = [
             (
                 self.contraction, self.arch, self.dtype_bytes,
@@ -681,8 +684,7 @@ class Enumerator:
             )
             for shard in range(workers)
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_search_shard, payloads))
+        return list(pool.map(_search_shard, payloads))
 
 
 def _search_shard(payload: Tuple) -> _ShardOutcome:

@@ -366,7 +366,10 @@ class SuiteRunner:
         With ``workers > 1`` the cells not satisfied by the evaluation
         cache fan out over a process pool; results are merged back in
         grid order, so the returned rows are identical to a serial run.
-        Counters and stage timings land in :attr:`last_stats`.
+        Only a pool that cannot be created falls back to the serial loop
+        (counted as ``evaluation.pool_fallbacks``); an exception raised
+        inside a cell propagates.  Counters and stage timings land in
+        :attr:`last_stats`.
         """
         with obs.span("compare"):
             return self._compare(benchmarks, frameworks, workers)
@@ -407,10 +410,17 @@ class SuiteRunner:
         fresh: Dict[int, FrameworkResult] = {}
         if workers > 1 and len(pending) > 1:
             try:
-                fresh = self._compare_parallel(cells, pending, workers)
+                from concurrent.futures import ProcessPoolExecutor
+
+                pool = ProcessPoolExecutor(max_workers=workers)
+            except (OSError, NotImplementedError, ImportError):
+                obs.inc("evaluation.pool_fallbacks")
+            else:
+                with pool:
+                    fresh = self._compare_parallel(
+                        pool, cells, pending, workers
+                    )
                 stats.parallel = True
-            except Exception:
-                fresh = {}
         for i in pending:
             if i not in fresh:
                 bench, framework = cells[i]
@@ -447,20 +457,18 @@ class SuiteRunner:
 
     def _compare_parallel(
         self,
+        pool,
         cells: Sequence[Tuple[Benchmark, str]],
         pending: Sequence[int],
         workers: int,
     ) -> Dict[int, FrameworkResult]:
-        """Fan the uncached cells out over a process pool."""
-        from concurrent.futures import ProcessPoolExecutor
-
+        """Fan the uncached cells out over ``pool``."""
         trace = obs.enabled()
         payloads = [
             (self._init_params, cells[i][0], cells[i][1], trace)
             for i in pending
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_compare_cell, payloads))
+        outcomes = list(pool.map(_compare_cell, payloads))
         session = obs.session()
         fresh: Dict[int, FrameworkResult] = {}
         for i, (result, trace_payload, metrics_payload) in zip(

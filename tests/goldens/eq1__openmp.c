@@ -40,6 +40,8 @@ int tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_a, in
             failed_ = 1;
         }
         #pragma omp barrier
+        long row_off_[8];
+        int row_ok_[8];
         const long run_blocks_ = failed_ ? 0 : num_blocks_;
         #pragma omp for schedule(static)
         for (long blk_ = 0; blk_ < run_blocks_; ++blk_) {
@@ -57,81 +59,95 @@ int tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_a, in
                 const int soff_e = (sid_ % nt_e) * 2;
                 sid_ /= nt_e;
                 const int soff_f = sid_ * 2;
-                for (long l_ = 0; l_ < 32; ++l_) {
-                    int rem_ = l_;
-                    const int lc_a = rem_ % 4;
-                    rem_ /= 4;
-                    const int lc_e = rem_ % 2;
-                    rem_ /= 2;
-                    const int lc_b = rem_ % 2;
-                    rem_ /= 2;
-                    const int lc_f = rem_ % 2;
-                    (void)rem_;
-                    const int g_a = boff_a + lc_a;
-                    const int g_e = soff_e + lc_e;
-                    const int g_b = boff_b + lc_b;
-                    const int g_f = soff_f + lc_f;
-                    s_a[(lc_e + 2 * (lc_f)) * 8 + (lc_a + 4 * (lc_b))] = ((g_a < n_a) && (g_e < n_e) && (g_b < n_b) && (g_f < n_f)) ? g_A[(long)g_a * st_A_a + (long)g_e * st_A_e + (long)g_b * st_A_b + (long)g_f * st_A_f] : (double)0;
-                }
-                for (long l_ = 0; l_ < 24; l_ += 2) {
-                    int rem_ = l_;
-                    const int lc_d = rem_ % 2;
-                    rem_ /= 2;
-                    const int lc_f = rem_ % 2;
-                    rem_ /= 2;
-                    const int lc_c = rem_ % 3;
-                    rem_ /= 3;
-                    const int lc_e = rem_ % 2;
-                    (void)rem_;
-                    const int g_d = boff_d + lc_d;
-                    const int g_f = soff_f + lc_f;
-                    const int g_c = boff_c + lc_c;
-                    const int g_e = soff_e + lc_e;
-                    if ((g_d < n_d) && (g_f < n_f) && (g_c < n_c) && (g_e < n_e)) {
-                        s_b[((lc_e + 2 * (lc_f)) * 6 + (lc_d + 2 * (lc_c))) + 0] = g_B[((long)g_d * st_B_d + (long)g_f * st_B_f + (long)g_c * st_B_c + (long)g_e * st_B_e) + 0];
-                        s_b[((lc_e + 2 * (lc_f)) * 6 + (lc_d + 2 * (lc_c))) + 1] = g_B[((long)g_d * st_B_d + (long)g_f * st_B_f + (long)g_c * st_B_c + (long)g_e * st_B_e) + 1];
-                    } else {
-                        s_b[((lc_e + 2 * (lc_f)) * 6 + (lc_d + 2 * (lc_c))) + 0] = (double)0;
-                        s_b[((lc_e + 2 * (lc_f)) * 6 + (lc_d + 2 * (lc_c))) + 1] = (double)0;
+                {
+                    for (int lc_f = 0; lc_f < 2; lc_f += 1) {
+                        const int g_f = soff_f + lc_f;
+                        for (int lc_b = 0; lc_b < 2; lc_b += 1) {
+                            const int g_b = boff_b + lc_b;
+                            for (int lc_e = 0; lc_e < 2; lc_e += 1) {
+                                const int g_e = soff_e + lc_e;
+                                const long row_at_ = (long)g_e * st_A_e + (long)g_b * st_A_b + (long)g_f * st_A_f;
+                                const int row_in_ = (g_e < n_e) && (g_b < n_b) && (g_f < n_f);
+                                for (int lc_a = 0; lc_a < 4; lc_a += 1) {
+                                    const int g_a = boff_a + lc_a;
+                                    s_a[(lc_e + 2 * (lc_f)) * 8 + (lc_a + 4 * (lc_b))] = (row_in_ && (g_a < n_a)) ? g_A[row_at_ + (long)g_a * st_A_a] : (double)0;
+                                }
+                            }
+                        }
                     }
                 }
-                for (int kk_ = 0; kk_ < 4; ++kk_) {
-                    const double* restrict a_col_ = &s_a[kk_ * 8];
-                    const double* restrict b_col_ = &s_b[kk_ * 6];
-                    for (int x_ = 0; x_ < 8; ++x_) {
-                        const double a_x_ = a_col_[x_];
-                        double* restrict c_row_ = &c_tile_[(long)x_ * 6];
-                        for (int y_ = 0; y_ < 6; ++y_)
-                            c_row_[y_] += a_x_ * b_col_[y_];
+                {
+                    for (int lc_e = 0; lc_e < 2; lc_e += 1) {
+                        const int g_e = soff_e + lc_e;
+                        for (int lc_c = 0; lc_c < 3; lc_c += 1) {
+                            const int g_c = boff_c + lc_c;
+                            for (int lc_f = 0; lc_f < 2; lc_f += 1) {
+                                const int g_f = soff_f + lc_f;
+                                const long row_at_ = (long)g_f * st_B_f + (long)g_c * st_B_c + (long)g_e * st_B_e;
+                                const int row_in_ = (g_f < n_f) && (g_c < n_c) && (g_e < n_e);
+                                for (int lc_d = 0; lc_d < 2; lc_d += 2) {
+                                    const int g_d = boff_d + lc_d;
+                                    if (row_in_ && (g_d < n_d)) {
+                                        s_b[((lc_e + 2 * (lc_f)) * 6 + (lc_d + 2 * (lc_c))) + 0] = g_B[(row_at_ + (long)g_d * st_B_d) + 0];
+                                        s_b[((lc_e + 2 * (lc_f)) * 6 + (lc_d + 2 * (lc_c))) + 1] = g_B[(row_at_ + (long)g_d * st_B_d) + 1];
+                                    } else {
+                                        s_b[((lc_e + 2 * (lc_f)) * 6 + (lc_d + 2 * (lc_c))) + 0] = (double)0;
+                                        s_b[((lc_e + 2 * (lc_f)) * 6 + (lc_d + 2 * (lc_c))) + 1] = (double)0;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                for (int x0_ = 0; x0_ < 8; x0_ += 4) {
+                    for (int y0_ = 0; y0_ < 6; y0_ += 6) {
+                        double* restrict c_blk_ = &c_tile_[(long)x0_ * 6 + y0_];
+                        double r0_0_ = c_blk_[0]; double r0_1_ = c_blk_[1]; double r0_2_ = c_blk_[2]; double r0_3_ = c_blk_[3]; double r0_4_ = c_blk_[4]; double r0_5_ = c_blk_[5];
+                        double r1_0_ = c_blk_[6]; double r1_1_ = c_blk_[7]; double r1_2_ = c_blk_[8]; double r1_3_ = c_blk_[9]; double r1_4_ = c_blk_[10]; double r1_5_ = c_blk_[11];
+                        double r2_0_ = c_blk_[12]; double r2_1_ = c_blk_[13]; double r2_2_ = c_blk_[14]; double r2_3_ = c_blk_[15]; double r2_4_ = c_blk_[16]; double r2_5_ = c_blk_[17];
+                        double r3_0_ = c_blk_[18]; double r3_1_ = c_blk_[19]; double r3_2_ = c_blk_[20]; double r3_3_ = c_blk_[21]; double r3_4_ = c_blk_[22]; double r3_5_ = c_blk_[23];
+                        for (int kk_ = 0; kk_ < 4; ++kk_) {
+                            const double* restrict a_ = &s_a[kk_ * 8 + x0_];
+                            const double* restrict b_ = &s_b[kk_ * 6 + y0_];
+                            r0_0_ += a_[0] * b_[0]; r0_1_ += a_[0] * b_[1]; r0_2_ += a_[0] * b_[2]; r0_3_ += a_[0] * b_[3]; r0_4_ += a_[0] * b_[4]; r0_5_ += a_[0] * b_[5];
+                            r1_0_ += a_[1] * b_[0]; r1_1_ += a_[1] * b_[1]; r1_2_ += a_[1] * b_[2]; r1_3_ += a_[1] * b_[3]; r1_4_ += a_[1] * b_[4]; r1_5_ += a_[1] * b_[5];
+                            r2_0_ += a_[2] * b_[0]; r2_1_ += a_[2] * b_[1]; r2_2_ += a_[2] * b_[2]; r2_3_ += a_[2] * b_[3]; r2_4_ += a_[2] * b_[4]; r2_5_ += a_[2] * b_[5];
+                            r3_0_ += a_[3] * b_[0]; r3_1_ += a_[3] * b_[1]; r3_2_ += a_[3] * b_[2]; r3_3_ += a_[3] * b_[3]; r3_4_ += a_[3] * b_[4]; r3_5_ += a_[3] * b_[5];
+                        }
+                        c_blk_[0] = r0_0_; c_blk_[1] = r0_1_; c_blk_[2] = r0_2_; c_blk_[3] = r0_3_; c_blk_[4] = r0_4_; c_blk_[5] = r0_5_;
+                        c_blk_[6] = r1_0_; c_blk_[7] = r1_1_; c_blk_[8] = r1_2_; c_blk_[9] = r1_3_; c_blk_[10] = r1_4_; c_blk_[11] = r1_5_;
+                        c_blk_[12] = r2_0_; c_blk_[13] = r2_1_; c_blk_[14] = r2_2_; c_blk_[15] = r2_3_; c_blk_[16] = r2_4_; c_blk_[17] = r2_5_;
+                        c_blk_[18] = r3_0_; c_blk_[19] = r3_1_; c_blk_[20] = r3_2_; c_blk_[21] = r3_3_; c_blk_[22] = r3_4_; c_blk_[23] = r3_5_;
                     }
                 }
             }
+            const long c_base_ = (long)boff_a * st_C_a + (long)boff_b * st_C_b + (long)boff_c * st_C_c + (long)boff_d * st_C_d;
             for (int x_ = 0; x_ < 8; ++x_) {
                 const int tx_ = x_ % 4;
                 const int rx_ = x_ / 4;
-                for (int y_ = 0; y_ < 6; ++y_) {
-                    const int ty_ = y_ % 2;
-                    const int ry_ = y_ / 2;
-                    int remtx_ = tx_;
-                    const int tc_a = remtx_ % 4;
-                    (void)remtx_;
-                    int remty_ = ty_;
-                    const int tc_d = remty_ % 2;
-                    (void)remty_;
-                    int remrx_ = rx_;
-                    const int rc_b = remrx_ % 2;
-                    (void)remrx_;
-                    int remry_ = ry_;
-                    const int rc_c = remry_ % 3;
-                    (void)remry_;
-                    const int gc_a = boff_a + tc_a;
-                    const int gc_b = boff_b + rc_b;
-                    const int gc_c = boff_c + rc_c;
-                    const int gc_d = boff_d + tc_d;
-                    if ((gc_a < n_a) && (gc_b < n_b) && (gc_c < n_c) && (gc_d < n_d)) {
-                        g_C[(long)gc_a * st_C_a + (long)gc_b * st_C_b + (long)gc_c * st_C_c + (long)gc_d * st_C_d] = c_tile_[(long)x_ * 6 + y_];
-                    }
-                }
+                int remtx_ = tx_;
+                const int tc_a = remtx_ % 4;
+                (void)remtx_;
+                int remrx_ = rx_;
+                const int rc_b = remrx_ % 2;
+                (void)remrx_;
+                row_off_[x_] = (long)tc_a * st_C_a + (long)rc_b * st_C_b;
+                row_ok_[x_] = (boff_a + tc_a < n_a) && (boff_b + rc_b < n_b);
+            }
+            for (int y_ = 0; y_ < 6; ++y_) {
+                const int ty_ = y_ % 2;
+                const int ry_ = y_ / 2;
+                int remty_ = ty_;
+                const int tc_d = remty_ % 2;
+                (void)remty_;
+                int remry_ = ry_;
+                const int rc_c = remry_ % 3;
+                (void)remry_;
+                if (!((boff_c + rc_c < n_c) && (boff_d + tc_d < n_d))) continue;
+                double* restrict c_col_ = &g_C[c_base_ + (long)rc_c * st_C_c + (long)tc_d * st_C_d];
+                for (int x_ = 0; x_ < 8; ++x_)
+                    if (row_ok_[x_])
+                        c_col_[row_off_[x_]] = c_tile_[(long)x_ * 6 + y_];
             }
         }
         free(s_a); free(s_b); free(c_tile_);

@@ -43,6 +43,8 @@ int tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_a, in
             failed_ = 1;
         }
         #pragma omp barrier
+        long row_off_[8];
+        int row_ok_[8];
         const long run_blocks_ = failed_ ? 0 : num_blocks_;
         #pragma omp for schedule(static)
         for (long blk_ = 0; blk_ < run_blocks_; ++blk_) {
@@ -62,77 +64,85 @@ int tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_a, in
             for (int step_ = 0; step_ < nsteps_; ++step_) {
                 int sid_ = step_;
                 const int soff_g = sid_ * 3;
-                for (long l_ = 0; l_ < 24; ++l_) {
-                    int rem_ = l_;
-                    const int lc_a = rem_ % 4;
-                    rem_ /= 4;
-                    const int lc_b = rem_ % 2;
-                    rem_ /= 2;
-                    const int lc_d = rem_ % 1;
-                    rem_ /= 1;
-                    const int lc_g = rem_ % 3;
-                    (void)rem_;
-                    const int g_a = boff_a + lc_a;
-                    const int g_b = boff_b + lc_b;
-                    const int g_d = boff_d + lc_d;
-                    const int g_g = soff_g + lc_g;
-                    s_a[(lc_g) * 8 + (lc_a + 4 * (lc_b))] = ((g_a < n_a) && (g_b < n_b) && (g_d < n_d) && (g_g < n_g)) ? g_B[(long)g_a * st_B_a + (long)g_b * st_B_b + (long)g_d * st_B_d + (long)g_g * st_B_g] : (double)0;
+                {
+                    for (int lc_g = 0; lc_g < 3; lc_g += 1) {
+                        const int g_g = soff_g + lc_g;
+                        const int g_d = boff_d + 0;
+                        for (int lc_b = 0; lc_b < 2; lc_b += 1) {
+                            const int g_b = boff_b + lc_b;
+                            const long row_at_ = (long)g_b * st_B_b + (long)g_d * st_B_d + (long)g_g * st_B_g;
+                            const int row_in_ = (g_b < n_b) && (g_d < n_d) && (g_g < n_g);
+                            for (int lc_a = 0; lc_a < 4; lc_a += 1) {
+                                const int g_a = boff_a + lc_a;
+                                s_a[(lc_g) * 8 + (lc_a + 4 * (lc_b))] = (row_in_ && (g_a < n_a)) ? g_B[row_at_ + (long)g_a * st_B_a] : (double)0;
+                            }
+                        }
+                    }
                 }
-                for (long l_ = 0; l_ < 12; ++l_) {
-                    int rem_ = l_;
-                    const int lc_g = rem_ % 3;
-                    rem_ /= 3;
-                    const int lc_f = rem_ % 2;
-                    rem_ /= 2;
-                    const int lc_e = rem_ % 1;
-                    rem_ /= 1;
-                    const int lc_c = rem_ % 2;
-                    (void)rem_;
-                    const int g_g = soff_g + lc_g;
-                    const int g_f = boff_f + lc_f;
-                    const int g_e = boff_e + lc_e;
-                    const int g_c = boff_c + lc_c;
-                    s_b[(lc_g) * 4 + (lc_f + 2 * (lc_c))] = ((g_g < n_g) && (g_f < n_f) && (g_e < n_e) && (g_c < n_c)) ? g_A[(long)g_g * st_A_g + (long)g_f * st_A_f + (long)g_e * st_A_e + (long)g_c * st_A_c] : (double)0;
+                {
+                    for (int lc_c = 0; lc_c < 2; lc_c += 1) {
+                        const int g_c = boff_c + lc_c;
+                        const int g_e = boff_e + 0;
+                        for (int lc_f = 0; lc_f < 2; lc_f += 1) {
+                            const int g_f = boff_f + lc_f;
+                            const long row_at_ = (long)g_f * st_A_f + (long)g_e * st_A_e + (long)g_c * st_A_c;
+                            const int row_in_ = (g_f < n_f) && (g_e < n_e) && (g_c < n_c);
+                            for (int lc_g = 0; lc_g < 3; lc_g += 1) {
+                                const int g_g = soff_g + lc_g;
+                                s_b[(lc_g) * 4 + (lc_f + 2 * (lc_c))] = (row_in_ && (g_g < n_g)) ? g_A[row_at_ + (long)g_g * st_A_g] : (double)0;
+                            }
+                        }
+                    }
                 }
-                for (int kk_ = 0; kk_ < 3; ++kk_) {
-                    const double* restrict a_col_ = &s_a[kk_ * 8];
-                    const double* restrict b_col_ = &s_b[kk_ * 4];
-                    for (int x_ = 0; x_ < 8; ++x_) {
-                        const double a_x_ = a_col_[x_];
-                        double* restrict c_row_ = &c_tile_[(long)x_ * 4];
-                        for (int y_ = 0; y_ < 4; ++y_)
-                            c_row_[y_] += a_x_ * b_col_[y_];
+                for (int x0_ = 0; x0_ < 8; x0_ += 4) {
+                    for (int y0_ = 0; y0_ < 4; y0_ += 4) {
+                        double* restrict c_blk_ = &c_tile_[(long)x0_ * 4 + y0_];
+                        double r0_0_ = c_blk_[0]; double r0_1_ = c_blk_[1]; double r0_2_ = c_blk_[2]; double r0_3_ = c_blk_[3];
+                        double r1_0_ = c_blk_[4]; double r1_1_ = c_blk_[5]; double r1_2_ = c_blk_[6]; double r1_3_ = c_blk_[7];
+                        double r2_0_ = c_blk_[8]; double r2_1_ = c_blk_[9]; double r2_2_ = c_blk_[10]; double r2_3_ = c_blk_[11];
+                        double r3_0_ = c_blk_[12]; double r3_1_ = c_blk_[13]; double r3_2_ = c_blk_[14]; double r3_3_ = c_blk_[15];
+                        for (int kk_ = 0; kk_ < 3; ++kk_) {
+                            const double* restrict a_ = &s_a[kk_ * 8 + x0_];
+                            const double* restrict b_ = &s_b[kk_ * 4 + y0_];
+                            r0_0_ += a_[0] * b_[0]; r0_1_ += a_[0] * b_[1]; r0_2_ += a_[0] * b_[2]; r0_3_ += a_[0] * b_[3];
+                            r1_0_ += a_[1] * b_[0]; r1_1_ += a_[1] * b_[1]; r1_2_ += a_[1] * b_[2]; r1_3_ += a_[1] * b_[3];
+                            r2_0_ += a_[2] * b_[0]; r2_1_ += a_[2] * b_[1]; r2_2_ += a_[2] * b_[2]; r2_3_ += a_[2] * b_[3];
+                            r3_0_ += a_[3] * b_[0]; r3_1_ += a_[3] * b_[1]; r3_2_ += a_[3] * b_[2]; r3_3_ += a_[3] * b_[3];
+                        }
+                        c_blk_[0] = r0_0_; c_blk_[1] = r0_1_; c_blk_[2] = r0_2_; c_blk_[3] = r0_3_;
+                        c_blk_[4] = r1_0_; c_blk_[5] = r1_1_; c_blk_[6] = r1_2_; c_blk_[7] = r1_3_;
+                        c_blk_[8] = r2_0_; c_blk_[9] = r2_1_; c_blk_[10] = r2_2_; c_blk_[11] = r2_3_;
+                        c_blk_[12] = r3_0_; c_blk_[13] = r3_1_; c_blk_[14] = r3_2_; c_blk_[15] = r3_3_;
                     }
                 }
             }
+            const long c_base_ = (long)boff_a * st_C_a + (long)boff_b * st_C_b + (long)boff_c * st_C_c + (long)boff_d * st_C_d + (long)boff_e * st_C_e + (long)boff_f * st_C_f;
             for (int x_ = 0; x_ < 8; ++x_) {
                 const int tx_ = x_ % 4;
                 const int rx_ = x_ / 4;
-                for (int y_ = 0; y_ < 4; ++y_) {
-                    const int ty_ = y_ % 2;
-                    const int ry_ = y_ / 2;
-                    int remtx_ = tx_;
-                    const int tc_a = remtx_ % 4;
-                    (void)remtx_;
-                    int remty_ = ty_;
-                    const int tc_f = remty_ % 2;
-                    (void)remty_;
-                    int remrx_ = rx_;
-                    const int rc_b = remrx_ % 2;
-                    (void)remrx_;
-                    int remry_ = ry_;
-                    const int rc_c = remry_ % 2;
-                    (void)remry_;
-                    const int gc_a = boff_a + tc_a;
-                    const int gc_b = boff_b + rc_b;
-                    const int gc_c = boff_c + rc_c;
-                    const int gc_d = boff_d + 0;
-                    const int gc_e = boff_e + 0;
-                    const int gc_f = boff_f + tc_f;
-                    if ((gc_a < n_a) && (gc_b < n_b) && (gc_c < n_c) && (gc_d < n_d) && (gc_e < n_e) && (gc_f < n_f)) {
-                        g_C[(long)gc_a * st_C_a + (long)gc_b * st_C_b + (long)gc_c * st_C_c + (long)gc_d * st_C_d + (long)gc_e * st_C_e + (long)gc_f * st_C_f] = c_tile_[(long)x_ * 4 + y_];
-                    }
-                }
+                int remtx_ = tx_;
+                const int tc_a = remtx_ % 4;
+                (void)remtx_;
+                int remrx_ = rx_;
+                const int rc_b = remrx_ % 2;
+                (void)remrx_;
+                row_off_[x_] = (long)tc_a * st_C_a + (long)rc_b * st_C_b;
+                row_ok_[x_] = (boff_a + tc_a < n_a) && (boff_b + rc_b < n_b);
+            }
+            for (int y_ = 0; y_ < 4; ++y_) {
+                const int ty_ = y_ % 2;
+                const int ry_ = y_ / 2;
+                int remty_ = ty_;
+                const int tc_f = remty_ % 2;
+                (void)remty_;
+                int remry_ = ry_;
+                const int rc_c = remry_ % 2;
+                (void)remry_;
+                if (!((boff_c + rc_c < n_c) && (boff_f + tc_f < n_f))) continue;
+                double* restrict c_col_ = &g_C[c_base_ + (long)rc_c * st_C_c + (long)tc_f * st_C_f];
+                for (int x_ = 0; x_ < 8; ++x_)
+                    if (row_ok_[x_])
+                        c_col_[row_off_[x_]] = c_tile_[(long)x_ * 4 + y_];
             }
         }
         free(s_a); free(s_b); free(c_tile_);

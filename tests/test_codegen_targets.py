@@ -32,7 +32,11 @@ from repro.core.codegen.chost import EmulationError, OperandShapeError
 from repro.core.mapping import config_from_spec
 from repro.core.parser import parse
 from repro.core.plan import KernelPlan
-from repro.gpu.executor import integer_operands, reference_contract
+from repro.gpu.executor import (
+    integer_operands,
+    random_operands,
+    reference_contract,
+)
 
 from .conftest import requires_cc
 from .golden_cases import GOLDEN_CASES, golden_plan
@@ -209,6 +213,78 @@ class TestDifferentialExecution:
                 f"{x} and {y} disagree"
 
 
+@requires_cc
+class TestOpenmpMicroTile:
+    """The ``openmp`` register-blocked micro-tile against ``cemu``.
+
+    ``cemu`` runs the CUDA schema thread by thread; ``openmp`` holds
+    ``MR x NR`` register blocks.  Both sum every output element over
+    steps, then ``kk_``, in the same order, so their outputs must be
+    byte-identical even on real-valued operands, where any reordering
+    would show in the last bits.
+    """
+
+    # (expr, sizes, spec, dtype_bytes, expected (MR, NR))
+    CASES = (
+        # 8 x 8 block tile = 2 x 1 micro-tiles; every axis ends in a
+        # partial tile.
+        ("abcd-aebf-dfce",
+         {"a": 7, "b": 5, "c": 5, "d": 6, "e": 5, "f": 3},
+         dict(tb_x=[("a", 4)], tb_y=[("d", 4)],
+              reg_x=[("b", 2)], reg_y=[("c", 2)],
+              tb_k=[("e", 2), ("f", 2)]),
+         8, (4, 8)),
+        # Both inputs staged with vector width 2.
+        ("ab-ak-kb",
+         {"a": 10, "b": 7, "k": 6},
+         dict(tb_x=[("a", 4)], tb_y=[("b", 4)], tb_k=[("k", 2)]),
+         8, (4, 4)),
+        # A size-1 axis on the output and the x input.
+        ("abc-adc-bd",
+         {"a": 6, "b": 5, "c": 1, "d": 7},
+         dict(tb_x=[("a", 3)], tb_y=[("b", 2)], reg_x=[("c", 1)],
+              tb_k=[("d", 3)]),
+         8, (3, 2)),
+        # block_tile_y = 7 forces an odd NR.
+        ("abc-acd-db",
+         {"a": 5, "b": 9, "c": 4, "d": 6},
+         dict(tb_x=[("a", 2)], reg_x=[("c", 2)], tb_y=[("b", 7)],
+              tb_k=[("d", 4)]),
+         8, (4, 7)),
+        # Single precision.
+        ("abc-adc-bd",
+         {"a": 6, "b": 5, "c": 4, "d": 7},
+         dict(tb_x=[("a", 4)], tb_y=[("b", 4)], tb_k=[("d", 3)]),
+         4, (4, 4)),
+    )
+
+    @pytest.fixture(scope="class", params=range(len(CASES)))
+    def case(self, request):
+        expr, sizes, spec, dtype_bytes, tile = self.CASES[request.param]
+        c = parse(expr, sizes)
+        return KernelPlan(c, config_from_spec(c, **spec), dtype_bytes), tile
+
+    def test_micro_tile_shape(self, case):
+        plan, tile = case
+        assert openmp.micro_tile(plan) == tile
+
+    def test_bytes_equal_cemu_on_real_operands(self, case):
+        plan, _ = case
+        dtype = np.float64 if plan.dtype_bytes == 8 else np.float32
+        a, b = random_operands(plan.contraction, dtype, seed=11)
+        got = get_target("openmp").compile_and_run(plan, a, b)
+        want = get_target("cemu").compile_and_run(plan, a, b)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_exact_vs_einsum_on_integer_operands(self, case):
+        plan, _ = case
+        a, b = integer_operands(plan.contraction, seed=12)
+        got = get_target("openmp").compile_and_run(plan, a, b)
+        want = reference_contract(plan.contraction, a, b)
+        assert got.tobytes() == want.astype(got.dtype).tobytes()
+
+
 class TestKernelTargetPlumbing:
     def test_source_cached_per_target(self, cogent_v100, eq1_repr):
         kernel = cogent_v100.generate(eq1_repr)
@@ -263,6 +339,23 @@ class TestObsCounters:
         with obs.tracing() as sess:
             get_target("cemu").compile_and_run(plan, a, b)
         assert sess.metrics.counter("codegen.target.cemu.runs") == 1
+
+    @requires_cc
+    def test_compile_and_run_spans(self, plan, eq1_small, monkeypatch):
+        monkeypatch.setattr(chost, "_LIBRARIES", {})
+        a, b = integer_operands(eq1_small, seed=10)
+        target = get_target("openmp")
+        with obs.tracing() as cold:
+            target.compile_and_run(plan, a, b)
+        with obs.tracing() as warm:
+            target.compile_and_run(plan, a, b)
+        assert {"run/codegen.compile", "run/codegen.run"} <= set(
+            cold.tracer.root.paths()
+        )
+        assert cold.tracer.root.children["codegen.compile"].count == 1
+        assert warm.tracer.root.paths() == ["run", "run/codegen.run"]
+        assert warm.metrics.counter("chost.build_hits") == 1
+        assert warm.metrics.counter("chost.builds") == 0
 
 
 class TestInProcessHarness:

@@ -1,9 +1,11 @@
 """Tests for the experiment harness (repro.evaluation)."""
 
 import math
+import os
 
 import pytest
 
+from repro import obs
 from repro.evaluation import (
     FrameworkResult,
     SuiteRunner,
@@ -131,6 +133,40 @@ class TestCompareParallelAndCache:
             benches, self.FRAMEWORKS, workers=2
         )
         assert _flatten(parallel_rows) == _flatten(serial_rows)
+
+    def test_pool_creation_failure_falls_back_to_serial(self, monkeypatch):
+        import concurrent.futures
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise OSError("no process pool on this platform")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            NoPool)
+        benches = [get(n) for n in self.BENCHES]
+        runner = SuiteRunner(arch="V100")
+        with obs.tracing() as session:
+            rows = runner.compare(benches, self.FRAMEWORKS, workers=2)
+        assert session.metrics.counter("evaluation.pool_fallbacks") == 1
+        assert not runner.last_stats.parallel
+        serial = SuiteRunner(arch="V100").compare(benches, self.FRAMEWORKS)
+        assert _flatten(rows) == _flatten(serial)
+
+    def test_cell_error_propagates(self, monkeypatch):
+        coordinator = os.getpid()
+        run = SuiteRunner.run
+
+        def fails_in_worker(self, *args, **kwargs):
+            if os.getpid() != coordinator:
+                raise TypeError("bug inside an evaluation cell")
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(SuiteRunner, "run", fails_in_worker)
+        benches = [get(n) for n in self.BENCHES]
+        with pytest.raises(TypeError, match="evaluation cell"):
+            SuiteRunner(arch="V100").compare(
+                benches, self.FRAMEWORKS, workers=2
+            )
 
     def test_warm_cache_zero_reevaluations(self, tmp_path):
         benches = [get(n) for n in self.BENCHES]

@@ -130,13 +130,34 @@ class TestStreamingSearch:
 
     def test_pool_failure_falls_back_to_serial(self, eq1, v100,
                                                monkeypatch):
-        def boom(self, keep, workers):
-            raise OSError("no process pool in this sandbox")
+        import concurrent.futures
 
-        monkeypatch.setattr(Enumerator, "_search_parallel", boom)
-        result = Enumerator(eq1, v100).search(keep=8, workers=4)
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise OSError("no process pool in this sandbox")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            NoPool)
+        with obs.tracing() as session:
+            result = Enumerator(eq1, v100).search(keep=8, workers=4)
+        assert session.metrics.counter("search.pool_fallbacks") == 1
         assert result.search_stats.workers == 1
-        assert result.configs
+        serial = Enumerator(eq1, v100).search(keep=8)
+        assert [c.describe() for c in result.configs] == \
+            [c.describe() for c in serial.configs]
+
+    def test_shard_error_propagates(self, eq1, v100, monkeypatch):
+        coordinator = os.getpid()
+        stream = Enumerator._stream
+
+        def fails_in_worker(self, *args, **kwargs):
+            if os.getpid() != coordinator:
+                raise TypeError("bug inside a search shard")
+            return stream(self, *args, **kwargs)
+
+        monkeypatch.setattr(Enumerator, "_stream", fails_in_worker)
+        with pytest.raises(TypeError, match="search shard"):
+            Enumerator(eq1, v100).search(keep=8, workers=2)
 
     def test_fallback_rejects_ranked_when_nothing_accepted(self, v100):
         # Tiny problem: performance rules reject everything, so the
