@@ -3,7 +3,7 @@
 correction evaluated entirely through generated kernels.
 
 All 18 NWChem ``sd_t_d1_*``/``sd_t_d2_*`` contractions (TCCG entries
-31-48) are generated by COGENT, executed (numpy validation path),
+31-48) are generated by COGENT, executed (``GeneratedKernel.execute``),
 accumulated with their permutation parities into the 6D residual t3,
 and folded with orbital-energy denominators into the energy correction.
 The same computation runs through a pure-einsum reference for

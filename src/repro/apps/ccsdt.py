@@ -95,8 +95,9 @@ class TriplesDriver:
     ----------
     n_occupied, n_virtual:
         Orbital-space extents (``o`` and ``v``).  The 6D residual has
-        ``o^3 * v^3`` elements; keep these modest for the numpy
-        execution path.
+        ``o^3 * v^3`` elements; keep these modest, since each kernel's
+        first call runs the numpy tile interpreter (later calls run
+        its compiled OpenMP code, see ``GeneratedKernel.execute``).
     """
 
     def __init__(

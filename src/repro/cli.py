@@ -59,6 +59,7 @@ import sys
 from typing import List, Optional
 
 from .core.generator import Cogent
+from .core.ir import ContractionError
 from .core.parser import parse, parse_size_spec
 from .core.plan import KernelPlan
 from .evaluation import SuiteRunner, curve_table, format_table, to_csv
@@ -159,7 +160,7 @@ def _resolve_contraction(
     sizes = parse_size_spec(args.sizes)
     try:
         return parse(expr, sizes)
-    except Exception:
+    except ContractionError:
         if not allow_batched:
             raise
         # Batch indices (present in all three tensors) fail the plain

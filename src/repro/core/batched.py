@@ -158,6 +158,9 @@ class BatchedKernel:
         )
         import itertools
 
+        # One tier step for the whole call: the first batched execute
+        # interprets every slice instead of building on its second.
+        run = self.inner_kernel.runner()
         ranges = [range(batched.sizes[i]) for i in batched.batch_indices]
         for point in itertools.product(*ranges):
             sel = {
@@ -171,7 +174,7 @@ class BatchedKernel:
                     for i in tensor.indices
                 )
 
-            out[slicer(batched.c)] = self.inner_kernel.execute(
+            out[slicer(batched.c)] = run(
                 a[slicer(batched.a)], b[slicer(batched.b)]
             )
         return out

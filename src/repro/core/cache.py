@@ -10,8 +10,16 @@ only through :class:`repro.core.program.KernelStore`; ``cogent save``
 :class:`EvalCache` persists framework evaluation results.
 
 :func:`contract` is the one-call numpy-facing API: parse, generate (or
-fetch from the memo), execute the kernel's schedule on the given
-operands.
+fetch from the memo), then run the kernel on the given operands through
+:meth:`~repro.core.generator.GeneratedKernel.execute`.  That runs the
+kernel's OpenMP source in-process under the native tier: a kernel's
+first execute runs the numpy tile interpreter
+(``execute.interpreter_calls``), every later one runs the built shared
+object (``execute.native_calls``), and the interpreter is the counted
+fallback (``execute.interpreter_fallbacks``) for operands native code
+cannot take or when no compiler is available.  Kernels rebound to
+neighbouring extents are memoized per extents and keep their source,
+so they share one build.
 """
 
 from __future__ import annotations
@@ -69,6 +77,8 @@ class KernelCache:
     def __init__(self, generator: Optional[Cogent] = None) -> None:
         self.generator = generator or Cogent()
         self._memory: Dict[str, GeneratedKernel] = {}
+        #: Kernels rebound to exact extents, by bucket key and extents.
+        self._rebound: Dict[Tuple[str, Tuple], GeneratedKernel] = {}
         self.hits = 0
         self.misses = 0
 
@@ -95,6 +105,31 @@ class KernelCache:
             kernel = self.generator.generate(contraction)
             self._memory[self._key(contraction)] = kernel
         return kernel
+
+    def bind(self, contraction: Contraction) -> GeneratedKernel:
+        """The kernel for ``contraction`` at its exact extents.
+
+        A hit from a neighbouring size in the bucket is rebound to the
+        extents once and memoized, so repeated calls at those extents
+        reuse one kernel (its source, and the library it binds).  If a
+        recorded rewrite no longer applies (e.g. a split factor that
+        does not divide the new extent), the kernel is generated afresh
+        (counted as ``cache.kernel.rebind_fallbacks``).
+        """
+        kernel = self.get(contraction)
+        sizes = dict(contraction.sizes)
+        if dict(kernel.original_contraction.sizes) == sizes:
+            return kernel
+        key = (self._key(contraction), tuple(sorted(sizes.items())))
+        rebound = self._rebound.get(key)
+        if rebound is None:
+            try:
+                rebound = _rebind_kernel(kernel, contraction)
+            except ContractionError:
+                obs.inc("cache.kernel.rebind_fallbacks")
+                rebound = self.generator.generate(contraction)
+            self._rebound[key] = rebound
+        return rebound
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -213,9 +248,16 @@ def contract(
     """Contract ``a`` and ``b`` per ``expression`` via a COGENT kernel.
 
     The expression may use any supported syntax; the operand shapes
-    bind the index extents.  The generated kernel's schedule is
-    executed numerically (the validation path) — on a real GPU the same
-    call would launch ``kernel.source("cuda")``.
+    bind the index extents.  The kernel runs through
+    :meth:`GeneratedKernel.execute`: the first call of a memoized
+    kernel (one per size bucket, and one per extents rebound from it)
+    runs the numpy tile interpreter, every later call runs its
+    compiled OpenMP code in-process.  So the result may be
+    Fortran-ordered, and on non-integer operands the first and later
+    calls can differ in the last bits.  Operands that are not
+    float32/float64 arrays of the kernel's dtype, or a missing C
+    compiler, take the counted interpreter fallback.  On a real GPU
+    the same call would launch ``kernel.source("cuda")``.
 
     >>> import numpy as np
     >>> a = np.random.rand(8, 5); b = np.random.rand(5, 9)
@@ -240,18 +282,7 @@ def contract(
     contraction = parse(expression, sizes)
     if cache is None:
         cache = _default_cache(arch, dtype_bytes)
-    kernel = cache.get(contraction)
-    if dict(kernel.original_contraction.sizes) != sizes:
-        # Cache hit from a nearby size bucket: rebind the plan to the
-        # actual extents before executing.  If a recorded rewrite no
-        # longer applies (e.g. a split factor that does not divide the
-        # new extent), fall back to a fresh generation.
-        try:
-            kernel = _rebind_kernel(kernel, contraction)
-        except ContractionError:
-            obs.inc("cache.kernel.rebind_fallbacks")
-            kernel = cache.generator.generate(contraction)
-    return kernel.execute(a, b)
+    return cache.bind(contraction).execute(a, b)
 
 
 def _rebind_kernel(
@@ -326,5 +357,4 @@ def _rebind_kernel(
         split_specs=tuple(split_specs),
         merge_specs=tuple(merge_specs),
         kernel_name=kernel_name or kernel.kernel_name,
-        _sources={},
     )

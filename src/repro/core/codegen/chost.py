@@ -14,6 +14,10 @@ source, entry point, compiler and flags), loaded with ``ctypes``, and its entry
 point is called on Fortran-ordered (first-index-fastest) numpy buffers.
 No files are exchanged and no process is spawned per call.
 
+:meth:`~repro.core.generator.GeneratedKernel.execute` runs kernels
+through this harness: a kernel's first execute runs the numpy
+interpreter, every later one the library built here.
+
 This module holds that shell once — the ``main()`` emitter, the staged
 tile-load loop emitter, and the build/run harness — so the executable
 targets cannot drift apart in their conventions and a new CPU backend
@@ -29,7 +33,7 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -196,6 +200,10 @@ class NativeLibrary:
 #: Loaded libraries by build key.  Never unloaded: a library cannot be
 #: closed safely while a returned entry point may still run.
 _LIBRARIES: Dict[str, NativeLibrary] = {}
+#: Build failures by build key, and compilers found missing: a failed
+#: build is not retried in the same process.
+_FAILURES: Dict[str, str] = {}
+_MISSING_CC: Set[str] = set()
 _BUILD_LOCK = threading.Lock()
 
 
@@ -205,18 +213,24 @@ def build_executable(
     cc: str = "cc",
     cflags: Sequence[str] = ("-O2", "-std=c99"),
     fallback_cflags: Optional[Sequence[str]] = None,
+    *,
+    n_extents: int,
 ) -> NativeLibrary:
     """Compile ``source`` as a shared object and load its ``entry``.
 
-    The library is memoized in-process by a hash of source, entry,
-    compiler and flags, so a source is compiled once per process
-    (``chost.builds`` counts the compilations, ``chost.build_hits`` the
+    ``entry`` takes the output and the two operand pointers, then
+    ``n_extents`` ``int`` extents; its ``argtypes`` are declared here,
+    once per library.  The library is memoized in-process by a hash of
+    source, entry, compiler and flags, so a source is compiled once per
+    process (``chost.builds`` counts the compilations, ``chost.build_hits`` the
     reuses); the compiler runs of a build miss are traced as the
-    ``codegen.compile`` span.  The ``.so`` is written to a temporary
-    directory that is removed right after ``dlopen``.
-    ``fallback_cflags`` retries the compilation with a second flag set
-    when the first fails (e.g. ``-march=native`` on compilers that do
-    not support it).
+    ``codegen.compile`` span and the ``dlopen`` as ``codegen.load``.
+    The ``.so`` is written to a temporary directory that is removed
+    right after ``dlopen``.  ``fallback_cflags`` retries the compilation
+    with a second flag set when the first fails (e.g. ``-march=native``
+    on compilers that do not support it).  A failed build, or a missing
+    compiler, raises :class:`EmulationError` again on every later call
+    in the process without running the compiler.
     """
     key = hashlib.sha256(
         "\0".join((source, entry, cc, *cflags)).encode()
@@ -226,6 +240,10 @@ def build_executable(
         if lib is not None:
             obs.inc("chost.build_hits")
             return lib
+        if cc in _MISSING_CC:
+            raise EmulationError(f"C compiler {cc!r} not found")
+        if key in _FAILURES:
+            raise EmulationError(_FAILURES[key])
         attempts = [tuple(cflags)]
         if fallback_cflags is not None:
             attempts.append(tuple(fallback_cflags))
@@ -243,6 +261,7 @@ def build_executable(
                             capture_output=True, text=True,
                         )
                     except FileNotFoundError as exc:
+                        _MISSING_CC.add(cc)
                         raise EmulationError(
                             f"C compiler {cc!r} not found"
                         ) from exc
@@ -250,13 +269,18 @@ def build_executable(
                         break
                     stderr = proc.stderr
                 else:
-                    raise EmulationError(
+                    _FAILURES[key] = (
                         f"compilation failed:\n{stderr}\n"
                         f"--- source ---\n{source}"
                     )
-            handle = ctypes.CDLL(str(so))
+                    raise EmulationError(_FAILURES[key])
+            with obs.span("codegen.load"):
+                handle = ctypes.CDLL(str(so))
         function = getattr(handle, entry)
         function.restype = ctypes.c_int
+        function.argtypes = (
+            [ctypes.c_void_p] * 3 + [ctypes.c_int] * n_extents
+        )
         lib = NativeLibrary(function, handle)
         _LIBRARIES[key] = lib
         obs.inc("chost.builds")
@@ -294,9 +318,6 @@ def run_executable(
     )
     extents = [contraction.extent(i) for i in contraction.all_indices]
     with lib.lock:
-        lib.entry.argtypes = (
-            [ctypes.c_void_p] * 3 + [ctypes.c_int] * len(extents)
-        )
         with obs.span("codegen.run"):
             status = lib.entry(
                 out.ctypes.data, *(x.ctypes.data for x in operands),
@@ -323,5 +344,6 @@ def compile_and_run_source(
     """Build (or reuse) ``source`` and run its ``entry`` on ``a``/``b``."""
     lib = build_executable(
         source, entry, cc=cc, cflags=cflags, fallback_cflags=fallback_cflags,
+        n_extents=len(plan.contraction.all_indices),
     )
     return run_executable(lib, plan, a, b)

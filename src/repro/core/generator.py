@@ -18,11 +18,23 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from .. import obs
 from ..gpu.arch import GpuArch, get_arch
 from ..gpu.simulator import GpuSimulator, ModelParams, SimulationResult
+from .codegen.chost import EmulationError, NativeLibrary
 from .codegen.registry import get_target, list_targets
 from .constraints import ConstraintPolicy
 from .costmodel import CostModel, TransactionEstimate
@@ -33,7 +45,7 @@ from .enumeration import (
     EnumerationResult,
     Enumerator,
 )
-from .ir import Contraction
+from .ir import Contraction, ContractionError
 from .mapping import KernelConfig, canonical_key
 from .merging import MergeSpec, merge_operands, normalize, unmerge_output
 from .parser import SizesArg, parse
@@ -82,7 +94,24 @@ class GeneratedKernel:
     merged_contraction: Optional[Contraction] = None
     #: Default codegen target for :meth:`source` (the generator's).
     target: str = "cuda"
-    _sources: Dict[str, str] = field(default_factory=dict, repr=False)
+    #: Emitted sources by target, whether :meth:`execute` has run its
+    #: interpreted first call, and the OpenMP library it runs on once
+    #: bound.  None of them is copied by ``dataclasses.replace``, so a
+    #: kernel rebound to another plan starts over; the library is not
+    #: pickled either.
+    _sources: Dict[str, str] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _warm: bool = field(default=False, init=False, repr=False,
+                        compare=False)
+    _native: Optional[NativeLibrary] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["_native"] = None
+        return state
 
     @property
     def config(self) -> KernelConfig:
@@ -123,14 +152,61 @@ class GeneratedKernel:
         return get_target(name).emit_driver(self.plan, self.kernel_name)
 
     def execute(self, a, b):
-        """Run the kernel's schedule numerically on original-shape
-        operands, transparently handling merge/split rewrites.
+        """Run the kernel on original-shape operands and return C.
 
-        This is the validation path (numpy); the CUDA/C sources run the
-        same schedule.
+        Merge/split rewrites are applied to the operands and undone on
+        the output.  The kernel's first execute runs the numpy tile
+        interpreter (counted as ``execute.interpreter_calls``), so a
+        kernel executed once never waits for ``cc``.  Every later one
+        runs the kernel's ``openmp`` source in-process
+        (:mod:`repro.core.codegen.chost`; ``execute.native_calls``),
+        built on the first such call unless a kernel with the same
+        source already built it in this process.  A native result is
+        Fortran-ordered, and on non-integer operands it can differ from
+        the interpreted first call in the last bits (the two sum the
+        ``k`` loop in different orders).  The interpreter is also the
+        counted fallback (``execute.interpreter_fallbacks``) when the
+        rewritten operands are not arrays of the plan's float dtype and
+        shape (so a shape error is the interpreter's), or when the
+        compiler is missing or the build failed (remembered for the
+        process).
+        """
+        return self.runner()(a, b)
+
+    def runner(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """A function running this kernel as :meth:`execute` does.
+
+        Making it is the call's step of the tier, so a caller running
+        the kernel on many operand pairs for one call (a batched
+        kernel's slices) makes one runner and interprets them all on
+        the kernel's first call.
         """
         from ..gpu.executor import execute_plan
+        from .codegen import chost
 
+        warm, self._warm = self._warm, True
+
+        def run(a, b):
+            lib = self._library(a, b, warm)
+            if lib is None:
+                return execute_plan(self.plan, a, b)
+            obs.inc("execute.native_calls")
+            return chost.run_executable(lib, self.plan, a, b)
+
+        return lambda a, b: self._rewritten(run, a, b)
+
+    def interpret(self, a, b):
+        """:meth:`execute` on the numpy tile interpreter only
+        (:func:`repro.gpu.executor.execute_plan`): the oracle the native
+        path is tested against."""
+        from ..gpu.executor import execute_plan
+
+        return self._rewritten(
+            lambda a, b: execute_plan(self.plan, a, b), a, b
+        )
+
+    def _rewritten(self, run, a, b):
+        """``run`` on the rewritten operands; the output restored."""
         if self.merge_specs:
             a, b = merge_operands(
                 self.original_contraction, self.merge_specs, a, b
@@ -139,13 +215,43 @@ class GeneratedKernel:
             base = self.merged_contraction or self.original_contraction \
                 or self.contraction
             a, b = adapt_operands(base, self.split_specs, a, b)
-        out = execute_plan(self.plan, a, b)
+        out = run(a, b)
         if self.split_specs:
             out = restore_output(self.contraction, self.split_specs, out)
         if self.merge_specs:
             merged = self.merged_contraction
             out = unmerge_output(merged, self.merge_specs, out)
         return out
+
+    def _library(self, a, b, warm: bool) -> Optional[NativeLibrary]:
+        """The library to run ``a``/``b`` on, or ``None`` (counted) for
+        the interpreter; ``warm`` is false on the kernel's first call."""
+        from .codegen import chost, openmp
+
+        contraction = self.plan.contraction
+        scalar = np.float64 if self.plan.dtype_bytes == 8 else np.float32
+        if not all(
+            isinstance(x, np.ndarray) and x.dtype == scalar
+            and x.shape == contraction.extents_of(tensor)
+            for tensor, x in ((contraction.a, a), (contraction.b, b))
+        ):
+            obs.inc("execute.interpreter_fallbacks")
+            return None
+        if not warm:
+            obs.inc("execute.interpreter_calls")
+            return None
+        if self._native is None:
+            try:
+                self._native = chost.build_executable(
+                    self.source("openmp"), self.kernel_name + "_omp",
+                    cflags=openmp.CFLAGS,
+                    fallback_cflags=openmp.CFLAGS_PORTABLE,
+                    n_extents=len(contraction.all_indices),
+                )
+            except EmulationError:
+                obs.inc("execute.interpreter_fallbacks")
+                return None
+        return self._native
 
     def summary(self) -> str:
         stats = self.enumeration.stats
@@ -294,7 +400,7 @@ class Cogent:
 
             try:
                 contraction = parse(contraction, sizes)
-            except Exception:
+            except ContractionError:
                 # Expressions with indices in all three tensors are
                 # explicit batched contractions (e.g. "qkh-qdh-kdh").
                 from .batched import parse_batched

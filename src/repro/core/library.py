@@ -162,7 +162,6 @@ class KernelLibrary:
             plan=plan,
             original_contraction=original,
             merged_contraction=merged,
-            _sources={},
         )
 
     # -- emission -------------------------------------------------------------

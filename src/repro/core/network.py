@@ -697,7 +697,11 @@ class NetworkContractor:
 
         def run_step(index: int) -> Tuple[int, np.ndarray]:
             step = self.path.steps[index]
-            return step.result, self.kernels[index].execute(
+            # Steps stay on the interpreter: nearly every step kernel is
+            # its own source, so the native tier would run one ``cc`` per
+            # step on a network's second call (seconds per network)
+            # until tile sizes become runtime parameters.
+            return step.result, self.kernels[index].interpret(
                 values[step.left], values[step.right]
             )
 

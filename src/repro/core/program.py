@@ -613,7 +613,7 @@ class CompilationSession:
         if rename is None and source == target:
             if kernel.kernel_name == name:
                 return kernel
-            return replace(kernel, kernel_name=name, _sources={})
+            return replace(kernel, kernel_name=name)
         return _rebind_kernel(
             kernel, target, rename=dict(rename or {}) or None,
             kernel_name=name,

@@ -90,7 +90,7 @@ def validate_kernel(
     for check in checks:
         with obs.span(f"validate.{check}"):
             if check == "plan":
-                got = kernel.execute(a, b)
+                got = kernel.interpret(a, b)
                 ok = np.allclose(got, want, **tol)
                 report.results.append(
                     CheckResult("plan", ok, "tiled numpy schedule")

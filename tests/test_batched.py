@@ -138,3 +138,47 @@ class TestEmission:
         assert "slice_C" in src and "slice_A" in src
         assert "for (long batch" in src
         assert src.count("{") == src.count("}")
+
+
+class TestParseRetry:
+    """Batched expressions fail the plain parser with a
+    ``ContractionError`` and are retried as batched; any other error
+    from ``parse`` propagates."""
+
+    @staticmethod
+    def cli_args(expr):
+        import argparse
+
+        return argparse.Namespace(expr=expr, sizes="4")
+
+    @staticmethod
+    def broken_parse(*args, **kwargs):
+        raise RuntimeError("parser bug")
+
+    def test_cli_retries_batched(self):
+        from repro.cli import _resolve_contraction
+
+        got = _resolve_contraction(
+            self.cli_args("qkh-qdh-kdh"), allow_batched=True
+        )
+        assert isinstance(got, BatchedContraction)
+
+    def test_cli_propagates_other_errors(self, monkeypatch):
+        from repro import cli
+
+        monkeypatch.setattr(cli, "parse", self.broken_parse)
+        with pytest.raises(RuntimeError, match="parser bug"):
+            cli._resolve_contraction(
+                self.cli_args("qkh-qdh-kdh"), allow_batched=True
+            )
+
+    def test_select_strategy_retries_batched(self):
+        choice = Cogent().select_strategy("qkh-qdh-kdh", 4)
+        assert choice.selected
+
+    def test_select_strategy_propagates_other_errors(self, monkeypatch):
+        from repro.core import parser
+
+        monkeypatch.setattr(parser, "parse", self.broken_parse)
+        with pytest.raises(RuntimeError, match="parser bug"):
+            Cogent().select_strategy("qkh-qdh-kdh", 4)

@@ -349,10 +349,11 @@ class TestObsCounters:
             target.compile_and_run(plan, a, b)
         with obs.tracing() as warm:
             target.compile_and_run(plan, a, b)
-        assert {"run/codegen.compile", "run/codegen.run"} <= set(
-            cold.tracer.root.paths()
-        )
+        assert {
+            "run/codegen.compile", "run/codegen.load", "run/codegen.run"
+        } <= set(cold.tracer.root.paths())
         assert cold.tracer.root.children["codegen.compile"].count == 1
+        assert cold.tracer.root.children["codegen.load"].count == 1
         assert warm.tracer.root.paths() == ["run", "run/codegen.run"]
         assert warm.metrics.counter("chost.build_hits") == 1
         assert warm.metrics.counter("chost.builds") == 0
@@ -456,7 +457,7 @@ class TestInProcessHarness:
         lib = chost.build_executable(
             "int failing_(double* c, const double* a, const double* b,"
             " int n_a, int n_b, int n_k) { return 2; }\n",
-            "failing_",
+            "failing_", n_extents=3,
         )
         a, b = integer_operands(c, seed=6)
         with pytest.raises(EmulationError, match="status 2"):
