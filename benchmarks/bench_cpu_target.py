@@ -7,14 +7,16 @@ emission style buys on a real CPU: the paper's register tile as an
 ``MR x NR`` register-blocked micro-tile held in named scalars across
 each step's ``kk_`` loop, staging and store loops free of per-element
 ``%``/``/``, and an OpenMP parallel-for over thread-block tiles when
-cores are available.
+cores are available.  The OpenMP program takes its tile sizes at run
+time (one build per kernel structure), while cemu bakes them in.
 
 Compilation and execution are timed *separately* — the paper's use case
 compiles once and contracts many times, and folding a one-off ``cc``
 invocation into the run time would swamp the kernel-level signal.  Each
-arm is built once as a shared object via :func:`chost.build_executable`,
-called ``REPEATS`` times in-process via :func:`chost.run_executable`,
-and scored on its best run.  ``run_s`` is the foreign call plus operand
+arm is built once as a shared object via :func:`chost.build_executable`
+(the openmp arm through :func:`openmp.build`), called ``REPEATS``
+times in-process via :func:`chost.run_executable`, and scored on its
+best run.  ``run_s`` is the foreign call plus operand
 layout conversion: no process spawn and no file IO.  Results (plus a
 bit-exactness check of both arms against ``numpy.einsum`` on integer
 operands) land in ``BENCH_cpu_target.json`` at the repo root; the
@@ -51,13 +53,17 @@ SIZE_QUICK = 24
 REPEATS = 5
 REPEATS_QUICK = 3
 
-#: Per-arm toolchain: (emitter, entry point, cflags, fallback cflags).
-ARMS = {
-    "cemu": (cemu.CemuTarget().emit_kernel, "tc_kernel_emu",
-             ("-O2", "-std=c99"), None),
-    "openmp": (openmp.OpenmpTarget().emit_kernel, "tc_kernel_omp",
-               openmp.CFLAGS, openmp.CFLAGS_PORTABLE),
-}
+def _build_cemu(plan: KernelPlan) -> chost.NativeLibrary:
+    return chost.build_executable(
+        cemu.CemuTarget().emit_kernel(plan), "tc_kernel_emu",
+        cflags=("-O2", "-std=c99"),
+        n_extents=len(plan.contraction.all_indices),
+    )
+
+
+#: Per-arm build: plan -> loaded library.  The openmp arm is the
+#: runtime-tiled program every kernel of the plan's structure shares.
+ARMS = {"cemu": _build_cemu, "openmp": openmp.build}
 
 
 def _plan(size: int) -> KernelPlan:
@@ -77,11 +83,9 @@ def run_arms(size: int, repeats: int):
     want = reference_contract(plan.contraction, a, b)
 
     rows = {}
-    for name, (emit, entry, cflags, fallback) in ARMS.items():
+    for name, build in ARMS.items():
         t0 = time.perf_counter()
-        lib = chost.build_executable(
-            emit(plan), entry, cflags=cflags, fallback_cflags=fallback,
-        )
+        lib = build(plan)
         compile_s = time.perf_counter() - t0
         runs = []
         out = None

@@ -9,10 +9,17 @@ from ``argv`` and exchanges raw tensor files, so ``cogent gen`` output
 is still a standalone program.
 
 On the Python side all three are executed the same way, in-process:
-the source is compiled once as a shared object (memoized by a hash of
-source, entry point, compiler and flags), loaded with ``ctypes``, and its entry
-point is called on Fortran-ordered (first-index-fastest) numpy buffers.
-No files are exchanged and no process is spawned per call.
+the source is compiled once as a shared object (memoized by
+:func:`build_key`, a hash of source, entry point, compiler and flags),
+loaded with ``ctypes``, and its entry point is called on
+Fortran-ordered (first-index-fastest) numpy buffers.  No files are
+exchanged and no process is spawned per call.
+
+The OpenMP program also takes the plan's tile sizes after the extents
+(:func:`tile_args`) and spells its indices canonically, so its text,
+and with it the build, is keyed by the kernel's structure, not by its
+config: every kernel of one structure shares one build.  The emulations
+bake their tiles in, so they build once per config.
 
 :meth:`~repro.core.generator.GeneratedKernel.execute` runs kernels
 through this harness: a kernel's first execute runs the numpy
@@ -87,11 +94,14 @@ def serial_stage_loops(
 def stage_group(
     plan: KernelPlan, tensor, buffer: str, scalar: str,
     addr: str, bounds: str, smem_idx: str,
+    lane_stride: Optional[str] = None,
 ) -> List[str]:
     """Stage one element, or one vector group of scalar lanes.
 
     ``addr``/``bounds``/``smem_idx`` address the group's first element;
-    out-of-range elements stage as zero.
+    out-of-range elements stage as zero.  ``lane_stride`` spells the
+    staging-buffer distance between lanes (default: the plan's, as a
+    literal).
     """
     width = plan.staging_vector_width(tensor)
     if width == 1:
@@ -99,31 +109,42 @@ def stage_group(
             f"{buffer}[{smem_idx}] = ({bounds})"
             f" ? g_{tensor.name}[{addr}] : ({scalar})0;",
         ]
-    lane_stride = plan.smem_lane_stride(tensor)
+    if lane_stride is None:
+        lane_stride = str(plan.smem_lane_stride(tensor))
+    if lane_stride.isdigit():
+        offsets = [str(lane * int(lane_stride)) for lane in range(width)]
+    else:
+        offsets = ["0", lane_stride] + [
+            f"{lane} * {lane_stride}" for lane in range(2, width)
+        ]
     lines = [f"if ({bounds}) {{"]
     for lane in range(width):
         lines.append(
-            f"    {buffer}[({smem_idx}) + {lane * lane_stride}]"
+            f"    {buffer}[({smem_idx}) + {offsets[lane]}]"
             f" = g_{tensor.name}[({addr}) + {lane}];"
         )
     lines.append("} else {")
     for lane in range(width):
         lines.append(
-            f"    {buffer}[({smem_idx}) + {lane * lane_stride}]"
+            f"    {buffer}[({smem_idx}) + {offsets[lane]}]"
             f" = ({scalar})0;"
         )
     lines.append("}")
     return lines
 
 
-def host_main_function(plan: KernelPlan, entry: str) -> List[str]:
+def host_main_function(
+    plan: KernelPlan, entry: str, tiles: bool = False
+) -> List[str]:
     """The standalone ``main()``: argv extents, fread A/B, fwrite C.
 
     A thin wrapper around the program's exported ``entry`` point, so
     the emitted source also builds as a command-line program.  Usage is
     ``prog n_<i>... A.bin B.bin C.bin`` with every tensor in
     first-index-fastest (column-major) element order; a nonzero status
-    from ``entry`` becomes the exit code.
+    from ``entry`` becomes the exit code.  With ``tiles`` the entry
+    takes the plan's tile sizes after the extents (:func:`tile_args`),
+    passed here as constants.
     """
     scalar = scalar_type(plan.dtype_bytes)
     contraction = plan.contraction
@@ -167,7 +188,10 @@ def host_main_function(plan: KernelPlan, entry: str) -> List[str]:
         " != (size_t)elems_b) return 4;",
         "    fclose(fa); fclose(fb);",
         f"    const int status_ = {entry}(C_, A_, B_, "
-        + ", ".join(ix.extent_param(i) for i in indices)
+        + ", ".join(
+            [ix.extent_param(i) for i in indices]
+            + [str(t) for t in (tile_args(plan) if tiles else ())]
+        )
         + ");",
         "    if (status_ != 0) return status_;",
         f'    FILE* fc = fopen(argv[{base + 3}], "wb");',
@@ -182,6 +206,11 @@ def host_main_function(plan: KernelPlan, entry: str) -> List[str]:
     return lines
 
 
+def tile_args(plan: KernelPlan) -> List[int]:
+    """The tile sizes a runtime-tiled entry takes, in extent order."""
+    return [plan.tile_of(i) for i in plan.contraction.all_indices]
+
+
 # -- in-process build/run harness --------------------------------------------
 
 
@@ -192,6 +221,8 @@ class NativeLibrary:
     entry: Callable[..., int]
     #: Keeps the ``dlopen`` handle alive as long as the entry is used.
     handle: ctypes.CDLL
+    #: Whether the entry takes the plan's tile sizes after the extents.
+    tiles: bool = False
     #: Serializes calls: the OpenCL harness keeps its work-group state
     #: in statics, and ``ctypes`` releases the GIL during the call.
     lock: threading.Lock = field(default_factory=threading.Lock)
@@ -207,6 +238,15 @@ _MISSING_CC: Set[str] = set()
 _BUILD_LOCK = threading.Lock()
 
 
+def build_key(
+    source: str, entry: str, cc: str, cflags: Sequence[str]
+) -> str:
+    """The in-process identity of a build: a hash of its inputs."""
+    return hashlib.sha256(
+        "\0".join((source, entry, cc, *cflags)).encode()
+    ).hexdigest()
+
+
 def build_executable(
     source: str,
     entry: str,
@@ -215,15 +255,17 @@ def build_executable(
     fallback_cflags: Optional[Sequence[str]] = None,
     *,
     n_extents: int,
+    tiles: bool = False,
 ) -> NativeLibrary:
     """Compile ``source`` as a shared object and load its ``entry``.
 
     ``entry`` takes the output and the two operand pointers, then
-    ``n_extents`` ``int`` extents; its ``argtypes`` are declared here,
-    once per library.  The library is memoized in-process by a hash of
-    source, entry, compiler and flags, so a source is compiled once per
-    process (``chost.builds`` counts the compilations, ``chost.build_hits`` the
-    reuses); the compiler runs of a build miss are traced as the
+    ``n_extents`` ``int`` extents and, with ``tiles``, as many ``int``
+    tile sizes; its ``argtypes`` are declared here, once per library.
+    The library is memoized in-process by :func:`build_key`, so a
+    source is compiled once per process (``chost.builds`` counts the
+    compilations, ``chost.build_hits`` the reuses); the compiler runs
+    of a build miss are traced as the
     ``codegen.compile`` span and the ``dlopen`` as ``codegen.load``.
     The ``.so`` is written to a temporary directory that is removed
     right after ``dlopen``.  ``fallback_cflags`` retries the compilation
@@ -232,9 +274,7 @@ def build_executable(
     compiler, raises :class:`EmulationError` again on every later call
     in the process without running the compiler.
     """
-    key = hashlib.sha256(
-        "\0".join((source, entry, cc, *cflags)).encode()
-    ).hexdigest()
+    key = build_key(source, entry, cc, cflags)
     with _BUILD_LOCK:
         lib = _LIBRARIES.get(key)
         if lib is not None:
@@ -279,9 +319,10 @@ def build_executable(
         function = getattr(handle, entry)
         function.restype = ctypes.c_int
         function.argtypes = (
-            [ctypes.c_void_p] * 3 + [ctypes.c_int] * n_extents
+            [ctypes.c_void_p] * 3
+            + [ctypes.c_int] * (2 * n_extents if tiles else n_extents)
         )
-        lib = NativeLibrary(function, handle)
+        lib = NativeLibrary(function, handle, tiles)
         _LIBRARIES[key] = lib
         obs.inc("chost.builds")
         return lib
@@ -297,7 +338,8 @@ def run_executable(
 
     The generated code treats the *first* index as fastest, so the
     operands are passed as Fortran-ordered buffers and the output is a
-    Fortran-ordered array allocated here.  Operand shapes are checked
+    Fortran-ordered array allocated here.  A runtime-tiled library
+    also gets the plan's tile sizes.  Operand shapes are checked
     against the plan before the call: the C code trusts its extents.
     The entry call itself is traced as the ``codegen.run`` span.
     """
@@ -317,6 +359,8 @@ def run_executable(
         dtype=scalar, order="F",
     )
     extents = [contraction.extent(i) for i in contraction.all_indices]
+    if lib.tiles:
+        extents += tile_args(plan)
     with lib.lock:
         with obs.span("codegen.run"):
             status = lib.entry(

@@ -9,16 +9,24 @@ Naming conventions used in generated code (for an index named ``a`` and a
 tensor named ``A``):
 
 ``n_a``      extent of ``a`` (kernel parameter)
-``T_A``      tile-size macro prefix — tiles are emitted as literals
+``t_a``      tile size of ``a`` (kernel parameter, runtime tiles only)
+``btx_``     block-tile extent along x (``bty_`` along y; runtime tiles
+             only)
 ``st_A_a``   element stride of ``a`` within tensor ``A``
 ``nt_a``     number of tiles covering ``a``
 ``boff_a``   this block's global offset along ``a``
 ``soff_e``   this step's global offset along internal index ``e``
+
+Tile sizes are literals by default.  With ``runtime_tiles=True`` a
+fragment spells each tile as its ``t_<i>`` parameter and each block
+tile as ``btx_``/``bty_`` instead, so one emitted program serves every
+tiling of one kernel structure; the emitter then declares those names.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..ir import TensorRef
 from ..mapping import Dim
@@ -45,6 +53,28 @@ def step_offset_var(index: str) -> str:
     return f"soff_{index}"
 
 
+def tile_param(index: str) -> str:
+    return f"t_{index}"
+
+
+def block_tile_var(side: str) -> str:
+    return f"bt{side}_"
+
+
+def spell_tile(index: str, tile: int, runtime_tiles: bool) -> str:
+    """A tile size as emitted: the literal, or its runtime parameter."""
+    return tile_param(index) if runtime_tiles else str(tile)
+
+
+def spell_product(factors: Sequence[Union[int, str]]) -> str:
+    """The product of literal and named factors, folded where literal."""
+    literal = math.prod(f for f in factors if isinstance(f, int))
+    names = [f for f in factors if isinstance(f, str)]
+    if not names:
+        return str(literal)
+    return " * ".join(names if literal == 1 else [str(literal), *names])
+
+
 def stride_definitions(tensor: TensorRef) -> List[str]:
     """Column-major stride definitions for ``tensor`` (FVI stride 1)."""
     lines: List[str] = []
@@ -61,54 +91,63 @@ def stride_definitions(tensor: TensorRef) -> List[str]:
     return lines
 
 
-def tile_count_definitions(axes: Sequence[Axis]) -> List[str]:
+def tile_count_definitions(
+    axes: Sequence[Axis], runtime_tiles: bool = False
+) -> List[str]:
     """``nt_<i> = ceil(n_<i> / T_i)`` for every axis."""
-    return [
-        f"const int {ntiles_var(a.index)} = "
-        f"({extent_param(a.index)} + {a.tile} - 1) / {a.tile};"
-        for a in axes
-    ]
+    lines = []
+    for a in axes:
+        tile = spell_tile(a.index, a.tile, runtime_tiles)
+        lines.append(
+            f"const int {ntiles_var(a.index)} = "
+            f"({extent_param(a.index)} + {tile} - 1) / {tile};"
+        )
+    return lines
 
 
 def decompose_offsets(
-    source: str, axes: Sequence[Axis], offset_namer, temp: str
+    source: str, axes: Sequence[Axis], offset_namer, temp: str,
+    runtime_tiles: bool = False,
 ) -> List[str]:
     """Decompose a linear id into per-axis tile offsets, fastest-first."""
     lines = [f"int {temp} = {source};"]
     for i, axis in enumerate(axes):
         off = offset_namer(axis.index)
+        tile = spell_tile(axis.index, axis.tile, runtime_tiles)
         if i + 1 < len(axes):
             lines.append(
                 f"const int {off} = ({temp} % {ntiles_var(axis.index)})"
-                f" * {axis.tile};"
+                f" * {tile};"
             )
             lines.append(f"{temp} /= {ntiles_var(axis.index)};")
         else:
-            lines.append(f"const int {off} = {temp} * {axis.tile};")
+            lines.append(f"const int {off} = {temp} * {tile};")
     if not axes:
         lines.append(f"(void){temp};")
     return lines
 
 
 def flatten_expr(
-    coords: Dict[str, str], order: Sequence[Tuple[str, int]]
+    coords: Dict[str, str], order: Sequence[Tuple[str, Union[int, str]]]
 ) -> str:
     """Mixed-radix flatten of named coordinates, fastest-first.
 
-    ``order`` is a list of ``(index, radix)`` pairs; ``coords`` maps index
-    names to C expressions for the local coordinate.
+    ``order`` is a list of ``(index, radix)`` pairs, each radix a
+    literal or a name; ``coords`` maps index names to C expressions for
+    the local coordinate.
     """
     if not order:
         return "0"
     expr = ""
-    scale = 1
+    radices: List[Union[int, str]] = []
     for index, radix in order:
         term = coords[index]
-        if scale == 1:
+        scale = spell_product(radices)
+        if scale == "1":
             expr = term
         else:
             expr = f"{expr} + {scale} * ({term})"
-        scale *= radix
+        radices.append(radix)
     return expr
 
 
@@ -119,10 +158,18 @@ class TileLoadFragment:
     address, the bounds predicate, and the staging-buffer address.
     """
 
-    def __init__(self, plan: KernelPlan, tensor: TensorRef) -> None:
+    def __init__(
+        self, plan: KernelPlan, tensor: TensorRef,
+        runtime_tiles: bool = False,
+    ) -> None:
         self.plan = plan
         self.tensor = tensor
         self.side = plan.input_side(tensor)
+        self.runtime_tiles = runtime_tiles
+
+    def _tile(self, index: str) -> Union[int, str]:
+        tile = self.plan.tile_of(index)
+        return tile_param(index) if self.runtime_tiles else tile
 
     def body(self, flat_var: str = "l") -> Tuple[List[str], str, str, str]:
         """Return (statements, global_addr_expr, bounds_expr, smem_idx).
@@ -180,11 +227,12 @@ class TileLoadFragment:
         """Staging-buffer flat index ``int_flat * EXT + ext_flat``."""
         plan = self.plan
         ext_order = [
-            (index, plan.tile_of(index))
+            (index, self._tile(index))
             for index in plan.smem_ext_order(self.side)
         ]
         int_order = [
-            (m.index, m.tile) for m in plan.config.by_dim(Dim.TB_K)
+            (m.index, self._tile(m.index))
+            for m in plan.config.by_dim(Dim.TB_K)
         ]
         # GRID-mapped externals of this tensor have tile 1 => coord "0";
         # they do not participate in the staging layout.
@@ -192,14 +240,33 @@ class TileLoadFragment:
         int_coords = {idx: coords.get(idx, "0") for idx, _ in int_order}
         ext_flat = flatten_expr(ext_coords, ext_order)
         int_flat = flatten_expr(int_coords, int_order)
-        ext_size = (
-            plan.config.block_tile_x
-            if self.side == "x"
-            else plan.config.block_tile_y
-        )
         if int_flat == "0":
             return f"({ext_flat})"
-        return f"({int_flat}) * {ext_size} + ({ext_flat})"
+        return f"({int_flat}) * {self._block_tile()} + ({ext_flat})"
+
+    def _block_tile(self) -> str:
+        if self.runtime_tiles:
+            return block_tile_var(self.side)
+        config = self.plan.config
+        return str(
+            config.block_tile_x if self.side == "x" else config.block_tile_y
+        )
+
+    def lane_stride(self) -> str:
+        """:meth:`~repro.core.plan.KernelPlan.smem_lane_stride`, spelled."""
+        plan = self.plan
+        fvi = self.tensor.fvi
+        factors: List[Union[int, str]] = []
+        for index in plan.smem_ext_order(self.side):
+            if index == fvi:
+                return spell_product(factors)
+            factors.append(self._tile(index))
+        factors = [self._block_tile()]
+        for m in plan.config.by_dim(Dim.TB_K):
+            if m.index == fvi:
+                return spell_product(factors)
+            factors.append(self._tile(m.index))
+        return "0"
 
 
 class StoreFragment:

@@ -158,10 +158,11 @@ class GeneratedKernel:
         the output.  The kernel's first execute runs the numpy tile
         interpreter (counted as ``execute.interpreter_calls``), so a
         kernel executed once never waits for ``cc``.  Every later one
-        runs the kernel's ``openmp`` source in-process
-        (:mod:`repro.core.codegen.chost`; ``execute.native_calls``),
-        built on the first such call unless a kernel with the same
-        source already built it in this process.  A native result is
+        runs the kernel's OpenMP program in-process
+        (:func:`repro.core.codegen.openmp.build`;
+        ``execute.native_calls``), built on the first such call unless a
+        kernel of the same structure (any extents, tile sizes or index
+        names) already built it in this process.  A native result is
         Fortran-ordered, and on non-integer operands it can differ from
         the interpreted first call in the last bits (the two sum the
         ``k`` loop in different orders).  The interpreter is also the
@@ -226,7 +227,7 @@ class GeneratedKernel:
     def _library(self, a, b, warm: bool) -> Optional[NativeLibrary]:
         """The library to run ``a``/``b`` on, or ``None`` (counted) for
         the interpreter; ``warm`` is false on the kernel's first call."""
-        from .codegen import chost, openmp
+        from .codegen import openmp
 
         contraction = self.plan.contraction
         scalar = np.float64 if self.plan.dtype_bytes == 8 else np.float32
@@ -242,12 +243,7 @@ class GeneratedKernel:
             return None
         if self._native is None:
             try:
-                self._native = chost.build_executable(
-                    self.source("openmp"), self.kernel_name + "_omp",
-                    cflags=openmp.CFLAGS,
-                    fallback_cflags=openmp.CFLAGS_PORTABLE,
-                    n_extents=len(contraction.all_indices),
-                )
+                self._native = openmp.build(self.plan)
             except EmulationError:
                 obs.inc("execute.interpreter_fallbacks")
                 return None

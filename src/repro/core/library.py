@@ -73,6 +73,8 @@ class KernelLibrary:
             self.entries.append(LibraryEntry(dict(bound), kernel))
         if not self.entries:
             raise ValueError("at least one representative size is required")
+        #: The selected version rebound to actual extents, by extents.
+        self._rebound: Dict[tuple, GeneratedKernel] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -114,16 +116,21 @@ class KernelLibrary:
     def dispatch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Select the nearest version and run it on ``a``/``b``.
 
-        Generated kernels are correct for arbitrary extents (the tile
-        sizes are compile-time, the extents are parameters); the
-        functional path rebinds the selected plan to the actual sizes,
-        clamping any tile that exceeds a (smaller) actual extent — the
-        same effect the kernel's bounds predicates have on hardware.
+        Generated kernels are correct for arbitrary extents (the
+        extents are parameters); the functional path rebinds the
+        selected plan to the actual sizes, clamping any tile that
+        exceeds a (smaller) actual extent — the same effect the kernel's
+        bounds predicates have on hardware.  The rebound kernel is
+        memoized per extents, so a size's first dispatch is that
+        kernel's interpreted first call and every later one runs
+        natively (:meth:`~repro.core.generator.GeneratedKernel.execute`).
         """
         sizes = self.sizes_from_operands(a, b)
-        entry = self.select(sizes)
-        kernel = entry.kernel
-        rebound = self._rebind(kernel, sizes)
+        key = tuple(sorted(sizes.items()))
+        rebound = self._rebound.get(key)
+        if rebound is None:
+            kernel = self.select(sizes).kernel
+            rebound = self._rebound[key] = self._rebind(kernel, sizes)
         return rebound.execute(a, b)
 
     def _rebind(

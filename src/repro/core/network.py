@@ -677,10 +677,18 @@ class NetworkContractor:
     def execute(self, *operands: np.ndarray) -> np.ndarray:
         """Run the pairwise kernels level by level.
 
+        Each step runs its kernel's :meth:`~repro.core.generator.
+        GeneratedKernel.execute`, under the same per-kernel rule as
+        :func:`repro.contract`: a step's first call runs the numpy tile
+        interpreter, every later one the kernel's OpenMP build.  The
+        build is shared by every kernel of the same structure (whatever
+        its extents or tile sizes), so a network builds a few programs,
+        not one per step.
+
         Independent steps within one topological level execute on a
         thread pool when the contractor was built with ``workers > 1``
-        (numpy kernels release the GIL in their inner BLAS/einsum
-        calls).  Results are merged deterministically — each step owns a
+        (native kernels and the interpreter's numpy calls release the
+        GIL).  Results are merged deterministically — each step owns a
         distinct result node — so the output is bit-identical to the
         serial path-order execution.  Intermediates are freed at level
         boundaries once their last consumer has run, realising the
@@ -697,11 +705,7 @@ class NetworkContractor:
 
         def run_step(index: int) -> Tuple[int, np.ndarray]:
             step = self.path.steps[index]
-            # Steps stay on the interpreter: nearly every step kernel is
-            # its own source, so the native tier would run one ``cc`` per
-            # step on a network's second call (seconds per network)
-            # until tile sizes become runtime parameters.
-            return step.result, self.kernels[index].interpret(
+            return step.result, self.kernels[index].execute(
                 values[step.left], values[step.right]
             )
 

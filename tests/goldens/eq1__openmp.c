@@ -1,160 +1,158 @@
-/* Generated by COGENT-repro: OpenMP-C CPU backend for
- * C[a,b,c,d] = A[a,e,b,f] * B[d,f,c,e]
- * config: TBx=[a:4] TBy=[d:2] TBk=[e:2, f:2] REGx=[b:2] REGy=[c:3]
- * (compiles as serial C99 when built without -fopenmp)
- */
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 
-int tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_a, int n_b, int n_c, int n_d, int n_e, int n_f)
+int tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_i0, int n_i1, int n_i2, int n_i3, int n_i4, int n_i5, int t_i0, int t_i1, int t_i2, int t_i3, int t_i4, int t_i5)
 {
-    const long st_C_a = 1;
-    const long st_C_b = (long)n_a;
-    const long st_C_c = (long)n_a * (long)n_b;
-    const long st_C_d = (long)n_a * (long)n_b * (long)n_c;
-    const long st_A_a = 1;
-    const long st_A_e = (long)n_a;
-    const long st_A_b = (long)n_a * (long)n_e;
-    const long st_A_f = (long)n_a * (long)n_e * (long)n_b;
-    const long st_B_d = 1;
-    const long st_B_f = (long)n_d;
-    const long st_B_c = (long)n_d * (long)n_f;
-    const long st_B_e = (long)n_d * (long)n_f * (long)n_c;
-    const int nt_a = (n_a + 4 - 1) / 4;
-    const int nt_b = (n_b + 2 - 1) / 2;
-    const int nt_d = (n_d + 2 - 1) / 2;
-    const int nt_c = (n_c + 3 - 1) / 3;
-    const int nt_e = (n_e + 2 - 1) / 2;
-    const int nt_f = (n_f + 2 - 1) / 2;
-    const long num_blocks_ = (long)nt_a * (long)nt_b * (long)nt_d * (long)nt_c;
-    const int nsteps_ = nt_e * nt_f;
+    const long st_C_i0 = 1;
+    const long st_C_i1 = (long)n_i0;
+    const long st_C_i2 = (long)n_i0 * (long)n_i1;
+    const long st_C_i3 = (long)n_i0 * (long)n_i1 * (long)n_i2;
+    const long st_A_i0 = 1;
+    const long st_A_i4 = (long)n_i0;
+    const long st_A_i1 = (long)n_i0 * (long)n_i4;
+    const long st_A_i5 = (long)n_i0 * (long)n_i4 * (long)n_i1;
+    const long st_B_i3 = 1;
+    const long st_B_i5 = (long)n_i3;
+    const long st_B_i2 = (long)n_i3 * (long)n_i5;
+    const long st_B_i4 = (long)n_i3 * (long)n_i5 * (long)n_i2;
+    const int btx_ = t_i0 * t_i1;
+    const int bty_ = t_i3 * t_i2;
+    const int tk_ = t_i4 * t_i5;
+    const int nt_i0 = (n_i0 + t_i0 - 1) / t_i0;
+    const int nt_i1 = (n_i1 + t_i1 - 1) / t_i1;
+    const int nt_i3 = (n_i3 + t_i3 - 1) / t_i3;
+    const int nt_i2 = (n_i2 + t_i2 - 1) / t_i2;
+    const int nt_i4 = (n_i4 + t_i4 - 1) / t_i4;
+    const int nt_i5 = (n_i5 + t_i5 - 1) / t_i5;
+    const long num_blocks_ = (long)nt_i0 * (long)nt_i1 * (long)nt_i3 * (long)nt_i2;
+    const int nsteps_ = nt_i4 * nt_i5;
     int failed_ = 0;
     #pragma omp parallel
     {
-        double* s_a = (double*)malloc(sizeof(double) * 32);
-        double* s_b = (double*)malloc(sizeof(double) * 24);
-        double* c_tile_ = (double*)malloc(sizeof(double) * 48);
-        if (!s_a || !s_b || !c_tile_) {
+        double* s_a = (double*)malloc(sizeof(double) * btx_ * tk_);
+        double* s_b = (double*)malloc(sizeof(double) * bty_ * tk_);
+        double* c_tile_ = (double*)malloc(sizeof(double) * btx_ * bty_);
+        long* row_off_ = (long*)malloc(sizeof(long) * btx_);
+        int* row_ok_ = (int*)malloc(sizeof(int) * btx_);
+        if (!s_a || !s_b || !c_tile_ || !row_off_ || !row_ok_) {
             #pragma omp atomic write
             failed_ = 1;
         }
         #pragma omp barrier
-        long row_off_[8];
-        int row_ok_[8];
         const long run_blocks_ = failed_ ? 0 : num_blocks_;
         #pragma omp for schedule(static)
         for (long blk_ = 0; blk_ < run_blocks_; ++blk_) {
             int bid_ = (int)blk_;
-            const int boff_a = (bid_ % nt_a) * 4;
-            bid_ /= nt_a;
-            const int boff_b = (bid_ % nt_b) * 2;
-            bid_ /= nt_b;
-            const int boff_d = (bid_ % nt_d) * 2;
-            bid_ /= nt_d;
-            const int boff_c = bid_ * 3;
-            memset(c_tile_, 0, sizeof(double) * 48);
+            const int boff_i0 = (bid_ % nt_i0) * t_i0;
+            bid_ /= nt_i0;
+            const int boff_i1 = (bid_ % nt_i1) * t_i1;
+            bid_ /= nt_i1;
+            const int boff_i3 = (bid_ % nt_i3) * t_i3;
+            bid_ /= nt_i3;
+            const int boff_i2 = bid_ * t_i2;
+            memset(c_tile_, 0, sizeof(double) * btx_ * bty_);
             for (int step_ = 0; step_ < nsteps_; ++step_) {
                 int sid_ = step_;
-                const int soff_e = (sid_ % nt_e) * 2;
-                sid_ /= nt_e;
-                const int soff_f = sid_ * 2;
+                const int soff_i4 = (sid_ % nt_i4) * t_i4;
+                sid_ /= nt_i4;
+                const int soff_i5 = sid_ * t_i5;
                 {
-                    for (int lc_f = 0; lc_f < 2; lc_f += 1) {
-                        const int g_f = soff_f + lc_f;
-                        for (int lc_b = 0; lc_b < 2; lc_b += 1) {
-                            const int g_b = boff_b + lc_b;
-                            for (int lc_e = 0; lc_e < 2; lc_e += 1) {
-                                const int g_e = soff_e + lc_e;
-                                const long row_at_ = (long)g_e * st_A_e + (long)g_b * st_A_b + (long)g_f * st_A_f;
-                                const int row_in_ = (g_e < n_e) && (g_b < n_b) && (g_f < n_f);
-                                for (int lc_a = 0; lc_a < 4; lc_a += 1) {
-                                    const int g_a = boff_a + lc_a;
-                                    s_a[(lc_e + 2 * (lc_f)) * 8 + (lc_a + 4 * (lc_b))] = (row_in_ && (g_a < n_a)) ? g_A[row_at_ + (long)g_a * st_A_a] : (double)0;
+                    for (int lc_i5 = 0; lc_i5 < t_i5; lc_i5 += 1) {
+                        const int g_i5 = soff_i5 + lc_i5;
+                        for (int lc_i1 = 0; lc_i1 < t_i1; lc_i1 += 1) {
+                            const int g_i1 = boff_i1 + lc_i1;
+                            for (int lc_i4 = 0; lc_i4 < t_i4; lc_i4 += 1) {
+                                const int g_i4 = soff_i4 + lc_i4;
+                                const long row_at_ = (long)g_i4 * st_A_i4 + (long)g_i1 * st_A_i1 + (long)g_i5 * st_A_i5;
+                                const int row_in_ = (g_i4 < n_i4) && (g_i1 < n_i1) && (g_i5 < n_i5);
+                                const int row_s_ = (lc_i4 + t_i4 * (lc_i5)) * btx_ + (0 + t_i0 * (lc_i1));
+                                for (int lc_i0 = 0; lc_i0 < t_i0; lc_i0 += 1) {
+                                    const int g_i0 = boff_i0 + lc_i0;
+                                    s_a[row_s_ + lc_i0] = (row_in_ && (g_i0 < n_i0)) ? g_A[row_at_ + (long)g_i0 * st_A_i0] : (double)0;
                                 }
                             }
                         }
                     }
                 }
                 {
-                    for (int lc_e = 0; lc_e < 2; lc_e += 1) {
-                        const int g_e = soff_e + lc_e;
-                        for (int lc_c = 0; lc_c < 3; lc_c += 1) {
-                            const int g_c = boff_c + lc_c;
-                            for (int lc_f = 0; lc_f < 2; lc_f += 1) {
-                                const int g_f = soff_f + lc_f;
-                                const long row_at_ = (long)g_f * st_B_f + (long)g_c * st_B_c + (long)g_e * st_B_e;
-                                const int row_in_ = (g_f < n_f) && (g_c < n_c) && (g_e < n_e);
-                                for (int lc_d = 0; lc_d < 2; lc_d += 2) {
-                                    const int g_d = boff_d + lc_d;
-                                    if (row_in_ && (g_d < n_d)) {
-                                        s_b[((lc_e + 2 * (lc_f)) * 6 + (lc_d + 2 * (lc_c))) + 0] = g_B[(row_at_ + (long)g_d * st_B_d) + 0];
-                                        s_b[((lc_e + 2 * (lc_f)) * 6 + (lc_d + 2 * (lc_c))) + 1] = g_B[(row_at_ + (long)g_d * st_B_d) + 1];
+                    for (int lc_i4 = 0; lc_i4 < t_i4; lc_i4 += 1) {
+                        const int g_i4 = soff_i4 + lc_i4;
+                        for (int lc_i2 = 0; lc_i2 < t_i2; lc_i2 += 1) {
+                            const int g_i2 = boff_i2 + lc_i2;
+                            for (int lc_i5 = 0; lc_i5 < t_i5; lc_i5 += 1) {
+                                const int g_i5 = soff_i5 + lc_i5;
+                                const long row_at_ = (long)g_i5 * st_B_i5 + (long)g_i2 * st_B_i2 + (long)g_i4 * st_B_i4;
+                                const int row_in_ = (g_i5 < n_i5) && (g_i2 < n_i2) && (g_i4 < n_i4);
+                                const int row_s_ = (lc_i4 + t_i4 * (lc_i5)) * bty_ + (0 + t_i3 * (lc_i2));
+                                for (int lc_i3 = 0; lc_i3 < t_i3; lc_i3 += 2) {
+                                    const int g_i3 = boff_i3 + lc_i3;
+                                    if (row_in_ && (g_i3 < n_i3)) {
+                                        s_b[(row_s_ + lc_i3) + 0] = g_B[(row_at_ + (long)g_i3 * st_B_i3) + 0];
+                                        s_b[(row_s_ + lc_i3) + 1] = g_B[(row_at_ + (long)g_i3 * st_B_i3) + 1];
                                     } else {
-                                        s_b[((lc_e + 2 * (lc_f)) * 6 + (lc_d + 2 * (lc_c))) + 0] = (double)0;
-                                        s_b[((lc_e + 2 * (lc_f)) * 6 + (lc_d + 2 * (lc_c))) + 1] = (double)0;
+                                        s_b[(row_s_ + lc_i3) + 0] = (double)0;
+                                        s_b[(row_s_ + lc_i3) + 1] = (double)0;
                                     }
                                 }
                             }
                         }
                     }
                 }
-                for (int x0_ = 0; x0_ < 8; x0_ += 4) {
-                    for (int y0_ = 0; y0_ < 6; y0_ += 6) {
-                        double* restrict c_blk_ = &c_tile_[(long)x0_ * 6 + y0_];
+                for (int x0_ = 0; x0_ < btx_; x0_ += 4) {
+                    for (int y0_ = 0; y0_ < bty_; y0_ += 6) {
+                        double* restrict c_blk_ = &c_tile_[(long)x0_ * bty_ + y0_];
                         double r0_0_ = c_blk_[0]; double r0_1_ = c_blk_[1]; double r0_2_ = c_blk_[2]; double r0_3_ = c_blk_[3]; double r0_4_ = c_blk_[4]; double r0_5_ = c_blk_[5];
-                        double r1_0_ = c_blk_[6]; double r1_1_ = c_blk_[7]; double r1_2_ = c_blk_[8]; double r1_3_ = c_blk_[9]; double r1_4_ = c_blk_[10]; double r1_5_ = c_blk_[11];
-                        double r2_0_ = c_blk_[12]; double r2_1_ = c_blk_[13]; double r2_2_ = c_blk_[14]; double r2_3_ = c_blk_[15]; double r2_4_ = c_blk_[16]; double r2_5_ = c_blk_[17];
-                        double r3_0_ = c_blk_[18]; double r3_1_ = c_blk_[19]; double r3_2_ = c_blk_[20]; double r3_3_ = c_blk_[21]; double r3_4_ = c_blk_[22]; double r3_5_ = c_blk_[23];
-                        for (int kk_ = 0; kk_ < 4; ++kk_) {
-                            const double* restrict a_ = &s_a[kk_ * 8 + x0_];
-                            const double* restrict b_ = &s_b[kk_ * 6 + y0_];
+                        double r1_0_ = c_blk_[bty_ + 0]; double r1_1_ = c_blk_[bty_ + 1]; double r1_2_ = c_blk_[bty_ + 2]; double r1_3_ = c_blk_[bty_ + 3]; double r1_4_ = c_blk_[bty_ + 4]; double r1_5_ = c_blk_[bty_ + 5];
+                        double r2_0_ = c_blk_[2 * bty_ + 0]; double r2_1_ = c_blk_[2 * bty_ + 1]; double r2_2_ = c_blk_[2 * bty_ + 2]; double r2_3_ = c_blk_[2 * bty_ + 3]; double r2_4_ = c_blk_[2 * bty_ + 4]; double r2_5_ = c_blk_[2 * bty_ + 5];
+                        double r3_0_ = c_blk_[3 * bty_ + 0]; double r3_1_ = c_blk_[3 * bty_ + 1]; double r3_2_ = c_blk_[3 * bty_ + 2]; double r3_3_ = c_blk_[3 * bty_ + 3]; double r3_4_ = c_blk_[3 * bty_ + 4]; double r3_5_ = c_blk_[3 * bty_ + 5];
+                        for (int kk_ = 0; kk_ < tk_; ++kk_) {
+                            const double* restrict a_ = &s_a[kk_ * btx_ + x0_];
+                            const double* restrict b_ = &s_b[kk_ * bty_ + y0_];
                             r0_0_ += a_[0] * b_[0]; r0_1_ += a_[0] * b_[1]; r0_2_ += a_[0] * b_[2]; r0_3_ += a_[0] * b_[3]; r0_4_ += a_[0] * b_[4]; r0_5_ += a_[0] * b_[5];
                             r1_0_ += a_[1] * b_[0]; r1_1_ += a_[1] * b_[1]; r1_2_ += a_[1] * b_[2]; r1_3_ += a_[1] * b_[3]; r1_4_ += a_[1] * b_[4]; r1_5_ += a_[1] * b_[5];
                             r2_0_ += a_[2] * b_[0]; r2_1_ += a_[2] * b_[1]; r2_2_ += a_[2] * b_[2]; r2_3_ += a_[2] * b_[3]; r2_4_ += a_[2] * b_[4]; r2_5_ += a_[2] * b_[5];
                             r3_0_ += a_[3] * b_[0]; r3_1_ += a_[3] * b_[1]; r3_2_ += a_[3] * b_[2]; r3_3_ += a_[3] * b_[3]; r3_4_ += a_[3] * b_[4]; r3_5_ += a_[3] * b_[5];
                         }
                         c_blk_[0] = r0_0_; c_blk_[1] = r0_1_; c_blk_[2] = r0_2_; c_blk_[3] = r0_3_; c_blk_[4] = r0_4_; c_blk_[5] = r0_5_;
-                        c_blk_[6] = r1_0_; c_blk_[7] = r1_1_; c_blk_[8] = r1_2_; c_blk_[9] = r1_3_; c_blk_[10] = r1_4_; c_blk_[11] = r1_5_;
-                        c_blk_[12] = r2_0_; c_blk_[13] = r2_1_; c_blk_[14] = r2_2_; c_blk_[15] = r2_3_; c_blk_[16] = r2_4_; c_blk_[17] = r2_5_;
-                        c_blk_[18] = r3_0_; c_blk_[19] = r3_1_; c_blk_[20] = r3_2_; c_blk_[21] = r3_3_; c_blk_[22] = r3_4_; c_blk_[23] = r3_5_;
+                        c_blk_[bty_ + 0] = r1_0_; c_blk_[bty_ + 1] = r1_1_; c_blk_[bty_ + 2] = r1_2_; c_blk_[bty_ + 3] = r1_3_; c_blk_[bty_ + 4] = r1_4_; c_blk_[bty_ + 5] = r1_5_;
+                        c_blk_[2 * bty_ + 0] = r2_0_; c_blk_[2 * bty_ + 1] = r2_1_; c_blk_[2 * bty_ + 2] = r2_2_; c_blk_[2 * bty_ + 3] = r2_3_; c_blk_[2 * bty_ + 4] = r2_4_; c_blk_[2 * bty_ + 5] = r2_5_;
+                        c_blk_[3 * bty_ + 0] = r3_0_; c_blk_[3 * bty_ + 1] = r3_1_; c_blk_[3 * bty_ + 2] = r3_2_; c_blk_[3 * bty_ + 3] = r3_3_; c_blk_[3 * bty_ + 4] = r3_4_; c_blk_[3 * bty_ + 5] = r3_5_;
                     }
                 }
             }
-            const long c_base_ = (long)boff_a * st_C_a + (long)boff_b * st_C_b + (long)boff_c * st_C_c + (long)boff_d * st_C_d;
-            for (int x_ = 0; x_ < 8; ++x_) {
-                const int tx_ = x_ % 4;
-                const int rx_ = x_ / 4;
-                int remtx_ = tx_;
-                const int tc_a = remtx_ % 4;
-                (void)remtx_;
-                int remrx_ = rx_;
-                const int rc_b = remrx_ % 2;
-                (void)remrx_;
-                row_off_[x_] = (long)tc_a * st_C_a + (long)rc_b * st_C_b;
-                row_ok_[x_] = (boff_a + tc_a < n_a) && (boff_b + rc_b < n_b);
+            const long c_base_ = (long)boff_i0 * st_C_i0 + (long)boff_i1 * st_C_i1 + (long)boff_i2 * st_C_i2 + (long)boff_i3 * st_C_i3;
+            {
+                int x_ = 0;
+                for (int rc_i1 = 0; rc_i1 < t_i1; ++rc_i1) {
+                    for (int tc_i0 = 0; tc_i0 < t_i0; ++tc_i0, ++x_) {
+                        row_off_[x_] = (long)tc_i0 * st_C_i0 + (long)rc_i1 * st_C_i1;
+                        row_ok_[x_] = (boff_i0 + tc_i0 < n_i0) && (boff_i1 + rc_i1 < n_i1);
+                    }
+                }
             }
-            for (int y_ = 0; y_ < 6; ++y_) {
-                const int ty_ = y_ % 2;
-                const int ry_ = y_ / 2;
-                int remty_ = ty_;
-                const int tc_d = remty_ % 2;
-                (void)remty_;
-                int remry_ = ry_;
-                const int rc_c = remry_ % 3;
-                (void)remry_;
-                if (!((boff_c + rc_c < n_c) && (boff_d + tc_d < n_d))) continue;
-                double* restrict c_col_ = &g_C[c_base_ + (long)rc_c * st_C_c + (long)tc_d * st_C_d];
-                for (int x_ = 0; x_ < 8; ++x_)
-                    if (row_ok_[x_])
-                        c_col_[row_off_[x_]] = c_tile_[(long)x_ * 6 + y_];
+            {
+                int y_ = 0;
+                for (int rc_i2 = 0; rc_i2 < t_i2; ++rc_i2) {
+                    for (int tc_i3 = 0; tc_i3 < t_i3; ++tc_i3, ++y_) {
+                        if (!((boff_i2 + rc_i2 < n_i2) && (boff_i3 + tc_i3 < n_i3))) continue;
+                        double* restrict c_col_ = &g_C[c_base_ + (long)rc_i2 * st_C_i2 + (long)tc_i3 * st_C_i3];
+                        for (int x_ = 0; x_ < btx_; ++x_)
+                            if (row_ok_[x_])
+                                c_col_[row_off_[x_]] = c_tile_[(long)x_ * bty_ + y_];
+                    }
+                }
             }
         }
-        free(s_a); free(s_b); free(c_tile_);
+        free(s_a); free(s_b); free(c_tile_); free(row_off_); free(row_ok_);
     }
     return failed_ ? 2 : 0;
 }
 
+/* tc_kernel: C[a,b,c,d] = A[a,e,b,f] * B[d,f,c,e]
+ * config: TBx=[a:4] TBy=[d:2] TBk=[e:2, f:2] REGx=[b:2] REGy=[c:3]
+ * indices: i0=a, i1=b, i2=c, i3=d, i4=e, i5=f; compiles as serial C99 without -fopenmp
+ */
 int main(int argc, char** argv)
 {
     if (argc != 10) {
@@ -180,7 +178,7 @@ int main(int argc, char** argv)
     if (fread(A_, sizeof(double), elems_a, fa) != (size_t)elems_a) return 4;
     if (fread(B_, sizeof(double), elems_b, fb) != (size_t)elems_b) return 4;
     fclose(fa); fclose(fb);
-    const int status_ = tc_kernel_omp(C_, A_, B_, n_a, n_b, n_c, n_d, n_e, n_f);
+    const int status_ = tc_kernel_omp(C_, A_, B_, n_a, n_b, n_c, n_d, n_e, n_f, 4, 2, 3, 2, 2, 2);
     if (status_ != 0) return status_;
     FILE* fc = fopen(argv[9], "wb");
     if (!fc) return 5;

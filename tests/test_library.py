@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from repro import Cogent, parse
+from repro import Cogent, obs, parse
+from repro.core.codegen import chost
 from repro.core.library import KernelLibrary, clamp_config
 from repro.core.mapping import config_from_spec
-from repro.gpu.executor import random_operands, reference_contract
+from repro.gpu.executor import (
+    integer_operands,
+    random_operands,
+    reference_contract,
+)
+
+from .conftest import requires_cc
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +96,28 @@ class TestDispatch:
         a, b = random_operands(c, seed=4)
         got = library.dispatch(a, b)
         assert np.allclose(got, reference_contract(c, a, b))
+
+
+@requires_cc
+def test_dispatch_memoizes_rebinds_and_runs_natively(monkeypatch):
+    monkeypatch.setattr(chost, "_LIBRARIES", {})
+    lib = KernelLibrary(
+        "ab-ak-kb", [32], generator=Cogent(top_k=4, allow_split=False)
+    )
+    builds = 0
+    # Even extents above every tile: one structure at all three sizes.
+    for extent in (32, 34, 36):
+        c = parse("ab-ak-kb", extent)
+        a, b = integer_operands(c, seed=extent)
+        want = reference_contract(c, a, b).tobytes()
+        for native_calls in (0, 1):
+            with obs.tracing() as session:
+                got = lib.dispatch(a, b)
+            counters = session.metrics
+            assert counters.counter("execute.native_calls") == native_calls
+            builds += counters.counter("chost.builds")
+            assert got.tobytes() == want
+    assert builds == 1
 
 
 class TestClampConfig:

@@ -1,0 +1,158 @@
+"""Shape-generic OpenMP programs: one build per kernel structure.
+
+The OpenMP target spells index names canonically and takes every tile
+size as an ``entry`` argument, so the built text depends only on a
+kernel's structure (index placement, the ``MR x NR`` register block and
+the staging vector widths).  One build must then be exact across every
+extent and tiling of its structure, and a network's step kernels must
+collapse onto a few programs, which is what lets networks run natively.
+"""
+
+from __future__ import annotations
+
+import string
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import Cogent, api, obs
+from repro.core.codegen import chost, get_target, openmp
+from repro.core.library import clamp_config
+from repro.core.mapping import config_from_spec
+from repro.core.parser import parse
+from repro.core.plan import KernelPlan
+from repro.gpu.executor import integer_operands, random_operands
+from repro.tccg import get
+
+from .conftest import requires_cc
+
+#: The ``network_warm`` shapes of the end-to-end benchmark: 16 chains
+#: of 11 matrices, extents 2-48, drawn from seed 2019.
+NETWORK_SHAPE_SEED = 2019
+
+
+def chain_networks(count=16, tensors=11):
+    shapes = np.random.default_rng(NETWORK_SHAPE_SEED)
+    letters = string.ascii_letters[: tensors + 1]
+    networks = []
+    for _ in range(count):
+        extents = shapes.integers(2, 49, size=tensors + 1)
+        expr = ",".join(
+            letters[j:j + 2] for j in range(tensors)
+        ) + "->" + letters[0] + letters[-1]
+        networks.append((expr, dict(zip(letters, map(int, extents)))))
+    return networks
+
+
+@pytest.fixture(scope="module")
+def compiled_chains():
+    options = api.Options(workers=1)
+    return [
+        api.compile_network(expr, sizes, options=options)
+        for expr, sizes in chain_networks()
+    ]
+
+
+def test_network_steps_share_few_programs(compiled_chains):
+    kernels = [k for net in compiled_chains for k in net.kernels]
+    assert len(kernels) == 160
+    keys = {openmp.program_key(k.plan) for k in kernels}
+    assert len(keys) <= 40
+
+
+@requires_cc
+def test_network_second_execute_is_native(compiled_chains, monkeypatch):
+    monkeypatch.setattr(chost, "_LIBRARIES", {})
+    # The first network with a split step.
+    (expr, sizes), network = next(
+        (shape, net) for shape, net in zip(chain_networks(), compiled_chains)
+        if any(k.split_specs for k in net.kernels)
+    )
+    steps = len(network.path.steps)
+    rng = np.random.default_rng(3)
+    operands = [
+        rng.integers(-2, 3, size=[sizes[i] for i in subscript])
+        .astype(np.float64)
+        for subscript in network.spec.inputs
+    ]
+    want = np.einsum(expr, *operands, optimize=True)
+    for tier in ("interpreter_calls", "native_calls"):
+        with obs.tracing() as session:
+            got = network.execute(*operands)
+        assert session.metrics.counter(f"execute.{tier}") == steps
+        assert np.allclose(got, want, rtol=1e-10)
+
+
+# -- one build, every tiling of a structure ----------------------------------
+
+
+def run_exact(plan):
+    """Run ``plan`` natively, exact against einsum and cemu; return the
+    number of OpenMP builds the runs took."""
+    c = plan.contraction
+    a, b = integer_operands(c, seed=1)
+    x, y = random_operands(c, seed=2)
+    with obs.tracing() as session:
+        exact = openmp.compile_and_run(plan, a, b)
+        real = openmp.compile_and_run(plan, x, y)
+    assert exact.tobytes() == np.einsum(c.einsum_spec(), a, b).tobytes()
+    cemu = get_target("cemu").compile_and_run(plan, x, y)
+    assert real.tobytes() == cemu.tobytes()
+    return session.metrics.counter("chost.builds")
+
+
+def assert_one_build_per_structure(examples):
+    """Run every plan ``examples`` draws; one build per program key."""
+    keys, builds = set(), []
+
+    def run(plan):
+        keys.add(openmp.program_key(plan))
+        builds.append(run_exact(plan))
+
+    examples(run)
+    assert sum(builds) == len(keys)
+    return keys
+
+
+@requires_cc
+def test_matmul_one_build_across_extents_and_tiles(monkeypatch):
+    monkeypatch.setattr(chost, "_LIBRARIES", {})
+
+    # ``ab,bc->ac``: odd a/b tiles stage with width 1 and give MR = 3,
+    # c tiles give NR = 5, so every draw has one structure.
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(
+        tiles=st.tuples(st.sampled_from([3, 9, 15]),
+                        st.sampled_from([1, 3, 5, 7]),
+                        st.sampled_from([5, 10, 15, 20])),
+        slack=st.tuples(*[st.integers(0, 20)] * 3),
+    )
+    def examples(run, tiles, slack):
+        sizes = {i: t + s for i, t, s in zip("abc", tiles, slack)}
+        c = parse("ac-ab-bc", sizes)
+        run(KernelPlan(c, config_from_spec(
+            c, tb_x=[("a", tiles[0])], tb_y=[("c", tiles[2])],
+            tb_k=[("b", tiles[1])],
+        )))
+
+    assert len(assert_one_build_per_structure(examples)) == 1
+
+
+@requires_cc
+def test_tccg_entry_one_build_per_structure(monkeypatch):
+    monkeypatch.setattr(chost, "_LIBRARIES", {})
+    entry = get("ttm_mode2")
+    kernel = Cogent(top_k=4, allow_split=False).generate(entry.scaled(0.1))
+    names = kernel.contraction.all_indices
+
+    # The searched config clamped to random (often ragged or prime)
+    # extents, as a size dispatch rebinds it.
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(extents=st.tuples(*[st.integers(2, 33)] * len(names)))
+    def examples(run, extents):
+        c = kernel.contraction.with_sizes(dict(zip(names, extents)))
+        run(KernelPlan(c, clamp_config(kernel.config, c)))
+
+    assert_one_build_per_structure(examples)
