@@ -10,8 +10,9 @@ Three measurements over the staged pipeline
   allocate-per-step on three networks (the asymmetric MPS-like chain,
   a CCSD-style two-term residual network, a Tucker decomposition);
   execution is asserted ``allclose`` to one big einsum.
-* **pipeline wall time** — cold vs warm compile of the CCSD diagram
-  workload against a persistent store (warm must search zero times).
+* **workload wall time** — cold vs warm compile of the CCSD diagram
+  set through one :class:`~repro.core.program.CompilationSession`
+  against a persistent store (warm must search zero times).
 
 Numbers land in ``BENCH_network_compile.json`` at the repo root.  Run
 from the repository root so ``tests.oracles`` is importable.
@@ -29,6 +30,7 @@ from repro.core.generator import Cogent
 from repro.core.network import optimal_path, parse_network
 from repro.core.parser import parse_compact
 from repro.core.pipeline import NetworkPipeline
+from repro.core.program import CompilationSession
 from tests.oracles import object_optimal_path
 
 
@@ -140,15 +142,15 @@ def run_workload(store_dir):
     names = [name for name, _ in DIAGRAMS]
 
     start = time.perf_counter()
-    cold = NetworkPipeline(
+    cold = CompilationSession(
         Cogent(arch=ARCH, top_k=TOP_K), store=store_dir
-    ).compile_workload(contractions, kernel_names=names)
+    ).compile(contractions, kernel_names=names)
     cold_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    warm = NetworkPipeline(
+    warm = CompilationSession(
         Cogent(arch=ARCH, top_k=TOP_K), store=store_dir
-    ).compile_workload(contractions, kernel_names=names)
+    ).compile(contractions, kernel_names=names)
     warm_s = time.perf_counter() - start
 
     assert warm.stats.searches == 0, "warm-store run must not search"

@@ -28,7 +28,8 @@ from .core.cache import KernelCache, contract
 from .core.generator import Cogent, GeneratedKernel
 from .core.library import KernelLibrary
 from .core.merging import MergeSpec, merge_candidates, normalize
-from .core.network import NetworkContractor, contract_network, optimal_path, parse_network
+from .core.network import optimal_path, parse_network
+from .core.pipeline import CompiledNetwork, NetworkPipeline, contract_network
 from .core.program import (
     CompilationSession,
     CompiledProgram,
@@ -78,6 +79,7 @@ __all__ = [
     "tune",
     "Cogent",
     "CompilationSession",
+    "CompiledNetwork",
     "CompiledProgram",
     "ConstraintChecker",
     "ConstraintPolicy",
@@ -97,7 +99,7 @@ __all__ = [
     "KernelPlan",
     "KernelStore",
     "MergeSpec",
-    "NetworkContractor",
+    "NetworkPipeline",
     "SplitSpec",
     "ModelParams",
     "PASCAL_P100",

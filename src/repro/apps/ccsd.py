@@ -94,32 +94,30 @@ class CcsdDriver:
         )
 
     def precompile(self):
-        """Compile the diagram set through the whole-network pipeline.
+        """Compile the diagram set as one deduplicated batch.
 
-        All three diagrams go through one
-        :class:`~repro.core.pipeline.NetworkPipeline` workload compile —
-        the dedup stage (a single
-        :class:`~repro.core.program.CompilationSession`) searches once
-        per isomorphic diagram, and with ``store_dir`` set a warm
-        process performs zero searches.  Diagrams keep their exact
-        :class:`Contraction` objects (workload mode never rewrites
+        One :class:`~repro.core.program.CompilationSession` compile
+        searches once per isomorphic diagram, and with ``store_dir``
+        set a warm process performs zero searches.  Diagrams keep their
+        exact :class:`Contraction` objects (the session never rewrites
         operand or output index orders), so kernels are bit-identical
         to per-diagram compilation.  Every subsequent :meth:`residual`
         sweep reuses these kernels without a search.
         """
-        from ..core.pipeline import NetworkPipeline
+        from ..core.program import CompilationSession
 
-        pipeline = NetworkPipeline(self.generator, store=self.store_dir)
-        net = pipeline.compile_workload(
+        program = CompilationSession(
+            self.generator, store=self.store_dir
+        ).compile(
             [self._contraction(expr) for _, expr in DIAGRAMS],
             kernel_names=[name for name, _ in DIAGRAMS],
         )
         self._kernels.update(
             (name, kernel)
-            for (name, _), kernel in zip(DIAGRAMS, net.kernels)
+            for (name, _), kernel in zip(DIAGRAMS, program.kernels)
         )
         self._precompiled = True
-        return net.stats
+        return program.stats
 
     def residual(
         self, t2: np.ndarray, use_kernels: bool = True

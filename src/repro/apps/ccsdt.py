@@ -160,29 +160,30 @@ class TriplesDriver:
         return self._kernels[term.name]
 
     def precompile(self):
-        """Compile all 18 terms through the whole-network pipeline.
+        """Compile all 18 terms as one deduplicated batch.
 
-        One :class:`~repro.core.pipeline.NetworkPipeline` workload
-        compile covers the full d1+d2 term set: the dedup stage
-        searches once per canonical shape, and with ``store_dir`` set a
-        warm process rebuilds every kernel from the persistent store
-        with zero searches.  Terms keep their exact contractions
-        (workload mode never rewrites index orders) and terms already
-        generated via :meth:`kernel_for` are kept as-is.
+        One :class:`~repro.core.program.CompilationSession` compile
+        covers the full d1+d2 term set: it searches once per canonical
+        shape, and with ``store_dir`` set a warm process rebuilds every
+        kernel from the persistent store with zero searches.  Terms
+        keep their exact contractions (the session never rewrites index
+        orders) and terms already generated via :meth:`kernel_for` are
+        kept as-is.
         """
-        from ..core.pipeline import NetworkPipeline
+        from ..core.program import CompilationSession
 
         pending = [t for t in self.terms if t.name not in self._kernels]
         if not pending:
             return None
-        pipeline = NetworkPipeline(self.generator, store=self.store_dir)
-        net = pipeline.compile_workload(
+        program = CompilationSession(
+            self.generator, store=self.store_dir
+        ).compile(
             [parse_compact(t.expr, self.sizes_for(t)) for t in pending],
             kernel_names=[t.name for t in pending],
         )
-        for term, kernel in zip(pending, net.kernels):
+        for term, kernel in zip(pending, program.kernels):
             self._kernels[term.name] = kernel
-        return net.stats
+        return program.stats
 
     # -- evaluation -----------------------------------------------------------
 

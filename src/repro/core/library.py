@@ -21,12 +21,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from .cache import _rebind_kernel
 from .codegen import indexing as ix
 from .generator import Cogent, GeneratedKernel
 from .ir import Contraction
 from .mapping import IndexMapping, KernelConfig
 from .parser import SizesArg, parse, resolve_sizes
-from .plan import KernelPlan
 
 
 @dataclass
@@ -118,7 +118,8 @@ class KernelLibrary:
 
         Generated kernels are correct for arbitrary extents (the
         extents are parameters); the functional path rebinds the
-        selected plan to the actual sizes, clamping any tile that
+        selected plan to the actual sizes, replaying its merge and split
+        rewrites at those sizes and clamping any tile that
         exceeds a (smaller) actual extent — the same effect the kernel's
         bounds predicates have on hardware.  The rebound kernel is
         memoized per extents, so a size's first dispatch is that
@@ -130,46 +131,10 @@ class KernelLibrary:
         rebound = self._rebound.get(key)
         if rebound is None:
             kernel = self.select(sizes).kernel
-            rebound = self._rebound[key] = self._rebind(kernel, sizes)
+            rebound = self._rebound[key] = _rebind_kernel(
+                kernel, kernel.original_contraction.with_sizes(sizes)
+            )
         return rebound.execute(a, b)
-
-    def _rebind(
-        self, kernel: GeneratedKernel, sizes: Mapping[str, int]
-    ) -> GeneratedKernel:
-        from dataclasses import replace
-
-        original = kernel.original_contraction.with_sizes(
-            resolve_sizes(kernel.original_contraction.all_indices, dict(sizes))
-        )
-        # Re-apply the kernel's rewrites (merge, then split) at the new
-        # sizes so the recorded specs still line up.
-        contraction = original
-        merge_specs = kernel.merge_specs
-        split_specs = kernel.split_specs
-        if merge_specs:
-            from .merging import merge_pair
-
-            for spec in merge_specs:
-                contraction, _ = merge_pair(
-                    contraction, spec.low_name, spec.high_name
-                )
-        merged = contraction
-        if split_specs:
-            from .splitting import split_index
-
-            for spec in split_specs:
-                contraction, _ = split_index(
-                    contraction, spec.index, spec.factor
-                )
-        config = clamp_config(kernel.config, contraction)
-        plan = KernelPlan(contraction, config, kernel.plan.dtype_bytes)
-        return replace(
-            kernel,
-            contraction=contraction,
-            plan=plan,
-            original_contraction=original,
-            merged_contraction=merged,
-        )
 
     # -- emission -------------------------------------------------------------
 

@@ -4,12 +4,13 @@ Real workloads (coupled-cluster residuals, tensor-network methods —
 the paper's reference [1] is "Optimal contraction order of multiple
 tensors") contract *chains* of tensors: ``E[...] = A * B * C * D``.
 COGENT generates kernels for binary contractions; this module supplies
-the layer above: parse an n-ary einsum-like specification, find the
-optimal *pairwise contraction order* by dynamic programming over tensor
-subsets (minimising total FLOPs, with the largest intermediate as a
-tie-breaker), lower each pairwise step to a
-:class:`~repro.core.ir.Contraction`, and generate/execute/predict the
-whole sequence through the standard pipeline.
+the two pieces of the layer above that need no kernels: the n-ary
+einsum-like specification (:class:`NetworkSpec`, :func:`parse_network`)
+and the optimal *pairwise contraction order* (:func:`optimal_path`), a
+dynamic program over tensor subsets that minimises total FLOPs, with
+the largest intermediate as a tie-breaker, and lowers each pairwise
+step to a :class:`~repro.core.ir.Contraction`.  Compiling and running
+the steps is :mod:`repro.core.pipeline`'s job.
 
 Index convention matches the rest of the package (first index fastest);
 intermediate tensors lay out their indices in the order: surviving
@@ -21,13 +22,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .generator import Cogent, GeneratedKernel
 from .ir import Contraction, ContractionError, TensorRef
 
 
@@ -609,195 +608,3 @@ def optimal_path(
     best_split, total, peak = optimal_split(tables, memory_cap)
     steps = _emit_steps(tables, best_split)
     return ContractionPath(spec, steps, total, peak)
-
-
-class NetworkContractor:
-    """Generates and runs kernels for a whole contraction network.
-
-    Pairwise steps are compiled as one batch through the dedup-first
-    workload compiler (:mod:`repro.core.program`): isomorphic steps —
-    common in chains like ``ab,bc,cd,de->ae`` where every hop has the
-    same shape — share a single search, and ``store`` (a
-    :class:`~repro.core.program.KernelStore` or directory path) lets
-    repeat runs across processes skip the search entirely.
-
-    The contractor also carries the pipeline's scheduling artifacts:
-    ``schedule`` (topological levels; independent same-level steps run
-    on a thread pool when ``workers > 1``, with a deterministic merge —
-    every step writes a distinct node slot) and ``memory_plan``
-    (liveness-based buffer arena; intermediates whose last use has
-    passed are dropped at each level boundary).  Both are computed on
-    demand when not supplied by a :class:`~repro.core.pipeline.
-    NetworkPipeline`.
-    """
-
-    def __init__(
-        self,
-        spec: NetworkSpec,
-        generator: Optional[Cogent] = None,
-        path: Optional[ContractionPath] = None,
-        store=None,
-        *,
-        session=None,
-        program=None,
-        schedule=None,
-        memory_plan=None,
-        workers: int = 1,
-        memory_cap: Optional[int] = None,
-    ) -> None:
-        from .pipeline import (
-            ContractionDAG, compute_schedule, plan_memory,
-        )
-        from .program import CompilationSession
-
-        self.spec = spec
-        self.generator = generator or Cogent()
-        self.path = path or optimal_path(spec, memory_cap=memory_cap)
-        self.workers = max(1, int(workers))
-        if program is None:
-            if session is None:
-                session = CompilationSession(self.generator, store=store)
-            program = session.compile(
-                [step.contraction for step in self.path.steps],
-                kernel_names=[
-                    f"net_step{i}" for i in range(len(self.path.steps))
-                ],
-            )
-        self.program = program
-        self.kernels: List[GeneratedKernel] = list(program.kernels)
-        dag = ContractionDAG.from_path(self.path)
-        self.schedule = schedule or compute_schedule(dag)
-        self.memory_plan = memory_plan or plan_memory(
-            dag, self.schedule, dtype_bytes=self.generator.dtype_bytes
-        )
-        self.path.planned_peak_bytes = self.memory_plan.planned_peak_bytes
-
-    # -- execution --------------------------------------------------------
-
-    def execute(self, *operands: np.ndarray) -> np.ndarray:
-        """Run the pairwise kernels level by level.
-
-        Each step runs its kernel's :meth:`~repro.core.generator.
-        GeneratedKernel.execute`, under the same per-kernel rule as
-        :func:`repro.contract`: a step's first call runs the numpy tile
-        interpreter, every later one the kernel's OpenMP build.  The
-        build is shared by every kernel of the same structure (whatever
-        its extents or tile sizes), so a network builds a few programs,
-        not one per step.
-
-        Independent steps within one topological level execute on a
-        thread pool when the contractor was built with ``workers > 1``
-        (native kernels and the interpreter's numpy calls release the
-        GIL).  Results are merged deterministically — each step owns a
-        distinct result node — so the output is bit-identical to the
-        serial path-order execution.  Intermediates are freed at level
-        boundaries once their last consumer has run, realising the
-        memory plan's liveness analysis.
-        """
-        if len(operands) != len(self.spec.inputs):
-            raise ValueError(
-                f"expected {len(self.spec.inputs)} operands, got "
-                f"{len(operands)}"
-            )
-        values: Dict[int, np.ndarray] = dict(enumerate(operands))
-        last_use = self.schedule.last_use
-        result_node = self.path.steps[-1].result
-
-        def run_step(index: int) -> Tuple[int, np.ndarray]:
-            step = self.path.steps[index]
-            return step.result, self.kernels[index].execute(
-                values[step.left], values[step.right]
-            )
-
-        for level, step_ids in enumerate(self.schedule.levels, start=1):
-            if self.workers > 1 and len(step_ids) > 1:
-                with ThreadPoolExecutor(
-                    max_workers=min(self.workers, len(step_ids))
-                ) as pool:
-                    for node, value in pool.map(run_step, step_ids):
-                        values[node] = value
-            else:
-                for index in step_ids:
-                    node, value = run_step(index)
-                    values[node] = value
-            # Liveness: drop intermediates whose last consumer has run.
-            for node in list(values):
-                if node != result_node and last_use.get(node, 0) <= level:
-                    del values[node]
-
-        result = values[result_node]
-        final_indices = self.path.steps[-1].contraction.c.indices
-        if final_indices != self.spec.output:
-            perm = tuple(
-                final_indices.index(i) for i in self.spec.output
-            )
-            result = np.ascontiguousarray(np.transpose(result, perm))
-        return result
-
-    def reference(self, *operands: np.ndarray) -> np.ndarray:
-        """numpy.einsum over the whole network (oracle).
-
-        ``optimize=True`` lets einsum pick its own pairwise order —
-        without it an n-operand einsum iterates the full joint index
-        space, which is intractable for chains past a few tensors.
-        """
-        subs = ",".join("".join(t) for t in self.spec.inputs)
-        return np.einsum(f"{subs}->{''.join(self.spec.output)}",
-                         *operands, optimize=True)
-
-    # -- prediction --------------------------------------------------------------
-
-    def predicted_time_s(self) -> float:
-        total = 0.0
-        for kernel in self.kernels:
-            sim = kernel.candidates[0].simulated
-            if sim is None:
-                sim = self.generator.predict(kernel.plan)
-            total += sim.time_s
-        return total
-
-    def summary(self) -> str:
-        plan = self.memory_plan
-        lines = [
-            f"network: "
-            + ",".join("".join(t) for t in self.spec.inputs)
-            + "->" + "".join(self.spec.output),
-            f"path   : {self.path}",
-            f"flops  : {self.path.total_flops / 1e6:.3f} MFLOP total, "
-            f"peak intermediate {self.path.peak_intermediate} elements",
-            f"sched  : {len(self.schedule.levels)} levels, "
-            f"max width {self.schedule.width}, {self.workers} workers",
-            f"memory : {plan.planned_peak_bytes} B arena "
-            f"({len(plan.buffer_bytes)} buffers) vs "
-            f"{plan.naive_peak_bytes} B allocate-per-step "
-            f"({plan.reduction:.2f}x)",
-            f"time   : {self.predicted_time_s() * 1e6:.1f} us predicted "
-            f"on {self.generator.arch.name}",
-        ]
-        return "\n".join(lines)
-
-
-def contract_network(
-    expr: str,
-    *operands: np.ndarray,
-    sizes=None,
-    generator: Optional[Cogent] = None,
-) -> np.ndarray:
-    """One-call n-ary contraction: ``contract_network("ab,bc,cd->ad", ...)``."""
-    if sizes is None:
-        probe = parse_network(expr, 2)
-        bound: Dict[str, int] = {}
-        for subscript, array in zip(probe.inputs, operands):
-            if array.ndim != len(subscript):
-                raise ValueError(
-                    f"operand for {''.join(subscript)!r} has "
-                    f"{array.ndim} axes"
-                )
-            for idx, extent in zip(subscript, array.shape):
-                if bound.setdefault(idx, extent) != extent:
-                    raise ValueError(
-                        f"inconsistent extent for index {idx!r}"
-                    )
-        sizes = bound
-    spec = parse_network(expr, sizes)
-    return NetworkContractor(spec, generator).execute(*operands)

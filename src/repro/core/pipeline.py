@@ -24,22 +24,24 @@ in the staged style of codelets' ``CompilationStage``/``CodeletProgram``
 * **dedup** — the steps are compiled as one batch through
   :class:`~repro.core.program.CompilationSession`: one search per
   canonical equivalence class, persistent-store aware.
-* **codegen** — the kernels are bound to an executable
-  :class:`~repro.core.network.NetworkContractor` (level-parallel,
-  liveness-freeing).
+* **codegen** — the kernels are bound into the executable
+  :class:`CompiledNetwork` (level-parallel, liveness-freeing).
 
-Every stage runs under an ``obs`` span (``network.<stage>``) and
-records its wall time in :attr:`CompiledNetwork.stage_wall`.
+:meth:`NetworkPipeline.compile` is the only way to build a network and
+:class:`CompiledNetwork` the only object that runs one;
+:func:`contract_network` is the one-call form of both.  Every stage
+runs under an ``obs`` span (``network.<stage>``) and records its wall
+time in :attr:`CompiledNetwork.stage_wall`.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (
-    Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
-)
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +50,6 @@ from .generator import Cogent, GeneratedKernel
 from .ir import Contraction, ContractionError
 from .network import (
     ContractionPath,
-    NetworkContractor,
     NetworkSpec,
     optimal_path,
     parse_network,
@@ -61,10 +62,10 @@ __all__ = [
     "DagStep",
     "NetworkSchedule",
     "MemoryPlan",
-    "PipelineStage",
     "NetworkPipeline",
     "CompiledNetwork",
     "compute_schedule",
+    "contract_network",
     "plan_memory",
 ]
 
@@ -101,13 +102,8 @@ class DagStep:
 class ContractionDAG:
     """A DAG of binary contraction steps over value nodes.
 
-    Two constructors cover the pipeline's entry points:
     :meth:`from_path` turns one network's pairwise contraction order
-    into a chain/tree, and :meth:`from_workload` wraps a batch of
-    independent binary contractions (e.g. the CCSD diagram set) so the
-    same schedule/memory/dedup stages apply without rewriting the
-    contractions themselves — important because apps pin exact output
-    index orders that a network-spec round-trip would not preserve.
+    into a chain/tree.
     """
 
     nodes: Tuple[DagNode, ...]
@@ -160,55 +156,6 @@ class ContractionDAG:
                 result=step.result,
                 contraction=step.contraction,
                 kernel_name=f"net_step{i}",
-            ))
-        return cls(tuple(nodes), tuple(steps))
-
-    @classmethod
-    def from_workload(
-        cls,
-        contractions: Sequence[Contraction],
-        kernel_names: Optional[Sequence[str]] = None,
-    ) -> "ContractionDAG":
-        """A DAG of independent binary contractions (all level 1).
-
-        Every contraction keeps its exact :class:`Contraction` —
-        operand and output index orders untouched — so compiled kernels
-        are bit-identical to per-contraction compilation.
-        """
-        if kernel_names is None:
-            kernel_names = [f"work{i}" for i in range(len(contractions))]
-        if len(kernel_names) != len(contractions):
-            raise ValueError(
-                "kernel_names must match contractions one-to-one"
-            )
-        nodes: List[DagNode] = []
-        steps: List[DagStep] = []
-        next_id = 0
-
-        def add(ref, is_input: bool, is_output: bool,
-                contraction: Contraction) -> int:
-            nonlocal next_id
-            nodes.append(DagNode(
-                id=next_id,
-                name=ref.name,
-                indices=ref.indices,
-                elements=contraction.num_elements(ref) or 1,
-                is_input=is_input,
-                is_output=is_output,
-            ))
-            next_id += 1
-            return next_id - 1
-
-        for contraction, kernel_name in zip(contractions, kernel_names):
-            left = add(contraction.a, True, False, contraction)
-            right = add(contraction.b, True, False, contraction)
-            result = add(contraction.c, False, True, contraction)
-            steps.append(DagStep(
-                left=left,
-                right=right,
-                result=result,
-                contraction=contraction,
-                kernel_name=kernel_name,
             ))
         return cls(tuple(nodes), tuple(steps))
 
@@ -359,101 +306,117 @@ def plan_memory(
 
 
 # ---------------------------------------------------------------------------
-# Pipeline
+# Compiled network
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class PipelineStage:
-    """One named compilation stage (codelets ``CompilationStage`` style).
-
-    ``fn`` mutates the build context in place; the pipeline wraps each
-    stage in an ``obs`` span (``network.<name>``) and records wall
-    time.  ``requires`` names context attributes that must already be
-    populated — a cheap structural dependency check that keeps stage
-    order honest.
-    """
-
-    name: str
-    fn: Callable[["_Build"], None]
-    requires: Tuple[str, ...] = ()
-
-    def run(self, build: "_Build") -> float:
-        for attr in self.requires:
-            if getattr(build, attr, None) is None:
-                raise ContractionError(
-                    f"stage {self.name!r} requires {attr!r}, which no "
-                    f"earlier stage produced"
-                )
-        start = time.perf_counter()
-        with obs.span(f"network.{self.name}"):
-            self.fn(build)
-        return time.perf_counter() - start
-
-
-@dataclass
-class _Build:
-    """Mutable state threaded through the pipeline stages."""
-
-    source: Union[str, NetworkSpec, None] = None
-    sizes: Optional[Mapping[str, int]] = None
-    workload: Optional[Tuple[Contraction, ...]] = None
-    kernel_names: Optional[Tuple[str, ...]] = None
-    spec: Optional[NetworkSpec] = None
-    path: Optional[ContractionPath] = None
-    dag: Optional[ContractionDAG] = None
-    schedule: Optional[NetworkSchedule] = None
-    memory_plan: Optional[MemoryPlan] = None
-    program: Optional[CompiledProgram] = None
-    contractor: Optional[NetworkContractor] = None
-    stage_wall: Dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
 class CompiledNetwork:
-    """Everything the pipeline produced for one network or workload.
+    """One compiled network: its pipeline artifacts and its executor.
 
-    For network compiles every field is populated and :meth:`execute`
-    runs the level-parallel contractor; for workload compiles (a batch
-    of independent contractions) ``spec``/``path``/``contractor`` are
-    ``None`` and the per-contraction kernels live in ``kernels``.
+    ``kernels[i]`` runs ``dag.steps[i]``.  Independent steps of one
+    schedule level run on a thread pool when ``workers > 1``, with a
+    deterministic merge — every step writes a distinct node slot — and
+    intermediates whose last use has passed are dropped at each level
+    boundary, realising the memory plan's liveness analysis.
     """
 
+    spec: NetworkSpec
+    path: ContractionPath
     dag: ContractionDAG
     schedule: NetworkSchedule
     memory_plan: MemoryPlan
     program: CompiledProgram
     stage_wall: Dict[str, float]
-    spec: Optional[NetworkSpec] = None
-    path: Optional[ContractionPath] = None
-    contractor: Optional[NetworkContractor] = None
+    generator: Cogent
+    workers: int = 1
+    kernels: Tuple[GeneratedKernel, ...] = field(init=False)
 
-    @property
-    def kernels(self) -> Tuple[GeneratedKernel, ...]:
-        return tuple(self.program.kernels)
+    def __post_init__(self) -> None:
+        self.kernels = tuple(self.program.kernels)
 
-    @property
-    def stats(self):
-        return self.program.stats
+    # -- execution --------------------------------------------------------
 
     def execute(self, *operands: np.ndarray) -> np.ndarray:
-        if self.contractor is None:
-            raise ContractionError(
-                "workload compiles have independent kernels; use "
-                ".kernels[i].execute(a, b) per contraction"
+        """Run the pairwise kernels level by level.
+
+        Each step runs its kernel's :meth:`~repro.core.generator.
+        GeneratedKernel.execute`, under the same per-kernel rule as
+        :func:`repro.contract`: a step's first call runs the numpy tile
+        interpreter, every later one the kernel's OpenMP build.  The
+        build is shared by every kernel of the same structure (whatever
+        its extents or tile sizes), so a network builds a few programs,
+        not one per step.
+
+        Native kernels and the interpreter's numpy calls release the
+        GIL, so same-level steps overlap when ``workers > 1``; the
+        output is bit-identical to serial path-order execution.
+        """
+        if len(operands) != len(self.spec.inputs):
+            raise ValueError(
+                f"expected {len(self.spec.inputs)} operands, got "
+                f"{len(operands)}"
             )
-        return self.contractor.execute(*operands)
+        values: Dict[int, np.ndarray] = dict(enumerate(operands))
+        last_use = self.schedule.last_use
+        result_node = self.path.steps[-1].result
+
+        def run_step(index: int) -> Tuple[int, np.ndarray]:
+            step = self.dag.steps[index]
+            return step.result, self.kernels[index].execute(
+                values[step.left], values[step.right]
+            )
+
+        for level, step_ids in enumerate(self.schedule.levels, start=1):
+            if self.workers > 1 and len(step_ids) > 1:
+                with ThreadPoolExecutor(
+                    max_workers=min(self.workers, len(step_ids))
+                ) as pool:
+                    for node, value in pool.map(run_step, step_ids):
+                        values[node] = value
+            else:
+                for index in step_ids:
+                    node, value = run_step(index)
+                    values[node] = value
+            # Liveness: drop intermediates whose last consumer has run.
+            for node in list(values):
+                if node != result_node and last_use.get(node, 0) <= level:
+                    del values[node]
+
+        result = values[result_node]
+        final_indices = self.path.steps[-1].contraction.c.indices
+        if final_indices != self.spec.output:
+            perm = tuple(
+                final_indices.index(i) for i in self.spec.output
+            )
+            result = np.ascontiguousarray(np.transpose(result, perm))
+        return result
 
     def reference(self, *operands: np.ndarray) -> np.ndarray:
-        if self.contractor is None:
-            raise ContractionError(
-                "workload compiles have no single network reference"
-            )
-        return self.contractor.reference(*operands)
+        """numpy.einsum over the whole network (oracle).
+
+        ``optimize=True`` lets einsum pick its own pairwise order —
+        without it an n-operand einsum iterates the full joint index
+        space, which is intractable for chains past a few tensors.
+        """
+        subs = ",".join("".join(t) for t in self.spec.inputs)
+        return np.einsum(f"{subs}->{''.join(self.spec.output)}",
+                         *operands, optimize=True)
+
+    # -- reporting --------------------------------------------------------
+
+    def predicted_time_s(self) -> float:
+        total = 0.0
+        for kernel in self.kernels:
+            sim = kernel.candidates[0].simulated
+            if sim is None:
+                sim = self.generator.predict(kernel.plan)
+            total += sim.time_s
+        return total
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly summary (CLI ``--json`` payload)."""
-        payload: Dict[str, object] = {
+        return {
             "steps": len(self.dag.steps),
             "levels": self.schedule.depth,
             "max_level_width": self.schedule.width,
@@ -466,38 +429,53 @@ class CompiledNetwork:
                 for name, wall in self.stage_wall.items()
             },
             "program": self.program.stats.as_dict(),
-        }
-        if self.spec is not None:
-            payload["network"] = (
+            "network": (
                 ",".join("".join(t) for t in self.spec.inputs)
                 + "->" + "".join(self.spec.output)
-            )
-        if self.path is not None:
-            payload["path"] = str(self.path)
-            payload["total_flops"] = self.path.total_flops
-            payload["peak_intermediate"] = self.path.peak_intermediate
-        return payload
+            ),
+            "path": str(self.path),
+            "total_flops": self.path.total_flops,
+            "peak_intermediate": self.path.peak_intermediate,
+        }
 
     def summary(self) -> str:
-        lines = []
-        if self.contractor is not None:
-            lines.append(self.contractor.summary())
-        else:
-            plan = self.memory_plan
-            lines.append(
-                f"workload: {len(self.dag.steps)} contractions, "
-                f"{self.schedule.depth} level(s)"
-            )
-            lines.append(
-                f"memory  : {plan.planned_peak_bytes} B arena vs "
-                f"{plan.naive_peak_bytes} B allocate-per-step"
-            )
-        lines.append("stages : " + ", ".join(
-            f"{name} {wall * 1e3:.1f}ms"
-            for name, wall in self.stage_wall.items()
-        ))
-        lines.append(self.program.stats.summary())
+        plan = self.memory_plan
+        lines = [
+            f"network: "
+            + ",".join("".join(t) for t in self.spec.inputs)
+            + "->" + "".join(self.spec.output),
+            f"path   : {self.path}",
+            f"flops  : {self.path.total_flops / 1e6:.3f} MFLOP total, "
+            f"peak intermediate {self.path.peak_intermediate} elements",
+            f"sched  : {len(self.schedule.levels)} levels, "
+            f"max width {self.schedule.width}, {self.workers} workers",
+            f"memory : {plan.planned_peak_bytes} B arena "
+            f"({len(plan.buffer_bytes)} buffers) vs "
+            f"{plan.naive_peak_bytes} B allocate-per-step "
+            f"({plan.reduction:.2f}x)",
+            f"time   : {self.predicted_time_s() * 1e6:.1f} us predicted "
+            f"on {self.generator.arch.name}",
+            "stages : " + ", ".join(
+                f"{name} {wall * 1e3:.1f}ms"
+                for name, wall in self.stage_wall.items()
+            ),
+            self.program.stats.summary(),
+        ]
         return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Pipeline
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _stage(name: str, stage_wall: Dict[str, float]) -> Iterator[None]:
+    """Run one stage under its ``network.<name>`` span and time it."""
+    start = time.perf_counter()
+    with obs.span(f"network.{name}"):
+        yield
+    stage_wall[name] = time.perf_counter() - start
 
 
 class NetworkPipeline:
@@ -521,135 +499,103 @@ class NetworkPipeline:
         self.session = CompilationSession(self.generator, store=store)
         self.memory_cap = memory_cap
         self.workers = max(1, int(workers))
-        self.stages: Tuple[PipelineStage, ...] = (
-            PipelineStage("parse", self._stage_parse),
-            PipelineStage("path", self._stage_path),
-            PipelineStage(
-                "schedule", self._stage_schedule, requires=("dag",)
-            ),
-            PipelineStage(
-                "memory", self._stage_memory, requires=("schedule",)
-            ),
-            PipelineStage("dedup", self._stage_dedup, requires=("dag",)),
-            PipelineStage(
-                "codegen", self._stage_codegen, requires=("program",)
-            ),
-        )
-
-    # -- stages -----------------------------------------------------------
-
-    def _stage_parse(self, build: _Build) -> None:
-        if build.workload is not None:
-            return  # workload entry: contractions arrive pre-parsed
-        if isinstance(build.source, NetworkSpec):
-            build.spec = build.source
-        else:
-            build.spec = parse_network(build.source, build.sizes)
-        obs.inc("network.parse.tensors", len(build.spec.inputs))
-
-    def _stage_path(self, build: _Build) -> None:
-        if build.workload is not None:
-            build.dag = ContractionDAG.from_workload(
-                build.workload, build.kernel_names
-            )
-            return
-        build.path = optimal_path(build.spec, memory_cap=self.memory_cap)
-        build.dag = ContractionDAG.from_path(build.path)
-        obs.gauge("network.path.flops", float(build.path.total_flops))
-        obs.gauge(
-            "network.path.peak_intermediate",
-            float(build.path.peak_intermediate),
-        )
-
-    def _stage_schedule(self, build: _Build) -> None:
-        build.schedule = compute_schedule(build.dag)
-        obs.gauge("network.schedule.levels", float(build.schedule.depth))
-        obs.gauge("network.schedule.width", float(build.schedule.width))
-
-    def _stage_memory(self, build: _Build) -> None:
-        build.memory_plan = plan_memory(
-            build.dag, build.schedule,
-            dtype_bytes=self.generator.dtype_bytes,
-        )
-        if build.path is not None:
-            build.path.planned_peak_bytes = (
-                build.memory_plan.planned_peak_bytes
-            )
-        obs.gauge(
-            "network.memory.planned_peak_bytes",
-            float(build.memory_plan.planned_peak_bytes),
-        )
-        obs.gauge(
-            "network.memory.naive_peak_bytes",
-            float(build.memory_plan.naive_peak_bytes),
-        )
-
-    def _stage_dedup(self, build: _Build) -> None:
-        build.program = self.session.compile(
-            [step.contraction for step in build.dag.steps],
-            kernel_names=[step.kernel_name for step in build.dag.steps],
-            workers=self.workers,
-        )
-        stats = build.program.stats
-        obs.inc("network.dedup.contractions", stats.contractions)
-        obs.inc("network.dedup.classes", stats.classes)
-        obs.inc("network.dedup.searches", stats.searches)
-
-    def _stage_codegen(self, build: _Build) -> None:
-        if build.path is None:
-            return  # workload kernels are already executable
-        build.contractor = NetworkContractor(
-            build.spec,
-            self.generator,
-            path=build.path,
-            program=build.program,
-            schedule=build.schedule,
-            memory_plan=build.memory_plan,
-            workers=self.workers,
-        )
-        obs.inc("network.codegen.kernels", len(build.program.kernels))
-
-    # -- entry points -----------------------------------------------------
 
     def compile(
         self,
         network: Union[str, NetworkSpec],
         sizes=None,
     ) -> CompiledNetwork:
-        """Compile one n-ary network end to end."""
-        build = _Build(source=network, sizes=sizes)
-        return self._run(build)
-
-    def compile_workload(
-        self,
-        contractions: Sequence[Contraction],
-        kernel_names: Optional[Sequence[str]] = None,
-    ) -> CompiledNetwork:
-        """Compile a batch of independent binary contractions.
-
-        The schedule is one level wide and every result is an output;
-        dedup and the memory plan still apply (the plan reports zero
-        arena bytes — outputs are the caller's).
-        """
-        build = _Build(
-            workload=tuple(contractions),
-            kernel_names=(
-                tuple(kernel_names) if kernel_names is not None else None
-            ),
-        )
-        return self._run(build)
-
-    def _run(self, build: _Build) -> CompiledNetwork:
+        """Compile one n-ary network end to end, stage by stage."""
+        stage_wall: Dict[str, float] = {}
         with obs.span("network.pipeline"):
-            for stage in self.stages:
-                build.stage_wall[stage.name] = stage.run(build)
-        return CompiledNetwork(
-            dag=build.dag,
-            schedule=build.schedule,
-            memory_plan=build.memory_plan,
-            program=build.program,
-            stage_wall=build.stage_wall,
-            spec=build.spec,
-            path=build.path,
-            contractor=build.contractor,
-        )
+            with _stage("parse", stage_wall):
+                if isinstance(network, NetworkSpec):
+                    spec = network
+                else:
+                    spec = parse_network(network, sizes)
+                obs.inc("network.parse.tensors", len(spec.inputs))
+
+            with _stage("path", stage_wall):
+                path = optimal_path(spec, memory_cap=self.memory_cap)
+                dag = ContractionDAG.from_path(path)
+                obs.gauge("network.path.flops", float(path.total_flops))
+                obs.gauge(
+                    "network.path.peak_intermediate",
+                    float(path.peak_intermediate),
+                )
+
+            with _stage("schedule", stage_wall):
+                schedule = compute_schedule(dag)
+                obs.gauge("network.schedule.levels", float(schedule.depth))
+                obs.gauge("network.schedule.width", float(schedule.width))
+
+            with _stage("memory", stage_wall):
+                memory_plan = plan_memory(
+                    dag, schedule, dtype_bytes=self.generator.dtype_bytes
+                )
+                path.planned_peak_bytes = memory_plan.planned_peak_bytes
+                obs.gauge(
+                    "network.memory.planned_peak_bytes",
+                    float(memory_plan.planned_peak_bytes),
+                )
+                obs.gauge(
+                    "network.memory.naive_peak_bytes",
+                    float(memory_plan.naive_peak_bytes),
+                )
+
+            with _stage("dedup", stage_wall):
+                program = self.session.compile(
+                    [step.contraction for step in dag.steps],
+                    kernel_names=[step.kernel_name for step in dag.steps],
+                    workers=self.workers,
+                )
+                stats = program.stats
+                obs.inc("network.dedup.contractions", stats.contractions)
+                obs.inc("network.dedup.classes", stats.classes)
+                obs.inc("network.dedup.searches", stats.searches)
+
+            # ``stage_wall`` is shared, so the codegen entry lands in
+            # ``compiled.stage_wall`` when the stage closes.
+            with _stage("codegen", stage_wall):
+                compiled = CompiledNetwork(
+                    spec=spec,
+                    path=path,
+                    dag=dag,
+                    schedule=schedule,
+                    memory_plan=memory_plan,
+                    program=program,
+                    stage_wall=stage_wall,
+                    generator=self.generator,
+                    workers=self.workers,
+                )
+                obs.inc("network.codegen.kernels", len(compiled.kernels))
+        return compiled
+
+
+def contract_network(
+    expr: str,
+    *operands: np.ndarray,
+    sizes=None,
+    generator: Optional[Cogent] = None,
+) -> np.ndarray:
+    """One-call n-ary contraction: ``contract_network("ab,bc,cd->ad", ...)``.
+
+    Extents are read off the operands unless ``sizes`` is given; the
+    network is compiled by :class:`NetworkPipeline` and executed once.
+    """
+    if sizes is None:
+        probe = parse_network(expr, 2)
+        bound: Dict[str, int] = {}
+        for subscript, array in zip(probe.inputs, operands):
+            if array.ndim != len(subscript):
+                raise ValueError(
+                    f"operand for {''.join(subscript)!r} has "
+                    f"{array.ndim} axes"
+                )
+            for idx, extent in zip(subscript, array.shape):
+                if bound.setdefault(idx, extent) != extent:
+                    raise ValueError(
+                        f"inconsistent extent for index {idx!r}"
+                    )
+        sizes = bound
+    return NetworkPipeline(generator).compile(expr, sizes).execute(*operands)

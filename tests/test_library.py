@@ -120,6 +120,32 @@ def test_dispatch_memoizes_rebinds_and_runs_natively(monkeypatch):
     assert builds == 1
 
 
+@requires_cc
+@pytest.mark.parametrize("sizes", [
+    {"a": 8, "b": 4, "c": 16, "k": 8},  # merged extents swapped
+    {"a": 2, "b": 8, "c": 16, "k": 8},  # merged low extent shrunk
+])
+def test_dispatch_replays_merge_at_actual_sizes(sizes):
+    # The version merges a and b at a=4, b=8; a dispatch at other
+    # extents must re-merge at those extents, not split the output by
+    # the representative's stale low extent.
+    lib = KernelLibrary(
+        "abc-abk-kc", [{"a": 4, "b": 8, "c": 16, "k": 8}],
+        generator=Cogent(top_k=2, allow_merge=True, allow_split=False),
+    )
+    assert lib.entries[0].kernel.merge_specs
+    c = parse("abc-abk-kc", sizes)
+    a, b = integer_operands(c, seed=1)
+    want = reference_contract(c, a, b)
+    for native_calls in (0, 1):
+        with obs.tracing() as session:
+            got = lib.dispatch(a, b)
+        assert session.metrics.counter("execute.native_calls") \
+            == native_calls
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestClampConfig:
     def test_tiles_clamped_to_extents(self):
         c = parse("ab-ak-kb", {"a": 4, "b": 4, "k": 4})

@@ -5,12 +5,8 @@ import pytest
 
 from repro import Cogent
 from repro.core.ir import ContractionError
-from repro.core.network import (
-    NetworkContractor,
-    contract_network,
-    optimal_path,
-    parse_network,
-)
+from repro.core.network import optimal_path, parse_network
+from repro.core.pipeline import NetworkPipeline, contract_network
 
 from .oracles import object_optimal_path
 
@@ -99,7 +95,7 @@ class TestOptimalPathDegenerate:
         # A square chain: both pairwise steps are the same matmul
         # shape, so the workload compiler searches once.
         spec = parse_network("ab,bc,cd->ad", 24)
-        nc = NetworkContractor(spec, Cogent(arch="V100", top_k=2))
+        nc = NetworkPipeline(Cogent(arch="V100", top_k=2)).compile(spec)
         assert nc.program.stats.classes == 1
         assert nc.program.stats.dedup_hits == 1
         rng = np.random.default_rng(7)
@@ -199,7 +195,7 @@ class TestExecution:
     def test_reference_matches_execute(self, gen):
         spec = parse_network("ab,bc,cd->ad",
                              {"a": 5, "b": 6, "c": 4, "d": 7})
-        nc = NetworkContractor(spec, gen)
+        nc = NetworkPipeline(gen).compile(spec)
         rng = np.random.default_rng(4)
         ops = [rng.random((5, 6)), rng.random((6, 4)),
                rng.random((4, 7))]
@@ -207,13 +203,13 @@ class TestExecution:
 
     def test_wrong_operand_count_rejected(self, gen):
         spec = parse_network("ab,bc->ac", 4)
-        nc = NetworkContractor(spec, gen)
+        nc = NetworkPipeline(gen).compile(spec)
         with pytest.raises(ValueError):
             nc.execute(np.zeros((4, 4)))
 
     def test_predicted_time_positive(self, gen):
         spec = parse_network("ab,bc,cd->ad", 64)
-        nc = NetworkContractor(spec, gen)
+        nc = NetworkPipeline(gen).compile(spec)
         assert nc.predicted_time_s() > 0
         assert "network" in nc.summary()
 
@@ -340,8 +336,8 @@ class TestMemoryCap:
     def test_capped_path_still_executes_correctly(self, gen):
         sizes = {"a": 2, "b": 33, "c": 50, "d": 3}
         spec = parse_network("ab,bc,cd->ad", sizes)
-        path = optimal_path(spec, memory_cap=99)
-        nc = NetworkContractor(spec, gen, path=path)
+        nc = NetworkPipeline(gen, memory_cap=99).compile(spec)
+        assert nc.path.peak_intermediate == 99
         rng = np.random.default_rng(5)
         ops = [
             rng.random((2, 33)), rng.random((33, 50)),
@@ -371,7 +367,7 @@ class TestDegenerateNetworks:
 
     def test_planned_peak_recorded_on_path(self, gen):
         spec = parse_network("ab,bc,cd->ad", 8)
-        nc = NetworkContractor(spec, gen)
+        nc = NetworkPipeline(gen).compile(spec)
         assert nc.path.planned_peak_bytes is not None
         assert nc.path.planned_peak_bytes >= 0
         assert (

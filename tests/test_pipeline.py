@@ -10,21 +10,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Cogent, api
+from repro import Cogent, api, obs
 from repro.core.ir import ContractionError
-from repro.core.network import (
-    NetworkContractor,
-    optimal_path,
-    parse_network,
-)
+from repro.core.network import optimal_path, parse_network
 from repro.core.parser import parse_compact
 from repro.core.pipeline import (
     CompiledNetwork,
     ContractionDAG,
     NetworkPipeline,
     compute_schedule,
+    contract_network,
     plan_memory,
 )
+from repro.core.program import CompilationSession
 
 from .oracles import object_optimal_path
 
@@ -66,24 +64,6 @@ class TestContractionDAG:
         assert by_id[0].elements == 15
         assert by_id[1].elements == 35
         assert by_id[2].elements == 21
-
-    def test_from_workload_all_level_one(self):
-        contractions = [
-            parse_compact("ab-ac-cb", 8),
-            parse_compact("ab-ac-cb", 8),
-        ]
-        dag = ContractionDAG.from_workload(contractions)
-        schedule = compute_schedule(dag)
-        assert schedule.depth == 1
-        assert len(schedule.levels[0]) == 2
-        # Every result is an output; nothing is an intermediate.
-        assert dag.intermediates == ()
-
-    def test_from_workload_name_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="one-to-one"):
-            ContractionDAG.from_workload(
-                [parse_compact("ab-ac-cb", 8)], kernel_names=["x", "y"]
-            )
 
 
 class TestSchedule:
@@ -208,6 +188,24 @@ class TestPipelineStages:
         assert payload["program"]["contractions"] == 3
         json.dumps(payload)  # JSON-serialisable
 
+    def test_contract_network_runs_every_stage(self, gen):
+        rng = np.random.default_rng(3)
+        ops = [rng.random((4, 5)), rng.random((5, 6)), rng.random((6, 3))]
+        with obs.tracing() as session:
+            got = contract_network("ab,bc,cd->ad", *ops, generator=gen)
+        paths = session.tracer.root.paths()
+        for name in ("parse", "path", "schedule", "memory", "dedup",
+                     "codegen"):
+            assert any(
+                p.endswith(f"network.pipeline/network.{name}")
+                for p in paths
+            ), name
+        assert np.allclose(got, ops[0] @ ops[1] @ ops[2])
+
+    def test_kernels_built_once(self, chain_net):
+        assert chain_net.kernels is chain_net.kernels
+        assert len(chain_net.kernels) == len(chain_net.dag.steps)
+
     def test_spec_input_accepted(self, gen):
         spec = parse_network("ab,bc->ac", 8)
         net = NetworkPipeline(gen).compile(spec)
@@ -245,10 +243,14 @@ class TestLevelParallel:
 
     def test_contractor_workers_attribute(self, gen):
         net = NetworkPipeline(gen, workers=3).compile("ab,bc->ac", 8)
-        assert net.contractor.workers == 3
+        assert net.workers == 3
 
 
 class TestWorkloadMode:
+    """Independent contraction batches (the CCSD/CCSD(T) term sets)
+    compile through one :class:`CompilationSession`, not the network
+    pipeline."""
+
     def test_kernels_bit_identical_to_per_contraction(self, gen):
         from repro.gpu.executor import integer_operands
 
@@ -256,21 +258,14 @@ class TestWorkloadMode:
             parse_compact("abij-acik-cbkj", {c: 6 for c in "abcijk"}),
             parse_compact("abij-acik-cbkj", {c: 6 for c in "abcijk"}),
         ]
-        net = NetworkPipeline(gen).compile_workload(contractions)
-        assert net.stats.classes == 1
-        assert net.stats.dedup_hits == 1
+        program = CompilationSession(gen).compile(contractions)
+        assert program.stats.classes == 1
+        assert program.stats.dedup_hits == 1
         solo = gen.generate(contractions[0])
         a, b = integer_operands(contractions[0])
         want = solo.execute(a, b)
-        for kernel in net.kernels:
+        for kernel in program.kernels:
             assert kernel.execute(a, b).tobytes() == want.tobytes()
-
-    def test_execute_raises_for_workload(self, gen):
-        net = NetworkPipeline(gen).compile_workload(
-            [parse_compact("ab-ac-cb", 8)]
-        )
-        with pytest.raises(ContractionError, match="workload"):
-            net.execute(np.zeros((8, 8)), np.zeros((8, 8)))
 
     def test_ccsd_precompile_routes_through_pipeline(self, tmp_path):
         from repro.apps.ccsd import CcsdDriver
@@ -382,7 +377,7 @@ class TestProperties:
         # bit-identical to einsum over the whole network.
         sizes = {"a": 3, "b": 4, "c": 5, "d": 4, "e": 3}
         spec = parse_network("ab,bc,cd,de->ae", sizes)
-        nc = NetworkContractor(spec, gen)
+        nc = NetworkPipeline(gen).compile(spec)
         rng = np.random.default_rng(9)
         ops = [
             rng.integers(-4, 5, tuple(

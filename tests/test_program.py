@@ -334,10 +334,11 @@ class TestApiCompileMany:
 
 class TestNetworkIntegration:
     def test_isomorphic_chain_steps_share_search(self):
-        from repro.core.network import NetworkContractor, parse_network
+        from repro.core.pipeline import NetworkPipeline
 
-        spec = parse_network("ab,bc,cd->ad", 24)
-        nc = NetworkContractor(spec, Cogent(arch="V100", top_k=2))
+        nc = NetworkPipeline(Cogent(arch="V100", top_k=2)).compile(
+            "ab,bc,cd->ad", 24
+        )
         assert len(nc.path.steps) == 2
         assert nc.program.stats.classes == 1
         assert nc.program.stats.dedup_hits == 1
@@ -346,15 +347,14 @@ class TestNetworkIntegration:
         assert np.allclose(nc.execute(*ops), nc.reference(*ops))
 
     def test_network_store_warms_across_instances(self, tmp_path):
-        from repro.core.network import NetworkContractor, parse_network
+        from repro.core.pipeline import NetworkPipeline
 
-        spec = parse_network("ab,bc->ac", 24)
-        NetworkContractor(
-            spec, Cogent(arch="V100", top_k=2), store=tmp_path
-        )
-        warm = NetworkContractor(
-            spec, Cogent(arch="V100", top_k=2), store=tmp_path
-        )
+        NetworkPipeline(
+            Cogent(arch="V100", top_k=2), store=tmp_path
+        ).compile("ab,bc->ac", 24)
+        warm = NetworkPipeline(
+            Cogent(arch="V100", top_k=2), store=tmp_path
+        ).compile("ab,bc->ac", 24)
         assert warm.program.stats.searches == 0
 
 
