@@ -21,7 +21,7 @@ def run_pruning_stats(selection):
     rows = []
     for bench in selection:
         contraction = bench.contraction()
-        result = Enumerator(contraction, VOLTA_V100).enumerate()
+        result = Enumerator(contraction, VOLTA_V100).search(keep=1)
         rows.append((bench, result.stats, paper_search_space(contraction)))
     return rows
 

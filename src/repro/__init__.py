@@ -23,7 +23,7 @@ Public API highlights:
 
 from .core.constraints import ConstraintChecker, ConstraintPolicy
 from .core.costmodel import CostModel, TransactionEstimate
-from .core.enumeration import Enumerator, enumerate_configs
+from .core.enumeration import Enumerator
 from .core.cache import KernelCache, contract
 from .core.generator import Cogent, GeneratedKernel
 from .core.library import KernelLibrary
@@ -113,7 +113,6 @@ __all__ = [
     "config_from_spec",
     "contract",
     "contract_network",
-    "enumerate_configs",
     "execute_plan",
     "get_arch",
     "make_contraction",

@@ -171,12 +171,15 @@ def _resolve_contraction(
 
 
 def _make_generator(args: argparse.Namespace, **extra) -> Cogent:
-    """Build a Cogent from normalized CLI flags."""
-    return Cogent(
+    """Build a Cogent from normalized CLI flags; ``extra`` keywords
+    (``workers`` included) override them."""
+    kwargs = dict(
         arch=args.arch, dtype_bytes=_dtype_bytes(args),
         workers=getattr(args, "workers", 1),
-        target=getattr(args, "target", None) or "cuda", **extra
+        target=getattr(args, "target", None) or "cuda",
     )
+    kwargs.update(extra)
+    return Cogent(**kwargs)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -489,11 +492,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
     benches = _select_benches(args)
 
-    cogent = Cogent(
-        arch=args.arch,
-        dtype_bytes=_dtype_bytes(args),
-        top_k=args.top_k,
-        workers=args.search_workers,
+    cogent = _make_generator(
+        args, top_k=args.top_k, workers=args.search_workers
     )
     session = CompilationSession(
         cogent, store=args.store_dir or args.cache_dir
@@ -568,11 +568,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     from .core.program import CompilationSession
 
     benches = _select_benches(args)
-    cogent = Cogent(
-        arch=args.arch,
-        dtype_bytes=_dtype_bytes(args),
-        top_k=args.top_k,
-    )
+    cogent = _make_generator(args, top_k=args.top_k)
     session = CompilationSession(cogent, store=args.store_dir)
     contractions = [bench.contraction() for bench in benches]
     program = session.compile(contractions, workers=args.workers)
@@ -619,11 +615,7 @@ def cmd_network(args: argparse.Namespace) -> int:
     from .core.parser import parse_size_spec as _sizes
     from .core.pipeline import NetworkPipeline
 
-    cogent = Cogent(
-        arch=args.arch,
-        dtype_bytes=_dtype_bytes(args),
-        top_k=args.top_k,
-    )
+    cogent = _make_generator(args, top_k=args.top_k)
     pipeline = NetworkPipeline(
         cogent,
         store=args.store_dir,

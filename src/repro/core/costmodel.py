@@ -25,7 +25,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .ir import Contraction, TensorRef
-from .mapping import KernelConfig, canonical_key
 from .plan import Axis, KernelPlan, ceil_div
 
 TRANSACTION_BYTES = 128
@@ -285,22 +284,6 @@ class CostModel:
     def cost(self, plan: KernelPlan) -> int:
         """Scalar cost used for ranking (total transactions)."""
         return self.estimate(plan).total
-
-    # -- ranking --------------------------------------------------------------
-
-    def rank(
-        self,
-        contraction: Contraction,
-        configs: Sequence[KernelConfig],
-    ) -> List[Tuple[KernelConfig, int]]:
-        """Sort configurations by ascending estimated transaction count."""
-        scored = [
-            (config, self.cost(KernelPlan(contraction, config,
-                                          self.dtype_bytes)))
-            for config in configs
-        ]
-        scored.sort(key=lambda pair: (pair[1], canonical_key(pair[0])))
-        return scored
 
 
 # -- execution-strategy traffic model ------------------------------------

@@ -20,7 +20,6 @@ performance constraints of :mod:`repro.core.constraints`.
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -32,7 +31,7 @@ from ..gpu.arch import GpuArch
 from .columnar import DEFAULT_BATCH_SIZE, ColumnarSpace
 from .constraints import ConstraintChecker, ConstraintPolicy, RuleStats
 from .ir import Contraction, IndexKind
-from .mapping import KernelConfig, config_from_spec
+from .mapping import KernelConfig
 
 Entry = Tuple[str, int]  # (index name, tile size)
 #: A scored survivor: (model cost, canonical key, configuration).
@@ -82,7 +81,6 @@ class EnumerationStats:
     raw_combinations: int = 0
     hardware_pruned: int = 0
     performance_pruned: int = 0
-    duplicates: int = 0
     accepted: int = 0
 
     @property
@@ -178,16 +176,13 @@ class SearchStats:
 
 @dataclass
 class EnumerationResult:
-    """Accepted configurations plus pruning statistics.
+    """The ranked head of one :meth:`Enumerator.search` plus pruning
+    statistics.
 
-    Produced by both search modes:
-
-    * :meth:`Enumerator.enumerate` materialises **all** accepted
-      configurations (``costs`` is ``None``);
-    * :meth:`Enumerator.search` streams the space through a bounded
-      top-k heap — ``configs`` holds only the ``keep`` best survivors in
-      rank order, with their model costs in ``costs``, and
-      ``search_stats`` carries the timing breakdown.
+    ``configs`` holds the ``keep`` best survivors in rank order with
+    their model costs in ``costs``; ``search_stats`` carries the timing
+    breakdown.  A kernel rebuilt from the store carries only its
+    winner and no ``search_stats``.
     """
 
     configs: List[KernelConfig]
@@ -195,11 +190,11 @@ class EnumerationResult:
     #: Configurations that were hardware-clean but perf-pruned; used as a
     #: fallback when the performance rules are too strict for a problem.
     feasible_rejects: List[KernelConfig] = field(default_factory=list)
-    #: Model costs aligned with ``configs`` (streaming search only).
+    #: Model costs aligned with ``configs``.
     costs: Optional[List[int]] = None
-    #: Model costs aligned with ``feasible_rejects`` (streaming only).
+    #: Model costs aligned with ``feasible_rejects``.
     reject_costs: Optional[List[int]] = None
-    #: Timing breakdown (streaming search only).
+    #: Timing breakdown of the search.
     search_stats: Optional[SearchStats] = None
 
 
@@ -320,9 +315,7 @@ class Enumerator:
         contraction: Contraction,
         arch: GpuArch,
         dtype_bytes: int = 8,
-        tb_sizes: Sequence[int] = DEFAULT_TB_SIZES,
         reg_sizes: Sequence[int] = DEFAULT_REG_SIZES,
-        tbk_sizes: Sequence[int] = DEFAULT_TBK_SIZES,
         policy: Optional[ConstraintPolicy] = None,
         max_configs: int = 200_000,
         batch_size: Optional[int] = None,
@@ -330,9 +323,7 @@ class Enumerator:
         self.contraction = contraction
         self.arch = arch
         self.dtype_bytes = dtype_bytes
-        self.tb_sizes = tuple(tb_sizes)
         self.reg_sizes = tuple(reg_sizes)
-        self.tbk_sizes = tuple(tbk_sizes)
         self.checker = ConstraintChecker(arch, dtype_bytes, policy)
         self.max_configs = max_configs
         #: Rows per evaluation batch (None = default).
@@ -355,7 +346,7 @@ class Enumerator:
         partials: Set[SidePartial] = set()
         fvi_extent = self._extents[c_fvi]
         tb_choices: Set[Tuple[Entry, ...]] = set()
-        for tb_size in self.tb_sizes:
+        for tb_size in DEFAULT_TB_SIZES:
             if fvi_extent >= tb_size:
                 tb_choices.add(((c_fvi, min(tb_size, fvi_extent)),))
                 continue
@@ -390,7 +381,7 @@ class Enumerator:
         if not externals:
             return [SidePartial((), ())]
         tb_choices: Set[Tuple[Entry, ...]] = set()
-        for tb_size in self.tb_sizes:
+        for tb_size in DEFAULT_TB_SIZES:
             for order in _rotations(externals):
                 entries, ok = _greedy_fill(order, self._extents, tb_size)
                 if ok:
@@ -434,7 +425,7 @@ class Enumerator:
                 ]
                 break
         choices: Set[Tuple[Entry, ...]] = set()
-        for tbk_size in self.tbk_sizes:
+        for tbk_size in DEFAULT_TBK_SIZES:
             for order in _rotations(internals):
                 entries, ok = _greedy_fill(order, self._extents, tbk_size)
                 if ok:
@@ -443,51 +434,6 @@ class Enumerator:
         if not choices:
             choices.add(tuple((i, self._extents[i]) for i in internals))
         return sorted(choices, key=str)
-
-    # -- combination + pruning ---------------------------------------------
-
-    def enumerate(self) -> EnumerationResult:
-        """Full enumeration: combine partials, prune, deduplicate."""
-        contraction = self.contraction
-        x_partials = self.enumerate_x_side()
-        y_partials = self.enumerate_y_side()
-        k_partials = self.enumerate_tb_k()
-
-        stats = EnumerationStats()
-        seen: Set[Tuple] = set()
-        accepted: List[KernelConfig] = []
-        feasible_rejects: List[KernelConfig] = []
-
-        for xp, yp, kp in itertools.product(x_partials, y_partials, k_partials):
-            stats.raw_combinations += 1
-            if stats.raw_combinations > self.max_configs:
-                break
-            key = (xp.tb, xp.reg, yp.tb, yp.reg, kp)
-            if key in seen:
-                stats.duplicates += 1
-                continue
-            seen.add(key)
-            config = config_from_spec(
-                contraction,
-                tb_x=xp.tb,
-                tb_y=yp.tb,
-                reg_x=xp.reg,
-                reg_y=yp.reg,
-                tb_k=kp,
-                fill_defaults=True,
-            )
-            report = self.checker.check_config(contraction, config)
-            if not report.feasible:
-                stats.hardware_pruned += 1
-                continue
-            if not report.accepted:
-                stats.performance_pruned += 1
-                feasible_rejects.append(config)
-                continue
-            stats.accepted += 1
-            accepted.append(config)
-
-        return EnumerationResult(accepted, stats, feasible_rejects)
 
     # -- streaming / parallel search ---------------------------------------
 
@@ -678,8 +624,7 @@ class Enumerator:
         payloads = [
             (
                 self.contraction, self.arch, self.dtype_bytes,
-                self.tb_sizes, self.reg_sizes, self.tbk_sizes,
-                self.checker.policy, self.max_configs,
+                self.reg_sizes, self.checker.policy, self.max_configs,
                 keep, shard, workers, self.batch_size,
             )
             for shard in range(workers)
@@ -689,11 +634,10 @@ class Enumerator:
 
 def _search_shard(payload: Tuple) -> _ShardOutcome:
     """Process-pool entry point: run one shard of a streaming search."""
-    (contraction, arch, dtype_bytes, tb_sizes, reg_sizes, tbk_sizes,
-     policy, max_configs, keep, shard, num_shards, batch_size) = payload
+    (contraction, arch, dtype_bytes, reg_sizes, policy, max_configs,
+     keep, shard, num_shards, batch_size) = payload
     enumerator = Enumerator(
-        contraction, arch, dtype_bytes,
-        tb_sizes=tb_sizes, reg_sizes=reg_sizes, tbk_sizes=tbk_sizes,
+        contraction, arch, dtype_bytes, reg_sizes=reg_sizes,
         policy=policy, max_configs=max_configs, batch_size=batch_size,
     )
     return enumerator._stream(keep, shard, num_shards)
@@ -715,7 +659,6 @@ def _merge_outcomes(
         stats.raw_combinations += outcome.stats.raw_combinations
         stats.hardware_pruned += outcome.stats.hardware_pruned
         stats.performance_pruned += outcome.stats.performance_pruned
-        stats.duplicates += outcome.stats.duplicates
         stats.accepted += outcome.stats.accepted
         search_stats.add(outcome.search)
     ranked = _merge_scored((o.top for o in outcomes), keep)
@@ -774,10 +717,8 @@ def _merge_scored(
 ) -> List[Scored]:
     """Streaming merge of per-shard bounded heads.
 
-    Deduplicates identical configurations that surfaced in several
-    shards (the same partial-combination key can occur at different
-    product positions), then takes the ``keep`` smallest by
-    (cost, canonical key) via :func:`heapq.nsmallest`.
+    Keeps one entry per canonical key, then takes the ``keep`` smallest
+    by (cost, canonical key) via :func:`heapq.nsmallest`.
     """
     best: Dict[str, Scored] = {}
     for items in shard_items:
@@ -788,13 +729,3 @@ def _merge_scored(
     return heapq.nsmallest(
         keep, best.values(), key=lambda e: (e[0], e[1])
     )
-
-
-def enumerate_configs(
-    contraction: Contraction,
-    arch: GpuArch,
-    dtype_bytes: int = 8,
-    **kwargs,
-) -> EnumerationResult:
-    """Convenience wrapper around :class:`Enumerator`."""
-    return Enumerator(contraction, arch, dtype_bytes, **kwargs).enumerate()

@@ -33,18 +33,12 @@ import numpy as np
 
 from .. import obs
 from ..gpu.arch import GpuArch, get_arch
-from ..gpu.simulator import GpuSimulator, ModelParams, SimulationResult
+from ..gpu.simulator import GpuSimulator, SimulationResult
 from .codegen.chost import EmulationError, NativeLibrary
 from .codegen.registry import get_target, list_targets
 from .constraints import ConstraintPolicy
 from .costmodel import CostModel, TransactionEstimate
-from .enumeration import (
-    DEFAULT_REG_SIZES,
-    DEFAULT_TB_SIZES,
-    DEFAULT_TBK_SIZES,
-    EnumerationResult,
-    Enumerator,
-)
+from .enumeration import DEFAULT_REG_SIZES, EnumerationResult, Enumerator
 from .ir import Contraction, ContractionError
 from .mapping import KernelConfig, canonical_key
 from .merging import MergeSpec, merge_operands, normalize, unmerge_output
@@ -124,7 +118,8 @@ class GeneratedKernel:
     @property
     def search_stats(self):
         """Timing breakdown of the search that picked this kernel
-        (``SearchStats`` or ``None`` on legacy full-enumeration paths)."""
+        (``SearchStats``), or ``None`` for a kernel rebuilt from the
+        store, which ran no search."""
         return self.enumeration.search_stats
 
     def source(self, target: Optional[str] = None) -> str:
@@ -276,6 +271,13 @@ class GeneratedKernel:
 class Cogent:
     """Model-driven GPU code generator for arbitrary tensor contractions.
 
+    Both :meth:`generate` and :meth:`rank_configs` run the one
+    configuration search, :meth:`Enumerator.search` (Algorithm 2
+    pruning, Algorithm 3 ranking): ``generate`` keeps the ``top_k``
+    best survivors, ``rank_configs`` the whole ranked head.  Thread-block
+    and ``TB_k`` size targets are the paper's, and the simulator runs
+    the architecture's default model parameters.
+
     Parameters
     ----------
     arch:
@@ -288,6 +290,8 @@ class Cogent:
         performance simulator.  ``top_k=1`` selects purely by the cost
         model (the paper's primary mode).  The streaming search keeps
         exactly ``top_k`` survivors in its bounded heap.
+    reg_sizes:
+        Register-tile dimension size targets (paper: 2, 4, 6, 8).
     workers:
         Process-pool width for the configuration search: the Cartesian
         product of partial-configuration families is striped across
@@ -302,11 +306,8 @@ class Cogent:
         arch: Union[str, GpuArch] = "V100",
         dtype_bytes: int = 8,
         top_k: int = 64,
-        tb_sizes: Sequence[int] = DEFAULT_TB_SIZES,
         reg_sizes: Sequence[int] = DEFAULT_REG_SIZES,
-        tbk_sizes: Sequence[int] = DEFAULT_TBK_SIZES,
         policy: Optional[ConstraintPolicy] = None,
-        sim_params: Optional[ModelParams] = None,
         allow_split: bool = True,
         split_factors: Sequence[int] = (4, 8, 16),
         allow_merge: bool = False,
@@ -337,12 +338,10 @@ class Cogent:
         self.strategy = strategy
         self.top_k = max(1, top_k)
         self.workers = max(1, int(workers))
-        self.tb_sizes = tuple(tb_sizes)
         self.reg_sizes = tuple(reg_sizes)
-        self.tbk_sizes = tuple(tbk_sizes)
         self.policy = policy
         self.cost_model = CostModel(dtype_bytes, self.arch.transaction_bytes)
-        self.simulator = GpuSimulator(self.arch, sim_params)
+        self.simulator = GpuSimulator(self.arch)
         #: Dimension-splitting extension (paper Section IV): consider
         #: rewriting an index into a (fast, slow) pair when one side of
         #: the contraction has too few external indices.
@@ -373,9 +372,9 @@ class Cogent:
                 for name, value in sorted(vars(self.policy).items())
             )
         return (
-            f"top_k={self.top_k};tb={self.tb_sizes};reg={self.reg_sizes};"
-            f"tbk={self.tbk_sizes};split={self.allow_split}"
-            f":{self.split_factors};merge={self.allow_merge};"
+            f"top_k={self.top_k};reg={self.reg_sizes};"
+            f"split={self.allow_split}:{self.split_factors};"
+            f"merge={self.allow_merge};"
             f"policy={policy};strategy={self.strategy};"
             f"target={self.target}"
         )
@@ -516,10 +515,20 @@ class Cogent:
     def rank_configs(
         self, contraction: Contraction
     ) -> List[Tuple[KernelConfig, int]]:
-        """All pruned configurations ranked by the cost model."""
-        enumeration = self._enumerate(contraction)
-        configs = enumeration.configs or enumeration.feasible_rejects
-        return self.cost_model.rank(contraction, configs)
+        """All pruned configurations ranked by the cost model.
+
+        The same search :meth:`generate` runs, keeping the whole ranked
+        head (up to the enumerator's ``max_configs`` cap).  When the
+        performance rules reject everything, the hardware-feasible
+        rejects are ranked instead, as :meth:`generate` falls back.
+        """
+        enumerator = self._enumerator(contraction)
+        result = enumerator.search(
+            keep=enumerator.max_configs, workers=self.workers
+        )
+        if result.configs:
+            return list(zip(result.configs, result.costs))
+        return list(zip(result.feasible_rejects, result.reject_costs))
 
     def estimate(self, plan: KernelPlan) -> TransactionEstimate:
         """Cost-model transaction estimate for an arbitrary plan."""
@@ -536,15 +545,9 @@ class Cogent:
             contraction,
             self.arch,
             self.dtype_bytes,
-            tb_sizes=self.tb_sizes,
             reg_sizes=self.reg_sizes,
-            tbk_sizes=self.tbk_sizes,
             policy=self.policy,
         )
-
-    def _enumerate(self, contraction: Contraction) -> EnumerationResult:
-        """Full (materialising) enumeration — the introspection path."""
-        return self._enumerator(contraction).enumerate()
 
     def _search(self, contraction: Contraction) -> EnumerationResult:
         """Streaming prune+rank search, sharded across ``workers``."""
@@ -568,12 +571,10 @@ class Cogent:
             raise RuntimeError(
                 f"no feasible configuration found for {contraction}"
             )
-        if costs:
-            # Streaming search: survivors arrive ranked, costs attached.
-            ranked = list(zip(configs, costs))
-        else:
-            ranked = self.cost_model.rank(contraction, configs)
-        candidates = [CandidateScore(cfg, cost) for cfg, cost in ranked]
+        # Survivors arrive ranked, with their costs attached.
+        candidates = [
+            CandidateScore(cfg, cost) for cfg, cost in zip(configs, costs)
+        ]
         if self.top_k == 1 or len(candidates) == 1:
             return candidates, "cost-model"
         # Micro-benchmark the top-k on the simulator and re-rank them

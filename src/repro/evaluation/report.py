@@ -108,7 +108,7 @@ def _pruning(out: io.StringIO, quick: bool) -> None:
     total_space = total_kept = 0
     for bench in _selection(quick):
         contraction = bench.contraction()
-        stats = Enumerator(contraction, VOLTA_V100).enumerate().stats
+        stats = Enumerator(contraction, VOLTA_V100).search(keep=1).stats
         total_space += paper_search_space(contraction)
         total_kept += stats.accepted
     fraction = 1 - total_kept / total_space

@@ -127,7 +127,6 @@ class MetricsRegistry:
         self.inc("search.raw_combinations", stats.raw_combinations)
         self.inc("search.hardware_pruned", stats.hardware_pruned)
         self.inc("search.performance_pruned", stats.performance_pruned)
-        self.inc("search.duplicates", stats.duplicates)
         self.inc("search.accepted", stats.accepted)
 
     def absorb_rule_stats(self, rule_stats: Mapping[str, object]) -> None:

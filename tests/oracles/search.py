@@ -145,9 +145,8 @@ def object_search(
     for xp, yp, kp in combos:
         stats.raw_combinations += 1
         key = (xp.tb, xp.reg, yp.tb, yp.reg, kp)
-        if key in seen:
-            stats.duplicates += 1
-            continue
+        # The three families are sets, so their product never repeats.
+        assert key not in seen, f"repeated product key {key}"
         seen.add(key)
         config = config_from_spec(
             contraction,

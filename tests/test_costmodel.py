@@ -9,6 +9,7 @@ from repro.core.costmodel import (
     row_transactions,
     row_transactions_paper,
 )
+from repro.core.enumeration import Enumerator
 from repro.core.mapping import config_from_spec
 from repro.core.parser import parse
 from repro.core.plan import KernelPlan
@@ -21,6 +22,12 @@ def eq1():
 
 def make_plan(c, **spec):
     return KernelPlan(c, config_from_spec(c, **spec))
+
+
+def ranked(c, arch):
+    """Every accepted configuration of ``c``, ranked by the search."""
+    enumerator = Enumerator(c, arch)
+    return enumerator.search(keep=enumerator.max_configs)
 
 
 class TestContiguousRun:
@@ -184,20 +191,17 @@ class TestClipped:
 
 class TestRank:
     def test_rank_sorted_ascending(self, eq1, v100):
-        from repro.core.enumeration import Enumerator
-
-        configs = Enumerator(eq1, v100).enumerate().configs
-        ranked = CostModel().rank(eq1, configs)
-        costs = [cost for _, cost in ranked]
-        assert costs == sorted(costs)
+        """The search ranks by ascending per-plan model cost."""
+        result = ranked(eq1, v100)
+        assert result.costs == sorted(result.costs)
+        model = CostModel()
+        assert result.costs == [
+            model.cost(KernelPlan(eq1, config)) for config in result.configs
+        ]
 
     def test_rank_deterministic(self, eq1, v100):
-        from repro.core.enumeration import Enumerator
-
-        configs = Enumerator(eq1, v100).enumerate().configs
-        model = CostModel()
-        first = [c.describe() for c, _ in model.rank(eq1, configs)[:10]]
-        second = [c.describe() for c, _ in model.rank(eq1, configs)[:10]]
+        first = [c.describe() for c in ranked(eq1, v100).configs[:10]]
+        second = [c.describe() for c in ranked(eq1, v100).configs[:10]]
         assert first == second
 
 
@@ -223,11 +227,10 @@ class TestMemoization:
         assert model.memo_misses == 3
 
     def test_shared_tilings_hit_across_configs(self, eq1, v100):
-        from repro.core.enumeration import Enumerator
-
-        configs = Enumerator(eq1, v100).enumerate().configs
+        configs = ranked(eq1, v100).configs
         model = CostModel()
-        model.rank(eq1, configs)
+        for config in configs:
+            model.cost(KernelPlan(eq1, config))
         info = model.memo_info()
         # Thousands of configurations share far fewer per-tensor tilings.
         assert info["hits"] > info["misses"]
@@ -237,9 +240,7 @@ class TestMemoization:
     def test_memoized_equals_fresh(self, eq1, v100):
         """Every memoized TransactionEstimate equals one computed by a
         brand-new model (no stale or mixed-up cache entries)."""
-        from repro.core.enumeration import Enumerator
-
-        configs = Enumerator(eq1, v100).enumerate().configs
+        configs = ranked(eq1, v100).configs
         shared = CostModel()
         for config in configs[:200]:
             plan = KernelPlan(eq1, config)

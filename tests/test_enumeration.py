@@ -102,41 +102,45 @@ class TestPartials:
         assert partials == [type(partials[0])((), ())]
 
 
+def _full(enumerator):
+    """The whole ranked head of ``enumerator``'s search."""
+    return enumerator.search(keep=enumerator.max_configs)
+
+
 class TestEnumerate:
     def test_produces_valid_configs(self, enumerator, eq1):
-        result = enumerator.enumerate()
+        result = _full(enumerator)
         assert result.configs
         for cfg in result.configs[:50]:
             cfg.validate_for(eq1)  # raises on violation
 
     def test_stats_add_up(self, enumerator):
-        result = enumerator.enumerate()
-        stats = result.stats
+        stats = _full(enumerator).stats
         total = (
             stats.hardware_pruned
             + stats.performance_pruned
-            + stats.duplicates
             + stats.accepted
         )
         assert total == stats.raw_combinations
 
     def test_pruned_fraction_between_0_and_1(self, enumerator):
-        stats = enumerator.enumerate().stats
+        stats = enumerator.search(keep=1).stats
         assert 0.0 <= stats.pruned_fraction <= 1.0
 
     def test_substantial_pruning_happens(self, enumerator):
-        stats = enumerator.enumerate().stats
+        stats = enumerator.search(keep=1).stats
         assert stats.pruned_fraction > 0.25
 
     def test_no_duplicate_configs(self, enumerator):
-        result = enumerator.enumerate()
+        result = _full(enumerator)
         descriptions = [cfg.describe() for cfg in result.configs]
         assert len(descriptions) == len(set(descriptions))
+        assert len(result.configs) == result.stats.accepted
 
     def test_contains_canonical_16x16_config(self, enumerator):
         """The classic 16x16 block with register tiling must be in the
         space (it is NWChem's fixed choice and the paper's Fig. 3)."""
-        result = enumerator.enumerate()
+        result = _full(enumerator)
         wanted = None
         for cfg in result.configs:
             if (
@@ -150,18 +154,19 @@ class TestEnumerate:
         assert wanted is not None
 
     def test_internal_indices_always_on_tbk(self, enumerator, eq1):
-        for cfg in enumerator.enumerate().configs[:100]:
+        for cfg in _full(enumerator).configs[:100]:
             for idx in eq1.internal_indices:
                 assert cfg.mapping_of(idx).dim is Dim.TB_K
 
     def test_max_configs_cap(self, eq1, v100):
         e = Enumerator(eq1, v100, max_configs=10)
-        result = e.enumerate()
-        assert result.stats.raw_combinations <= 11
+        result = _full(e)
+        assert result.stats.raw_combinations == 10
+        assert len(result.configs) <= 10
 
     def test_tiny_problem_falls_back_to_full_extents(self, v100):
         tiny = parse("ab-ak-kb", {"a": 2, "b": 2, "k": 2})
-        result = Enumerator(tiny, v100).enumerate()
+        result = _full(Enumerator(tiny, v100))
         # Everything may be perf-pruned, but hardware-feasible configs
         # must exist for the generator's fallback.
         assert result.configs or result.feasible_rejects

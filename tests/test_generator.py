@@ -3,8 +3,11 @@
 import pytest
 
 from repro import Cogent, parse
+from repro.core.enumeration import Enumerator
 from repro.core.generator import GeneratedKernel
 from repro.gpu.executor import verify_plan
+
+from .oracles import object_search
 
 
 class TestGenerate:
@@ -112,6 +115,26 @@ class TestRankAndPredict:
         sim = cogent_v100.predict(kernel.plan)
         assert est.total > 0
         assert sim.gflops > 0
+
+    @pytest.mark.parametrize("size, accepted", [(12, True), (5, False)])
+    def test_rank_configs_equals_full_oracle_ranking(self, v100, size,
+                                                     accepted):
+        """``rank_configs`` is the per-plan oracle's full ranking; at
+        extent 5 Eq. 1 accepts nothing and both rank the fallback
+        rejects."""
+        eq1 = parse("abcd-aebf-dfce", size)
+        enumerator = Enumerator(eq1, v100)
+        oracle = object_search(enumerator, keep=enumerator.max_configs)
+        if accepted:
+            assert oracle.stats.accepted == len(oracle.configs) > 0
+            want = zip(oracle.configs, oracle.costs)
+        else:
+            assert oracle.stats.accepted == 0
+            assert len(oracle.feasible_rejects) == 300
+            want = zip(oracle.feasible_rejects, oracle.reject_costs)
+        got = Cogent(allow_split=False).rank_configs(eq1)
+        assert [(c.describe(), cost) for c, cost in got] == \
+            [(c.describe(), cost) for c, cost in want]
 
     def test_best_config_beats_median_by_model(self, cogent_v100,
                                                eq1_repr):

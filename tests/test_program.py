@@ -417,6 +417,24 @@ class TestCompileCli:
         out = capsys.readouterr().out
         assert "0 searches" in out and "store 2 hits" in out
 
+    def test_compile_target_keys_the_store(self, tmp_path, capsys):
+        """``--target`` reaches the generator, so its winners are
+        stored under that target's key."""
+        from repro.cli import main
+        from repro.tccg import get
+
+        store = tmp_path / "store"
+        assert main(["compile", "ttm_mode1", "--target", "openmp",
+                     "--store-dir", str(store)]) == 0
+        contraction = get("ttm_mode1").contraction()
+        program = api.compile_many([contraction], options=api.Options(
+            target="openmp", store_dir=store))
+        assert program.stats.searches == 0
+        assert program.stats.store_hits == 1
+        other = api.compile_many([contraction], options=api.Options(
+            store_dir=store))
+        assert other.stats.searches == 1
+
     def test_compile_json_payload(self, tmp_path, capsys):
         from repro.cli import main
 
