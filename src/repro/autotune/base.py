@@ -22,7 +22,7 @@ from ..core.ir import Contraction
 from ..core.mapping import ConfigError, KernelConfig
 from ..core.plan import KernelPlan
 from ..gpu.arch import GpuArch
-from ..gpu.simulator import GpuSimulator, ModelParams
+from ..gpu.simulator import GpuSimulator
 
 
 class Evaluator:
@@ -33,12 +33,11 @@ class Evaluator:
         contraction: Contraction,
         arch: GpuArch,
         dtype_bytes: int = 8,
-        sim_params: Optional[ModelParams] = None,
     ) -> None:
         self.contraction = contraction
         self.dtype_bytes = dtype_bytes
         self.checker = ConstraintChecker(arch, dtype_bytes)
-        self.simulator = GpuSimulator(arch, sim_params)
+        self.simulator = GpuSimulator(arch)
         self.evaluations = 0
         self._cache: Dict[str, float] = {}
 

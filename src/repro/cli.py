@@ -239,7 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Validate a generated kernel against numpy.einsum."""
     from .core.validate import ALL_CHECKS, validate_kernel
 
-    cogent = Cogent(arch=args.arch, dtype_bytes=_dtype_bytes(args))
+    cogent = _make_generator(args)
     contraction = _resolve_contraction(args)
     # Validation executes the schedule in numpy; keep extents small.
     shrunk = {
@@ -259,11 +259,7 @@ def cmd_save(args: argparse.Namespace) -> int:
     """Generate a kernel and persist it as a package directory."""
     from .core.serialize import save_kernel
 
-    cogent = Cogent(
-        arch=args.arch,
-        dtype_bytes=_dtype_bytes(args),
-        top_k=args.top_k,
-    )
+    cogent = _make_generator(args, top_k=args.top_k)
     kernel = cogent.generate(_resolve_contraction(args))
     out = save_kernel(kernel, args.directory)
     print(f"saved kernel package to {out}")

@@ -23,7 +23,9 @@ bake their tiles in, so they build once per config.
 
 :meth:`~repro.core.generator.GeneratedKernel.execute` runs kernels
 through this harness: a kernel's first execute runs the numpy
-interpreter, every later one the library built here.
+interpreter (one ``numpy.einsum`` per serial ``k`` step, so it costs
+about as many einsum calls as the plan has steps), every later one the
+library built here.
 
 This module holds that shell once — the ``main()`` emitter, the staged
 tile-load loop emitter, and the build/run harness — so the executable

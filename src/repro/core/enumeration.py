@@ -20,6 +20,7 @@ performance constraints of :mod:`repro.core.constraints`.
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -717,15 +718,11 @@ def _merge_scored(
 ) -> List[Scored]:
     """Streaming merge of per-shard bounded heads.
 
-    Keeps one entry per canonical key, then takes the ``keep`` smallest
+    Shards score disjoint batches of the product space, so no canonical
+    key appears in two heads; the merge is the ``keep`` smallest entries
     by (cost, canonical key) via :func:`heapq.nsmallest`.
     """
-    best: Dict[str, Scored] = {}
-    for items in shard_items:
-        for entry in items:
-            existing = best.get(entry[1])
-            if existing is None or entry[0] < existing[0]:
-                best[entry[1]] = entry
     return heapq.nsmallest(
-        keep, best.values(), key=lambda e: (e[0], e[1])
+        keep, itertools.chain.from_iterable(shard_items),
+        key=lambda e: (e[0], e[1]),
     )

@@ -151,8 +151,10 @@ class GeneratedKernel:
 
         Merge/split rewrites are applied to the operands and undone on
         the output.  The kernel's first execute runs the numpy tile
-        interpreter (counted as ``execute.interpreter_calls``), so a
-        kernel executed once never waits for ``cc``.  Every later one
+        interpreter (counted as ``execute.interpreter_calls``), one
+        ``numpy.einsum`` per serial ``k`` step (about 0.2 ms for a
+        CCSD(T) triples term at o = v = 5), so a kernel executed once
+        never waits for ``cc``.  Every later one
         runs the kernel's OpenMP program in-process
         (:func:`repro.core.codegen.openmp.build`;
         ``execute.native_calls``), built on the first such call unless a
@@ -193,8 +195,9 @@ class GeneratedKernel:
 
     def interpret(self, a, b):
         """:meth:`execute` on the numpy tile interpreter only
-        (:func:`repro.gpu.executor.execute_plan`): the oracle the native
-        path is tested against."""
+        (:func:`repro.gpu.executor.execute_plan`, one ``numpy.einsum``
+        per serial ``k`` step): the oracle the native path is tested
+        against."""
         from ..gpu.executor import execute_plan
 
         return self._rewritten(

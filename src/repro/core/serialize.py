@@ -15,6 +15,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Union
 
+from .codegen.registry import get_target
 from .generator import GeneratedKernel
 from .ir import Contraction, TensorRef
 from .mapping import Dim, IndexMapping, KernelConfig
@@ -126,7 +127,12 @@ def save_kernel(
     directory: Union[str, Path],
     include_opencl: bool = True,
 ) -> Path:
-    """Write sources + metadata into ``directory`` (created if needed)."""
+    """Write sources + metadata into ``directory`` (created if needed).
+
+    The kernel's own target's source is written too, as
+    ``kernel_<target><suffix>``, when it is not one of the sources
+    always written (cuda, cemu, opencl).
+    """
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     (out / "kernel.cu").write_text(kernel.source("cuda"))
@@ -134,6 +140,11 @@ def save_kernel(
     (out / "kernel_emu.c").write_text(kernel.source("cemu"))
     if include_opencl:
         (out / "kernel.cl").write_text(kernel.source("opencl"))
+    if kernel.target not in ("cuda", "cemu", "opencl"):
+        suffix = get_target(kernel.target).source_suffix
+        (out / f"kernel_{kernel.target}{suffix}").write_text(
+            kernel.source()
+        )
     (out / "meta.json").write_text(
         json.dumps(kernel_to_meta(kernel), indent=2, sort_keys=True)
         + "\n"
@@ -167,8 +178,6 @@ def verify_saved_kernel(directory: Union[str, Path]) -> bool:
     Guards against drift between a stored kernel and the generator
     version used to rebuild it.
     """
-    from .codegen.registry import get_target
-
     meta = load_meta(directory)
     plan = load_plan(directory)
     regenerated = get_target("cuda").emit_kernel(plan, meta["kernel_name"])

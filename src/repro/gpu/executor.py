@@ -1,12 +1,16 @@
 """Functional execution of kernel plans (numerical correctness oracle).
 
 :func:`execute_plan` interprets a :class:`~repro.core.plan.KernelPlan`
-the way the generated kernel does — one output tile per thread block,
-serial steps over contraction-index tiles, staged sub-slices of the
-inputs — but performs each tile's arithmetic with ``numpy.einsum``.
+the way the generated kernel sums: serial steps over contraction-index
+tiles in the plan's step order, each step one ``numpy.einsum`` over
+the step's ``k`` tile.  Thread blocks need no loop of their own: each
+block owns a disjoint output tile and walks the same steps, so the
+step loop alone fixes every output element's summation order, and one
+einsum per step computes every block's tile of that step at once.
 Comparing the result against a whole-problem ``einsum``
-(:func:`reference_contract`) validates that the tiling/mapping
-decomposition covers the iteration space exactly once.
+(:func:`reference_contract`) validates that the step decomposition
+covers the contraction space exactly once; block coverage of the
+output is a property of the plan, tested on its own.
 
 Thread-level addressing (who loads/stores which element) is validated
 separately by :mod:`repro.gpu.memory` and by compiling and running the
@@ -76,46 +80,37 @@ def integer_operands(
 def execute_plan(
     plan: KernelPlan, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """Run the plan's tiled schedule and return the output tensor.
+    """Run the plan's serial steps and return the output tensor.
 
-    Iterates thread blocks and serial steps exactly as the generated
-    kernel would, contracting staged sub-tiles and accumulating into the
-    output slice owned by each block.
+    Each step slices both inputs along their internal indices to the
+    step's clipped ``k`` tile (external indices keep their full
+    extent) and adds one ``numpy.einsum`` of the slices into a
+    zero-initialised output.  Every output element thus sums the steps
+    in the plan's step order, and within a step over the ``k`` tile,
+    as the generated kernel's thread blocks do.
     """
     contraction = plan.contraction
     _check_operand(contraction, contraction.a, a)
     _check_operand(contraction, contraction.b, b)
     spec = contraction.einsum_spec()
     c = np.zeros(contraction.extents_of(contraction.c), dtype=a.dtype)
-
-    for block in range(plan.num_blocks):
-        block_off = plan.block_offsets(block)
-        c_slices = _tile_slices(plan, contraction.c, block_off, {})
-        acc = np.zeros(c[c_slices].shape, dtype=a.dtype)
-        for step in range(plan.num_steps):
-            step_off = plan.step_offsets(step)
-            a_sub = a[_tile_slices(plan, contraction.a, block_off, step_off)]
-            b_sub = b[_tile_slices(plan, contraction.b, block_off, step_off)]
-            acc += np.einsum(spec, a_sub, b_sub)
-        c[c_slices] = acc
+    for step in range(plan.num_steps):
+        # Slicing past the end clips the ragged last tile of an index.
+        tile = {
+            index: slice(offset, offset + plan.tile_of(index))
+            for index, offset in plan.step_offsets(step).items()
+        }
+        a_step = a[_step_slices(contraction.a, tile)]
+        b_step = b[_step_slices(contraction.b, tile)]
+        c += np.einsum(spec, a_step, b_step)
     return c
 
 
-def _tile_slices(
-    plan: KernelPlan,
-    tensor: TensorRef,
-    block_off: Dict[str, int],
-    step_off: Dict[str, int],
+def _step_slices(
+    tensor: TensorRef, tile: Dict[str, slice]
 ) -> Tuple[slice, ...]:
-    """Clipped global slices of ``tensor`` for one block/step tile."""
-    slices = []
-    for axis in plan.tensor_tile_axes(tensor):
-        offset = block_off.get(axis.index)
-        if offset is None:
-            offset = step_off[axis.index]
-        stop = min(offset + axis.tile, axis.extent)
-        slices.append(slice(offset, stop))
-    return tuple(slices)
+    """``tensor``'s slices for one step: full extent on external axes."""
+    return tuple(tile.get(index, slice(None)) for index in tensor.indices)
 
 
 def _check_operand(

@@ -435,6 +435,17 @@ class TestCompileCli:
             store_dir=store))
         assert other.stats.searches == 1
 
+    def test_save_target_writes_that_targets_source(self, tmp_path,
+                                                     capsys):
+        """``save --target`` reaches the generator, and the package
+        holds the target's source beside the fixed set."""
+        from repro.cli import main
+
+        out = tmp_path / "pkg"
+        assert main(["save", "ttm_mode1", str(out),
+                     "--target", "openmp"]) == 0
+        assert "tc_kernel_omp" in (out / "kernel_openmp.c").read_text()
+
     def test_compile_json_payload(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.costmodel import CostModel
@@ -20,6 +20,7 @@ from repro.core.plan import KernelPlan, decompose
 from repro.core.splitting import merge_output, split_operand
 from repro.gpu.executor import (
     execute_plan,
+    integer_operands,
     random_operands,
     reference_contract,
 )
@@ -29,7 +30,7 @@ from repro.gpu.memory import (
     sampled_is_exact,
 )
 
-from .oracles import count_transactions_reference
+from .oracles import count_transactions_reference, tile_loop_interpret
 
 # -- strategies -------------------------------------------------------------
 
@@ -37,8 +38,14 @@ ALPHABET = "abcdefgh"
 
 
 @st.composite
-def contractions(draw, max_ext=3, max_int=2, max_extent=6):
-    """Random valid binary contractions with bound extents."""
+def contractions(draw, max_ext=3, max_int=2, max_extent=6, extents=None):
+    """Random valid binary contractions with bound extents.
+
+    ``extents`` (a strategy) draws each index's extent; the default is
+    ``1..max_extent``.
+    """
+    if extents is None:
+        extents = st.integers(1, max_extent)
     n_ext_a = draw(st.integers(1, max_ext))
     n_ext_b = draw(st.integers(0, max_ext - 1))
     n_int = draw(st.integers(0 if n_ext_b else 1, max_int))
@@ -57,9 +64,7 @@ def contractions(draw, max_ext=3, max_int=2, max_extent=6):
     c_indices = shuffle(ext_a + ext_b)
     if not b_indices:
         b_indices = ints
-    sizes = {
-        name: draw(st.integers(1, max_extent)) for name in names
-    }
+    sizes = {name: draw(extents) for name in names}
     return Contraction(
         c=TensorRef("C", tuple(c_indices)),
         a=TensorRef("A", tuple(a_indices)),
@@ -69,9 +74,9 @@ def contractions(draw, max_ext=3, max_int=2, max_extent=6):
 
 
 @st.composite
-def planned_contractions(draw):
+def planned_contractions(draw, extents=None):
     """A contraction plus a random legal configuration for it."""
-    c = draw(contractions())
+    c = draw(contractions(extents=extents))
 
     def tile_for(index):
         return draw(st.integers(1, c.extent(index)))
@@ -140,6 +145,49 @@ def test_tiled_execution_matches_einsum(plan):
     got = execute_plan(plan, a, b)
     want = reference_contract(c, a, b)
     assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
+# Prime extents (no tile strictly between 1 and the extent divides it)
+# and size-1 axes.
+PRIME_EXTENTS = st.sampled_from([1, 2, 3, 5, 7])
+
+_RAGGED = Contraction(
+    c=TensorRef("C", ("a", "b")),
+    a=TensorRef("A", ("a", "k")),
+    b=TensorRef("B", ("k", "b")),
+    sizes={"a": 7, "b": 1, "k": 5},
+)
+_RAGGED_PLAN = KernelPlan(
+    _RAGGED,
+    config_from_spec(
+        _RAGGED, tb_x=[("a", 3)], tb_y=[("b", 1)], tb_k=[("k", 2)]
+    ),
+)
+
+
+@given(
+    planned_contractions() | planned_contractions(extents=PRIME_EXTENTS),
+    st.sampled_from([np.float64, np.float32]),
+)
+@example(_RAGGED_PLAN, np.float32)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_step_interpreter_equals_tile_loop_oracle(plan, dtype):
+    """One einsum per step computes what one einsum per (block, step)
+    tile does: byte for byte on integer operands (and equal to
+    ``numpy.einsum``), to rounding on random floats."""
+    c = plan.contraction
+    a, b = integer_operands(c, seed=2, dtype=dtype)
+    got = execute_plan(plan, a, b)
+    assert got.dtype == dtype
+    assert got.tobytes() == tile_loop_interpret(plan, a, b).tobytes()
+    assert got.tobytes() == reference_contract(c, a, b).tobytes()
+    a, b = random_operands(c, dtype, seed=3)
+    tol = {"rtol": 1e-12} if dtype == np.float64 else {
+        "rtol": 1e-4, "atol": 1e-4}
+    assert np.allclose(
+        execute_plan(plan, a, b), tile_loop_interpret(plan, a, b), **tol
+    )
 
 
 @given(planned_contractions())

@@ -158,6 +158,23 @@ class TestStreamingSearch:
         with pytest.raises(TypeError, match="search shard"):
             Enumerator(eq1, v100).search(keep=8, workers=2)
 
+    @pytest.mark.parametrize("expr,size,head", [
+        ("abcd-aebf-dfce", 24, "top"),
+        ("abc-ak-kbc", 8, "fallback"),  # performance rules reject all
+    ])
+    def test_shard_heads_share_no_canonical_key(self, v100, expr, size,
+                                                head):
+        """Shards score disjoint batches, so the merge of their heads
+        needs no per-key dedup."""
+        enumerator = Enumerator(parse(expr, size), v100, batch_size=16)
+        keys = [
+            {key for _, key, _ in getattr(enumerator._stream(4096, s, 2),
+                                          head)}
+            for s in (0, 1)
+        ]
+        assert keys[0] and keys[1]
+        assert not keys[0] & keys[1]
+
     def test_fallback_rejects_ranked_when_nothing_accepted(self, v100):
         # Tiny problem: performance rules reject everything, so the
         # bounded reject heap must carry ranked hardware-clean configs.
