@@ -14,28 +14,17 @@ primary correlation uses ``exact=True``; the sampled
 (one-interior-block) estimate is kept alongside and the benchmark
 reports the correlation delta from switching sampled -> exact (the
 sampled estimate over-counts on boundary tiles, distorting the
-ranking).
-
-A third arm cross-validates the *calibrated* model
-(:mod:`repro.autotune.calibration`): per-regime least-squares
-corrections are fitted with whole benchmarks held out, and the held-out
-Spearman correlation of the calibrated prediction against the
-measured-traffic simulation time is compared with the analytic
-model's — the reported uplift is the tentpole claim of the calibration
-subsystem.  Results land in the repo-root
-``BENCH_costmodel_correlation.json`` and the ``calibration`` section of
-``BENCH_autotune_calibration.json``.
+ranking).  Results land in the ``correlation`` section of the
+repo-root ``BENCH_costmodel_correlation.json``.
 """
 
 import json
 from pathlib import Path
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from repro import Cogent, KernelPlan
-from repro.autotune import collect_samples, cross_validate
 from repro.gpu.memory import count_transactions
 from repro.tccg import get
 
@@ -46,13 +35,8 @@ REPRESENTATIVES = ("ttm_mode2", "mo_stage1", "ccsd_eq1", "sd_t_d2_1",
 #: (each needs a sampled and an exact replay).
 MEASURED_SAMPLE = 60
 
-#: Configurations per contraction in the calibration arm (each needs
-#: an exact replay and two simulator passes).
-CALIBRATION_SAMPLE = 24
-
-_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = _ROOT / "BENCH_costmodel_correlation.json"
-CALIBRATION_RESULT_PATH = _ROOT / "BENCH_autotune_calibration.json"
+RESULT_PATH = Path(__file__).resolve().parent.parent \
+    / "BENCH_costmodel_correlation.json"
 
 
 def merge_result_section(path: Path, section: str, payload: dict) -> None:
@@ -152,50 +136,3 @@ def test_costmodel_correlation(benchmark):
     for name, (rho, regret, _n, _rho_s, _rho_e) in results.items():
         assert regret < 4.0, f"{name}: model-only pick {regret:.1f}x off"
 
-
-def run_crossval():
-    samples = []
-    for name in REPRESENTATIVES:
-        samples.extend(collect_samples(
-            get(name).contraction(), name,
-            per_contraction=CALIBRATION_SAMPLE,
-        ))
-    return samples, cross_validate(samples, folds=3)
-
-
-def test_calibration_crossval_uplift(benchmark):
-    samples, cv = benchmark.pedantic(run_crossval, rounds=1, iterations=1)
-    print()
-    print("Calibrated model - held-out correlation vs analytic "
-          f"({len(samples)} samples, {len(cv.folds)} leave-group-out "
-          "folds)")
-    print(f"{'fold':>4} {'held out':<32} {'analytic':>9} "
-          f"{'calibrated':>11} {'uplift':>8}")
-    for fold in cv.folds:
-        held = ",".join(fold.held_out)
-        print(f"{fold.fold:>4} {held:<32} {fold.analytic_rho:>9.3f} "
-              f"{fold.calibrated_rho:>11.3f} {fold.uplift:>+8.3f}")
-    print(f"mean: analytic {cv.mean_analytic_rho:.3f}, calibrated "
-          f"{cv.mean_calibrated_rho:.3f} (uplift {cv.uplift:+.3f})")
-
-    payload = {
-        "arch": "V100",
-        "per_contraction": CALIBRATION_SAMPLE,
-        "samples": len(samples),
-        "crossval": cv.as_dict(),
-    }
-    merge_result_section(RESULT_PATH, "calibration_crossval", payload)
-    merge_result_section(CALIBRATION_RESULT_PATH, "calibration", payload)
-
-    # The fitted correction must improve held-out ranking on average
-    # (the tentpole claim) and must never be catastrophically worse on
-    # any single fold.
-    assert cv.uplift > 0.0, (
-        f"calibration made held-out correlation worse: {cv.uplift:+.3f}"
-    )
-    for fold in cv.folds:
-        assert fold.calibrated_rho > fold.analytic_rho - 0.05, (
-            f"fold {fold.fold} ({fold.held_out}): calibrated "
-            f"{fold.calibrated_rho:.3f} vs analytic "
-            f"{fold.analytic_rho:.3f}"
-        )

@@ -94,8 +94,8 @@ class Options:
         searched kernel), ``"ttgt"``, ``"gett"``, ``"batched"``, or
         ``"auto"`` to rank all four on the packing-aware DRAM-traffic
         model (see :mod:`repro.strategies` and
-        :func:`select_strategy`).  Folded into the generator's search
-        signature, so dedup-first stores cache per-strategy winners.
+        :func:`select_strategy`).  The searched kernel does not depend
+        on it, so every strategy shares one stored winner.
     memory_cap:
         Optional cap (in elements) on the largest intermediate a
         network contraction path may create; paths that cannot fit
@@ -107,13 +107,6 @@ class Options:
         default; ``"opencl"``, ``"cemu"``, ``"clemu"``, ``"openmp"``
         are built in).  Folded into store keys, so a kernel cached for
         one target never satisfies another.
-    calibration:
-        ``"off"`` (default) or ``"auto"``.  With ``"auto"``,
-        :func:`tune` in guided mode loads — or, cold, fits and persists
-        under ``store_dir`` — the per-arch calibrated cost-model
-        correction (:mod:`repro.autotune.calibration`) before running
-        the measurement loop; warm runs against a populated store
-        perform zero calibration refits.
     """
 
     workers: int = 1
@@ -126,7 +119,6 @@ class Options:
     strategy: str = "direct"
     memory_cap: Optional[int] = None
     target: str = "cuda"
-    calibration: str = "off"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -160,11 +152,6 @@ class Options:
             raise ValueError(
                 f"target must be one of {list_targets()}, "
                 f"got {self.target!r}"
-            )
-        if self.calibration not in ("off", "auto"):
-            raise ValueError(
-                f"calibration must be 'off' or 'auto', "
-                f"got {self.calibration!r}"
             )
 
     @property
@@ -376,15 +363,12 @@ def tune(
     returns a :class:`repro.baselines.tc.TuneResult` with the tuning
     curve, best configuration and modelled tuning cost.
 
-    With ``guided=True``, runs the calibrated model-guided loop instead
+    With ``guided=True``, runs the model-guided loop instead
     (:class:`repro.autotune.ModelGuidedStrategy`): the configuration
-    search ranks a ``shortlist``, the calibrated correction re-ranks
-    it, the simulator measures at most ``budget`` candidates with
-    exact-replay traffic, the correction refits online, and the loop
-    stops once the predicted best stabilises.
-    ``options.calibration="auto"`` loads or fits the offline
-    calibration (persisted under ``options.store_dir`` so warm runs
-    skip fitting).  Returns a
+    search ranks a ``shortlist``, the simulator measures at most
+    ``budget`` candidates with exact-replay traffic, an online
+    correction refits on every measurement and re-ranks the rest, and
+    the loop stops once the predicted best stabilises.  Returns a
     :class:`repro.autotune.GuidedTuneResult`.
     """
     from .gpu.arch import get_arch
@@ -399,16 +383,8 @@ def tune(
                 GuidedTuneResult,
                 ModelGuidedStrategy,
                 ReplayEvaluator,
-                ensure_calibration,
             )
 
-            model, fitted = None, False
-            if options.calibration == "auto":
-                model, fitted = ensure_calibration(
-                    arch=options.arch,
-                    dtype_bytes=options.dtype_bytes,
-                    store=options.store_dir,
-                )
             evaluator = ReplayEvaluator(
                 contraction, get_arch(options.arch), options.dtype_bytes
             )
@@ -416,13 +392,10 @@ def tune(
                 budget=budget,
                 seed=seed,
                 shortlist=shortlist,
-                calibration=model,
             )
             trace = strategy.tune(evaluator)
             return GuidedTuneResult(
-                trace=trace,
-                report=strategy.last_report,
-                calibration_fitted=fitted,
+                trace=trace, report=strategy.last_report
             )
         from .baselines.tc import TcAutotuner
 

@@ -1,20 +1,9 @@
 """Empirical autotuning strategies over the raw configuration space,
 plus the model-driven approaches in the same interface (paper Section
 VI: model-driven selection complements search-based optimisation, and
-Fig. 8's calibrated guided loop needs only a handful of measurements)."""
+Fig. 8's model-guided loop needs only a handful of measurements)."""
 
 from .base import Evaluator, ReplayEvaluator, Tuner, TuneTrace
-from .calibration import (
-    CalibrationModel,
-    CalibrationSample,
-    CrossValidation,
-    collect_samples,
-    cross_validate,
-    ensure_calibration,
-    fit_calibration,
-    load_calibration,
-    save_calibration,
-)
 from .space import ConfigSpace, TILE_CHOICES
 from .strategies import (
     ALL_STRATEGIES,
@@ -30,10 +19,7 @@ from .strategies import (
 
 __all__ = [
     "ALL_STRATEGIES",
-    "CalibrationModel",
-    "CalibrationSample",
     "ConfigSpace",
-    "CrossValidation",
     "Evaluator",
     "GeneticSearch",
     "GuidedReport",
@@ -47,10 +33,4 @@ __all__ = [
     "TILE_CHOICES",
     "Tuner",
     "TuneTrace",
-    "collect_samples",
-    "cross_validate",
-    "ensure_calibration",
-    "fit_calibration",
-    "load_calibration",
-    "save_calibration",
 ]

@@ -76,8 +76,8 @@ class ReplayEvaluator(Evaluator):
     configuration's addresses (:func:`repro.gpu.memory.\
     count_transactions` with ``exact=True``) and feeds the measured
     counts to the simulator: the reproduction's closest stand-in for
-    actually running the kernel, and the measurement the calibrated
-    guided loop (:class:`~repro.autotune.strategies.\
+    actually running the kernel, and the measurement the model-guided
+    loop (:class:`~repro.autotune.strategies.\
     ModelGuidedStrategy`) spends its budget on.
     """
 

@@ -12,15 +12,19 @@ empirical evaluations, while search needs hundreds to thousands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .. import obs
+from ..core.costmodel import TRANSACTION_BYTES, CostModel, contiguous_run
 from ..core.generator import Cogent
 from ..core.mapping import KernelConfig
 from ..core.plan import KernelPlan
+from ..gpu.arch import GpuArch
+from ..gpu.occupancy import compute_occupancy
+from ..gpu.simulator import GpuSimulator
 from .base import Evaluator, Tuner, TuneTrace
 from .space import ConfigSpace
 
@@ -207,6 +211,119 @@ class ModelDriven(Tuner):
         return trace
 
 
+# -- the guided loop's online correction -------------------------------------
+
+#: Log-space feature vector, one weight per name and regime.  The
+#: intercept absorbs the constant bias; the transaction columns carry
+#: Algorithm 3's per-tensor estimates; occupancy and the cycle
+#: estimates expose the simulator terms the pure transaction count
+#: cannot see.
+FEATURE_NAMES = (
+    "intercept",
+    "log_load_a",
+    "log_load_b",
+    "log_store_c",
+    "occupancy",
+    "log_fma_cycles",
+    "log_smem_cycles",
+    "log_waves",
+)
+
+#: Contiguity regimes the correction is fitted per.  A configuration is
+#: ``coalesced`` when both staged input tiles cover at least one full
+#: DRAM transaction along their fastest-varying index, ``strided``
+#: otherwise — the boundary where the analytic segment arithmetic
+#: changes error character.
+REGIMES = ("coalesced", "strided")
+
+
+def contiguity_regime(plan: KernelPlan) -> str:
+    """The contiguity regime of one plan (see :data:`REGIMES`)."""
+    contraction = plan.contraction
+    txn = TRANSACTION_BYTES
+    run_a = contiguous_run(plan, contraction.a)
+    run_b = contiguous_run(plan, contraction.b)
+    coalesced = (
+        run_a * plan.dtype_bytes >= txn and run_b * plan.dtype_bytes >= txn
+    )
+    return "coalesced" if coalesced else "strided"
+
+
+def plan_features(
+    plan: KernelPlan,
+    arch: GpuArch,
+    simulator: Optional[GpuSimulator] = None,
+) -> Tuple[float, ...]:
+    """The :data:`FEATURE_NAMES` vector of one plan, in log space.
+
+    Raises :class:`ValueError` when the plan cannot run on ``arch`` at
+    all (zero occupancy) — such configurations carry no signal.
+    """
+    simulator = simulator or GpuSimulator(arch)
+    estimate = CostModel(plan.dtype_bytes, arch.transaction_bytes).estimate(
+        plan, clipped=True
+    )
+    occ = compute_occupancy(
+        arch,
+        plan.threads_per_block,
+        plan.smem_bytes,
+        plan.config.registers_per_thread(plan.dtype_bytes),
+    )
+    if occ.blocks_per_sm == 0:
+        raise ValueError(
+            f"plan cannot run on {arch.name}: blocked by {occ.limiter}"
+        )
+    fma_cycles = simulator._fma_cycles(plan, occ)
+    smem_cycles = simulator._smem_cycles(plan)
+    blocks_per_wave = occ.blocks_per_sm * arch.num_sms
+    waves = max(1, -(-plan.num_blocks // blocks_per_wave))
+    return (
+        1.0,
+        math.log1p(estimate.load_a),
+        math.log1p(estimate.load_b),
+        math.log1p(estimate.store_c),
+        occ.fraction,
+        math.log1p(fma_cycles),
+        math.log1p(smem_cycles),
+        math.log1p(waves),
+    )
+
+
+#: Ridge penalty on the non-intercept weights (scaled by the row
+#: count).  An unregularised solve overfits the handful of measured
+#: rows; shrinking toward the intercept-only correction (a constant
+#: shift, which is rank-preserving) keeps the corrected ranking no
+#: worse than analytic when the features carry no transferable signal.
+RIDGE_LAMBDA = 0.1
+
+
+def fit_head(
+    features: np.ndarray, residuals: np.ndarray
+) -> Tuple[float, ...]:
+    """Ridge-regularised least-squares weights for one regime.
+
+    With fewer rows than features the fit falls back to intercept-only
+    (the mean residual) — the regression would be underdetermined and
+    even the regularised completion is noise.  The intercept itself is
+    never penalised: a constant log-space shift is rank-preserving and
+    free to absorb the mean bias.
+    """
+    if len(residuals) == 0:
+        return (0.0,) * len(FEATURE_NAMES)
+    if len(residuals) < features.shape[1]:
+        coeffs = [float(np.mean(residuals))]
+        coeffs += [0.0] * (len(FEATURE_NAMES) - 1)
+        return tuple(coeffs)
+    n, d = features.shape
+    penalty = RIDGE_LAMBDA * np.eye(d)
+    penalty[0, 0] = 0.0
+    solution = np.linalg.solve(
+        features.T @ features + n * penalty,
+        features.T @ residuals,
+    )
+    return tuple(float(c) for c in solution)
+
+
 @dataclass
 class _Candidate:
     """One shortlist member of the guided loop."""
@@ -216,8 +333,6 @@ class _Candidate:
     features: Tuple[float, ...]
     regime: str
     analytic_time: float
-    #: Offline-calibration residual (0.0 without a fitted model).
-    base_correction: float
     measured_time: Optional[float] = None
     measured_gflops: float = 0.0
 
@@ -230,7 +345,6 @@ class GuidedReport:
     rounds: int = 0
     measurements: int = 0
     stabilized: bool = False
-    calibrated: bool = False
     online_refits: int = 0
     predicted_best: str = ""
 
@@ -240,23 +354,22 @@ class GuidedReport:
             "rounds": self.rounds,
             "measurements": self.measurements,
             "stabilized": self.stabilized,
-            "calibrated": self.calibrated,
             "online_refits": self.online_refits,
             "predicted_best": self.predicted_best,
         }
 
 
 class ModelGuidedStrategy(Tuner):
-    """Calibrated-model-guided measurement loop (the Fig. 8 claim).
+    """Model-guided measurement loop (the Fig. 8 claim).
 
     The columnar engine ranks the pruned space by the analytic model;
-    the calibrated correction (:mod:`repro.autotune.calibration`)
-    re-ranks the shortlist by predicted time; the simulator *measures*
-    the top few candidates; an online second-stage correction refits on
-    every measurement; and the loop stops as soon as the predicted-best
-    configuration stabilises.  A handful of simulated measurements
-    (``budget`` defaults to the paper's ≤8) reaches within a few percent
-    of exhaustively measuring the space.
+    the simulator *measures* the top few candidates by predicted time;
+    an online correction (:func:`fit_head` on :func:`plan_features`)
+    refits on every measurement and re-ranks the rest; and the loop
+    stops as soon as the predicted-best configuration stabilises.  A
+    handful of simulated measurements (``budget`` defaults to the
+    paper's ≤8) reaches within a few percent of exhaustively measuring
+    the space.
 
     Deterministic end to end: the shortlist order, feature arithmetic,
     least-squares refits and the stop rule contain no randomness (the
@@ -272,43 +385,18 @@ class ModelGuidedStrategy(Tuner):
         shortlist: int = 64,
         batch: int = 2,
         stable_rounds: int = 2,
-        calibration=None,
-        store=None,
         generator: Optional[Cogent] = None,
     ) -> None:
         super().__init__(budget, seed)
         self.shortlist = max(1, shortlist)
         self.batch = max(1, batch)
         self.stable_rounds = max(1, stable_rounds)
-        #: A :class:`~repro.autotune.calibration.CalibrationModel`, or
-        #: ``None`` to run with the online correction alone.
-        self.calibration = calibration
-        #: Optional :class:`~repro.core.program.KernelStore` (or path)
-        #: to load a persisted calibration from when none was given.
-        self.store = store
         self.generator = generator
         self.last_report: GuidedReport = GuidedReport()
 
     # -- internals -------------------------------------------------------
 
-    def _load_calibration(self, evaluator: Evaluator):
-        if self.calibration is not None:
-            return self.calibration
-        if self.store is None:
-            return None
-        from .calibration import load_calibration
-
-        return load_calibration(
-            self.store,
-            evaluator.simulator.arch.name,
-            evaluator.dtype_bytes,
-        )
-
-    def _shortlist(
-        self, evaluator: Evaluator, model
-    ) -> List[_Candidate]:
-        from .calibration import contiguity_regime, plan_features
-
+    def _shortlist(self, evaluator: Evaluator) -> List[_Candidate]:
         generator = self.generator or Cogent(
             arch=evaluator.simulator.arch,
             dtype_bytes=evaluator.dtype_bytes,
@@ -328,20 +416,13 @@ class ModelGuidedStrategy(Tuner):
                 analytic = evaluator.simulator.simulate(plan).time_s
             except ValueError:
                 continue
-            regime = contiguity_regime(plan)
-            base = (
-                model.residual(features, regime, "time")
-                if model is not None
-                else 0.0
-            )
             candidates.append(
                 _Candidate(
                     config=config,
                     cost=cost,
                     features=features,
-                    regime=regime,
+                    regime=contiguity_regime(plan),
                     analytic_time=analytic,
-                    base_correction=base,
                 )
             )
         return candidates
@@ -350,9 +431,7 @@ class ModelGuidedStrategy(Tuner):
     def _online_coefficients(
         candidates: List[_Candidate],
     ) -> Dict[str, Tuple[float, ...]]:
-        """Second-stage per-regime correction fitted on measurements."""
-        from .calibration import FEATURE_NAMES, fit_head
-
+        """Per-regime log-time correction fitted on measurements."""
         coefficients: Dict[str, Tuple[float, ...]] = {}
         for regime in {c.regime for c in candidates}:
             rows = [
@@ -369,8 +448,7 @@ class ModelGuidedStrategy(Tuner):
             )
             targets = np.array(
                 [
-                    math.log(r.measured_time)
-                    - (math.log(r.analytic_time) + r.base_correction)
+                    math.log(r.measured_time) - math.log(r.analytic_time)
                     for r in rows
                 ],
                 dtype=np.float64,
@@ -385,7 +463,7 @@ class ModelGuidedStrategy(Tuner):
     ) -> float:
         if candidate.measured_time is not None:
             return candidate.measured_time
-        correction = candidate.base_correction
+        correction = 0.0
         coeffs = online.get(candidate.regime)
         if coeffs is not None:
             correction += sum(
@@ -413,11 +491,10 @@ class ModelGuidedStrategy(Tuner):
     def tune(self, evaluator: Evaluator) -> TuneTrace:
         trace = self._trace()
         trace.strategy = self.name
-        model = self._load_calibration(evaluator)
-        report = GuidedReport(calibrated=model is not None)
+        report = GuidedReport()
         self.last_report = report
         with obs.span("tune.guided"):
-            candidates = self._shortlist(evaluator, model)
+            candidates = self._shortlist(evaluator)
             report.shortlist = len(candidates)
             if not candidates:
                 return trace
@@ -477,7 +554,6 @@ class GuidedTuneResult:
 
     trace: TuneTrace
     report: GuidedReport
-    calibration_fitted: bool = False
 
     @property
     def best_gflops(self) -> float:
@@ -497,7 +573,6 @@ class GuidedTuneResult:
             "best_gflops": self.best_gflops,
             "evaluations": self.evaluations,
             "curve": list(self.curve),
-            "calibration_fitted": self.calibration_fitted,
             "report": self.report.as_dict(),
         }
 

@@ -722,15 +722,10 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune_guided(args: argparse.Namespace, contraction) -> int:
-    """Run the calibrated model-guided measurement loop (Fig. 8)."""
+    """Run the model-guided measurement loop (Fig. 8)."""
     from . import api
 
-    options = api.Options(
-        arch=args.arch,
-        dtype=args.dtype,
-        calibration="auto",
-        store_dir=args.store_dir,
-    )
+    options = api.Options(arch=args.arch, dtype=args.dtype)
     result = api.tune(
         contraction,
         options=options,
@@ -740,12 +735,6 @@ def _cmd_tune_guided(args: argparse.Namespace, contraction) -> int:
         shortlist=args.shortlist,
     )
     report = result.report
-    source = (
-        "fitted this run" if result.calibration_fitted
-        else "loaded from store" if report.calibrated
-        else "none (online correction only)"
-    )
-    print(f"calibration: {source}")
     print(
         f"shortlist: {report.shortlist} candidates, "
         f"budget {args.budget} measurements"
@@ -1003,11 +992,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--seed", type=int, default=0)
     p_tune.add_argument(
         "--guided", action="store_true",
-        help="run the calibrated model-guided loop instead of the "
-        "genetic baseline: the correction re-ranks the shortlist, the "
-        "simulator measures a handful of candidates with exact-replay "
-        "traffic, the fit refreshes online, and the loop stops when "
-        "the predicted best stabilises (Fig. 8)",
+        help="run the model-guided loop instead of the genetic "
+        "baseline: the simulator measures a handful of model-ranked "
+        "candidates with exact-replay traffic, an online correction "
+        "re-ranks the rest, and the loop stops when the predicted best "
+        "stabilises (Fig. 8)",
     )
     p_tune.add_argument(
         "--budget", type=int, default=8,
@@ -1017,11 +1006,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shortlist", type=int, default=64,
         help="guided mode: model-ranked candidates considered "
         "(default 64)",
-    )
-    p_tune.add_argument(
-        "--store-dir", metavar="DIR",
-        help="guided mode: persist the fitted calibration here so "
-        "warm runs perform zero refits",
     )
     p_tune.set_defaults(func=cmd_tune)
 

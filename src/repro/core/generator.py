@@ -337,7 +337,9 @@ class Cogent:
         self.target = target
         #: Execution-strategy family ("direct" is the paper's kernel;
         #: "auto" ranks direct/ttgt/gett/batched on the packing-aware
-        #: traffic model, see :mod:`repro.strategies`).
+        #: traffic model, see :mod:`repro.strategies`).  Only
+        #: :meth:`select_strategy` reads it; the searched kernel does
+        #: not depend on it, so it stays out of :meth:`search_signature`.
         self.strategy = strategy
         self.top_k = max(1, top_k)
         self.workers = max(1, int(workers))
@@ -378,8 +380,7 @@ class Cogent:
             f"top_k={self.top_k};reg={self.reg_sizes};"
             f"split={self.allow_split}:{self.split_factors};"
             f"merge={self.allow_merge};"
-            f"policy={policy};strategy={self.strategy};"
-            f"target={self.target}"
+            f"policy={policy};target={self.target}"
         )
 
     def select_strategy(self, contraction: Union[str, Contraction],

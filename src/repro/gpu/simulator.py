@@ -48,8 +48,8 @@ class ModelParams:
     #: Shared-memory bandwidth per SM in bytes/cycle.
     smem_bytes_per_cycle_per_sm: float = 128.0
     #: Model L2 hits for re-read input tiles (off by default: the
-    #: paper's cost model, and our calibration, charge DRAM for every
-    #: transaction).  When on, repeat reads of an input hit L2 with a
+    #: paper's cost model and the guided loop's features charge DRAM for
+    #: every transaction).  When on, repeat reads of an input hit L2 with a
     #: probability that decays as the tensor outgrows the cache.
     model_l2: bool = False
     #: Maximum fraction of repeat reads served by L2.

@@ -1,9 +1,11 @@
 """Tests for the autotuning strategies (repro.autotune)."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro import parse
+from repro import Cogent, parse
 from repro.autotune import (
     ALL_STRATEGIES,
     ConfigSpace,
@@ -16,7 +18,17 @@ from repro.autotune import (
     ReplayEvaluator,
     SimulatedAnnealing,
 )
+from repro.autotune.strategies import (
+    FEATURE_NAMES,
+    REGIMES,
+    contiguity_regime,
+    fit_head,
+    plan_features,
+)
 from repro.core.mapping import Dim
+from repro.core.plan import KernelPlan
+from repro.gpu.arch import VOLTA_V100
+from repro.tccg import get
 
 
 @pytest.fixture
@@ -193,15 +205,13 @@ class TestModelGuided:
         assert report.stabilized or trace.evaluations == report.shortlist
         assert trace.evaluations < 64
 
-    def test_within_five_percent_of_exhaustive_shortlist(
-        self, contraction, v100
-    ):
-        """The Fig. 8 claim on one contraction, pinned as a test."""
+    @staticmethod
+    def assert_within_five_percent(contraction, v100):
+        """Guided best >= 95% of measuring the whole shortlist."""
         shortlist = 24
         strategy = ModelGuidedStrategy(budget=8, shortlist=shortlist)
         trace = strategy.tune(ReplayEvaluator(contraction, v100))
-
-        from repro import Cogent
+        assert trace.evaluations <= 8
 
         generator = Cogent(arch="V100", allow_split=False)
         exhaustive = ReplayEvaluator(contraction, v100)
@@ -213,20 +223,43 @@ class TestModelGuided:
         )
         assert trace.best_gflops >= 0.95 * best
 
-    def test_guided_uses_persisted_calibration(
-        self, contraction, v100, tmp_path
+    def test_within_five_percent_of_exhaustive_shortlist(
+        self, contraction, v100
     ):
-        from repro import obs
-        from repro.autotune import ensure_calibration
+        """The Fig. 8 claim on one contraction, pinned as a test."""
+        self.assert_within_five_percent(contraction, v100)
 
-        ensure_calibration(
-            store=tmp_path, benchmarks=("ttm_mode2",), per_contraction=4
-        )
-        strategy = ModelGuidedStrategy(budget=4, store=tmp_path)
-        with obs.tracing() as session:
-            strategy.tune(ReplayEvaluator(contraction, v100))
-        assert strategy.last_report.calibrated
-        assert session.metrics.counter("autotune.calibration.fits") == 0
+    @pytest.mark.parametrize("name", ["mo_stage1", "sd_t_d2_1"])
+    def test_within_five_percent_of_exhaustive_shortlist_tccg(
+        self, name, v100
+    ):
+        """The same claim on the two full-size TCCG entries where the
+        deleted offline calibration fell furthest from the best."""
+        self.assert_within_five_percent(get(name).contraction(), v100)
+
+
+def test_fit_head_intercept_only_fallback():
+    """Fewer rows than features -> mean-residual intercept, zero rest."""
+    features = np.ones((2, len(FEATURE_NAMES)))
+    residuals = np.array([0.2, 0.4])
+    coeffs = fit_head(features, residuals)
+    assert coeffs[0] == pytest.approx(0.3)
+    assert all(c == 0.0 for c in coeffs[1:])
+    assert fit_head(np.empty((0, len(FEATURE_NAMES))), np.empty(0)) == (
+        (0.0,) * len(FEATURE_NAMES)
+    )
+
+
+def test_regime_and_features_match_plan(matmul):
+    config, _cost = Cogent(arch="V100", allow_split=False).rank_configs(
+        matmul
+    )[0]
+    plan = KernelPlan(matmul, config, 8)
+    assert contiguity_regime(plan) in REGIMES
+    features = plan_features(plan, VOLTA_V100)
+    assert len(features) == len(FEATURE_NAMES)
+    assert features[0] == 1.0
+    assert all(math.isfinite(f) for f in features)
 
 
 class TestApiGuidedTune:
@@ -238,14 +271,22 @@ class TestApiGuidedTune:
         )
         assert result.evaluations <= 6
         assert result.best_gflops > 0
-        assert not result.calibration_fitted
         payload = result.as_dict()
         assert payload["strategy"] == "model-guided"
         assert payload["report"]["measurements"] == result.evaluations
 
     def test_options_validate_calibration(self):
+        """The offline calibration and its option are gone."""
         from repro import api
 
-        assert api.Options(calibration="auto").calibration == "auto"
-        with pytest.raises(ValueError, match="calibration"):
-            api.Options(calibration="always")
+        with pytest.raises(TypeError, match="calibration"):
+            api.Options(calibration="auto")
+
+    def test_cli_tune_rejects_store_dir(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "ab-ak-kb", "--sizes", "16", "--guided",
+                  "--store-dir", "x"])
+        assert exc.value.code == 2
+        assert "--store-dir" in capsys.readouterr().err

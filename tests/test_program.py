@@ -328,6 +328,26 @@ class TestApiCompileMany:
         warm = api.compile_many(exprs, 32, options=opts)
         assert warm.stats.searches == 0
 
+    def test_strategy_shares_the_stored_winner(self, tmp_path):
+        """The strategy never changes the searched kernel, so a kernel
+        stored under one strategy serves every other."""
+        from repro import obs
+
+        store = tmp_path / "store"
+        first = api.compile(
+            "abcd-aebf-dfce", 16, api.Options(store_dir=store)
+        )
+        with obs.tracing() as session:
+            again = api.compile(
+                "abcd-aebf-dfce", 16,
+                api.Options(store_dir=store, strategy="auto"),
+            )
+        counters = session.payload()["metrics"]["counters"]
+        assert counters.get("program.searches", 0) == 0
+        assert counters["store.hits"] == 1
+        assert again.config.describe() == first.config.describe()
+        assert again.source() == first.source()
+
     def test_options_store_dir_default_none(self):
         assert api.Options().store_dir is None
 

@@ -331,16 +331,18 @@ def test_cogent_rejects_unknown_strategy():
         Cogent(strategy="fastest")
 
 
-def test_search_signature_namespaces_strategies():
+def test_search_signature_ignores_strategy():
+    # Only select_strategy reads the strategy; the searched kernel does
+    # not depend on it, so it must not split the kernel store.
     signatures = {
         Cogent(strategy=s).search_signature()
         for s in ("auto",) + STRATEGY_NAMES
     }
-    assert len(signatures) == 5
-    assert "strategy=direct" in Cogent().search_signature()
+    assert len(signatures) == 1
+    assert "strategy" not in Cogent().search_signature()
 
 
-def test_workload_key_differs_per_strategy():
+def test_workload_key_shared_across_strategies():
     from repro.core.program import workload_key
 
     c = parse("ab-ac-cb", 32)
@@ -352,7 +354,7 @@ def test_workload_key_differs_per_strategy():
                 c, g.arch, g.dtype_bytes, g.search_signature()
             )
         )
-    assert len(keys) == 3
+    assert len(keys) == 1
 
 
 def test_cogent_select_strategy_honours_fixed_strategy():
