@@ -82,11 +82,6 @@ class TriplesResult:
     per_term_gflops: Dict[str, float]
     predicted_time_s: float
 
-    @property
-    def total_gflops_rate(self) -> float:
-        flops = sum(self.per_term_gflops.values())
-        return flops  # informational; see driver for per-term rates
-
 
 class TriplesDriver:
     """Evaluates the (T)-style triples correction with COGENT kernels.

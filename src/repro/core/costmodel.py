@@ -244,20 +244,6 @@ class CostModel:
             total = int(total * coverage)
         return total
 
-    def _coverage(self, plan: KernelPlan, tensor: TensorRef) -> float:
-        """Fraction of tile rows that are in bounds.
-
-        The paper's model charges every block a full tile even when
-        tiles do not divide extents; on hardware the bounds predicate
-        suppresses out-of-range rows entirely.  Rows along the tensor's
-        FVI are excluded: a partially covered segment still issues its
-        transactions.
-        """
-        factor = 1.0
-        for axis in plan.tensor_tile_axes(tensor)[1:]:
-            factor *= axis.extent / (axis.num_tiles * axis.tile)
-        return factor
-
     # -- whole-kernel estimate -----------------------------------------------
 
     def estimate(

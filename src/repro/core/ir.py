@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 
 class IndexKind(Enum):
@@ -267,6 +267,12 @@ class Contraction:
         """A copy of this contraction bound to different extents."""
         return Contraction(self.c, self.a, self.b, dict(sizes))
 
+    def operand_sizes(self, a, b) -> Dict[str, int]:
+        """Index extents read off the shapes of operands ``a``/``b``."""
+        return operand_extents(
+            (t.name, t.indices, x) for t, x in ((self.a, a), (self.b, b))
+        )
+
     def einsum_spec(self) -> str:
         """The numpy.einsum subscript string for this contraction.
 
@@ -299,6 +305,31 @@ def einsum_subscripts(
     b_sub = "".join(short[i] for i in b_indices)
     c_sub = "".join(short[i] for i in c_indices)
     return f"{a_sub},{b_sub}->{c_sub}"
+
+
+def operand_extents(
+    operands: Iterable[Tuple[str, Sequence[str], Any]],
+) -> Dict[str, int]:
+    """Index extents read off array shapes.
+
+    ``operands`` yields ``(name, indices, array)`` triples.  Raises
+    :class:`ValueError` when an array's rank is not its index count or
+    when two axes bind one index to different extents.
+    """
+    sizes: Dict[str, int] = {}
+    for name, indices, array in operands:
+        if array.ndim != len(indices):
+            raise ValueError(
+                f"operand {name} has {array.ndim} axes, expected "
+                f"{len(indices)}"
+            )
+        for index, extent in zip(indices, array.shape):
+            if sizes.setdefault(index, extent) != extent:
+                raise ValueError(
+                    f"inconsistent extent for index {index!r}: "
+                    f"{sizes[index]} vs {extent}"
+                )
+    return sizes
 
 
 def make_contraction(

@@ -10,23 +10,28 @@ kernels can support arbitrary problem sizes."
 selects the nearest representative (log-space distance over index
 extents) for an actual problem, and can both execute the selected
 schedule numerically and emit a single CUDA translation unit containing
-every version plus a host-side dispatcher.
+every version plus a host-side dispatcher.  It is the package's one
+policy for running a kernel at extents other than those it was tuned
+at; :func:`repro.contract` memoizes kernels per exact extents.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .cache import _rebind_kernel
+from .. import obs
 from .codegen import indexing as ix
-from .generator import Cogent, GeneratedKernel
-from .ir import Contraction
-from .mapping import IndexMapping, KernelConfig
+from .generator import CandidateScore, Cogent, GeneratedKernel
+from .ir import Contraction, ContractionError
+from .mapping import IndexMapping, KernelConfig, rename_config
+from .merging import merge_pair
 from .parser import SizesArg, parse, resolve_sizes
+from .plan import KernelPlan
+from .splitting import split_index
 
 
 @dataclass
@@ -73,7 +78,8 @@ class KernelLibrary:
             self.entries.append(LibraryEntry(dict(bound), kernel))
         if not self.entries:
             raise ValueError("at least one representative size is required")
-        #: The selected version rebound to actual extents, by extents.
+        #: The kernel run at each actual extents: the selected version
+        #: rebound to them, or generated at them (rebind fallback).
         self._rebound: Dict[tuple, GeneratedKernel] = {}
 
     def __len__(self) -> int:
@@ -95,45 +101,43 @@ class KernelLibrary:
         self, a: np.ndarray, b: np.ndarray
     ) -> Dict[str, int]:
         """Infer index extents from operand shapes."""
-        base = self.entries[0].kernel.original_contraction
-        sizes: Dict[str, int] = {}
-        for tensor, array in ((base.a, a), (base.b, b)):
-            if array.ndim != tensor.ndim:
-                raise ValueError(
-                    f"operand {tensor.name} has {array.ndim} axes, "
-                    f"expected {tensor.ndim}"
-                )
-            for index, extent in zip(tensor.indices, array.shape):
-                if sizes.setdefault(index, extent) != extent:
-                    raise ValueError(
-                        f"inconsistent extent for index {index!r}: "
-                        f"{sizes[index]} vs {extent}"
-                    )
-        return sizes
+        return self.entries[0].kernel.original_contraction.operand_sizes(
+            a, b
+        )
 
     # -- execution -----------------------------------------------------------
 
     def dispatch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Select the nearest version and run it on ``a``/``b``.
 
-        Generated kernels are correct for arbitrary extents (the
-        extents are parameters); the functional path rebinds the
+        This is the one place a kernel tuned at some extents is reused
+        at others.  Generated kernels are correct for arbitrary extents
+        (the extents are parameters); the functional path rebinds the
         selected plan to the actual sizes, replaying its merge and split
-        rewrites at those sizes and clamping any tile that
-        exceeds a (smaller) actual extent — the same effect the kernel's
-        bounds predicates have on hardware.  The rebound kernel is
-        memoized per extents, so a size's first dispatch is that
-        kernel's interpreted first call and every later one runs
-        natively (:meth:`~repro.core.generator.GeneratedKernel.execute`).
+        rewrites at those sizes and clamping any tile that exceeds a
+        (smaller) actual extent — the same effect the kernel's bounds
+        predicates have on hardware.  When a recorded rewrite no longer
+        applies (a split factor that does not divide the actual extent),
+        the kernel is generated afresh at the actual extents (counted as
+        ``library.rebind_fallbacks``).  Either kernel is memoized per
+        extents, so a size's first dispatch is that kernel's interpreted
+        first call and every later one runs natively
+        (:meth:`~repro.core.generator.GeneratedKernel.execute`).
         """
         sizes = self.sizes_from_operands(a, b)
         key = tuple(sorted(sizes.items()))
         rebound = self._rebound.get(key)
         if rebound is None:
             kernel = self.select(sizes).kernel
-            rebound = self._rebound[key] = _rebind_kernel(
-                kernel, kernel.original_contraction.with_sizes(sizes)
-            )
+            target = kernel.original_contraction.with_sizes(sizes)
+            try:
+                rebound = _rebind_kernel(kernel, target)
+            except ContractionError:
+                obs.inc("library.rebind_fallbacks")
+                rebound = self.generator.generate(
+                    target, kernel_name=kernel.kernel_name
+                )
+            self._rebound[key] = rebound
         return rebound.execute(a, b)
 
     # -- emission -------------------------------------------------------------
@@ -208,3 +212,69 @@ def clamp_config(
         for m in config.mappings
     )
     return KernelConfig(mappings)
+
+
+def _rebind_kernel(
+    kernel: GeneratedKernel,
+    contraction: Contraction,
+    rename: Optional[Dict[str, str]] = None,
+    kernel_name: Optional[str] = None,
+) -> GeneratedKernel:
+    """Rebind a kernel to other problem extents.
+
+    With ``rename`` (a bijection from the kernel's original index names
+    to ``contraction``'s), the kernel is additionally *retargeted* onto
+    an isomorphic contraction: merge/split rewrites are replayed on the
+    target (extending the map with the freshly derived sub-index
+    names), and every configuration is renamed through the completed
+    map.  This is how the dedup-first compiler
+    (:mod:`repro.core.program`) fans one class winner out to every
+    equivalence-class member.
+    """
+    mapping = dict(rename) if rename else None
+
+    def name_of(index: str) -> str:
+        return mapping[index] if mapping else index
+
+    current = contraction
+    merge_specs = []
+    for spec in kernel.merge_specs:
+        current, new_spec = merge_pair(
+            current, name_of(spec.low_name), name_of(spec.high_name)
+        )
+        if mapping is not None:
+            mapping[spec.merged_name] = new_spec.merged_name
+        merge_specs.append(new_spec)
+    merged = current
+    split_specs = []
+    for spec in kernel.split_specs:
+        current, new_spec = split_index(
+            current, name_of(spec.index), spec.factor
+        )
+        if mapping is not None:
+            mapping[spec.low_name] = new_spec.low_name
+            mapping[spec.high_name] = new_spec.high_name
+        split_specs.append(new_spec)
+    config = kernel.config
+    candidates = kernel.candidates
+    if mapping is not None:
+        config = rename_config(config, mapping)
+        candidates = [
+            CandidateScore(
+                rename_config(c.config, mapping), c.cost, c.simulated
+            )
+            for c in kernel.candidates
+        ]
+    config = clamp_config(config, current)
+    plan = KernelPlan(current, config, kernel.plan.dtype_bytes)
+    return replace(
+        kernel,
+        contraction=current,
+        plan=plan,
+        candidates=candidates,
+        original_contraction=contraction,
+        merged_contraction=merged,
+        split_specs=tuple(split_specs),
+        merge_specs=tuple(merge_specs),
+        kernel_name=kernel_name or kernel.kernel_name,
+    )

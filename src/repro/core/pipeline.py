@@ -47,7 +47,7 @@ import numpy as np
 
 from .. import obs
 from .generator import Cogent, GeneratedKernel
-from .ir import Contraction, ContractionError
+from .ir import Contraction, ContractionError, operand_extents
 from .network import (
     ContractionPath,
     NetworkSpec,
@@ -584,18 +584,10 @@ def contract_network(
     network is compiled by :class:`NetworkPipeline` and executed once.
     """
     if sizes is None:
-        probe = parse_network(expr, 2)
-        bound: Dict[str, int] = {}
-        for subscript, array in zip(probe.inputs, operands):
-            if array.ndim != len(subscript):
-                raise ValueError(
-                    f"operand for {''.join(subscript)!r} has "
-                    f"{array.ndim} axes"
-                )
-            for idx, extent in zip(subscript, array.shape):
-                if bound.setdefault(idx, extent) != extent:
-                    raise ValueError(
-                        f"inconsistent extent for index {idx!r}"
-                    )
-        sizes = bound
+        sizes = operand_extents(
+            ("".join(subscript), subscript, array)
+            for subscript, array in zip(
+                parse_network(expr, 2).inputs, operands
+            )
+        )
     return NetworkPipeline(generator).compile(expr, sizes).execute(*operands)

@@ -16,7 +16,7 @@ The pipeline has two layers:
   architecture/dtype, the generator's search knobs and a code-version
   stamp.  One representative per class is searched; the winning kernel
   is *rebound* to every other member by renaming indices through the
-  canonical form (see :func:`repro.core.cache._rebind_kernel`), which
+  canonical form (see :func:`repro.core.library._rebind_kernel`), which
   is bit-identical to searching the member directly because Algorithm
   2's pruning rules and Algorithm 3's cost model depend only on index
   structure, positions and extents — never on index names.
@@ -50,6 +50,7 @@ from .cache import EvalCache
 from .enumeration import EnumerationResult, EnumerationStats
 from .generator import CandidateScore, Cogent, GeneratedKernel
 from .ir import Contraction, TensorRef
+from .library import _rebind_kernel
 from .parser import SizesArg, parse
 from .plan import KernelPlan
 from .serialize import (
@@ -161,9 +162,8 @@ def workload_key(
 ) -> str:
     """The equivalence-class key of one generation request.
 
-    Unlike :func:`repro.core.cache.cache_key`, extents are exact (not
-    bucketed: fan-out must be bit-identical to a fresh search, so no
-    clamping may occur), names are canonicalised away, and the key
+    Extents are exact (fan-out must be bit-identical to a fresh search,
+    so no clamping may occur), names are canonicalised away, and the key
     folds in the generator's search ``signature`` and the
     :func:`code_version_stamp`.
     """
@@ -243,8 +243,6 @@ def kernel_to_store_payload(
     ``(index, factor)`` is stored), the winning configuration in
     canonical post-split names, and the model cost.
     """
-    from .cache import _rebind_kernel
-
     original = kernel.original_contraction or kernel.contraction
     if kernel.merge_specs:
         raise ValueError(
@@ -451,8 +449,6 @@ class CompilationSession:
         ``workers`` parallelises the representative searches across
         processes (default: the generator's ``workers`` setting).
         """
-        from .cache import _rebind_kernel
-
         start = time.perf_counter()
         with obs.span("program"):
             items = [
@@ -603,8 +599,6 @@ class CompilationSession:
         rename: Optional[Dict[str, str]],
     ) -> GeneratedKernel:
         """Rebind a class winner to one member contraction."""
-        from .cache import _rebind_kernel
-
         if rename is not None and all(
             src == dst for src, dst in rename.items()
         ):

@@ -11,6 +11,7 @@ under one dotted naming scheme:
 * ``constraints.*`` — per-rule pruning behaviour
 * ``costmodel.*``   — DRAM-transaction model memoisation
 * ``cache.kernel.*`` / ``cache.eval.*`` — kernel and evaluation caches
+* ``library.*``     — multi-version kernel dispatch
 * ``compare.*``     — framework comparison grid
 * ``replay.*``      — address-trace transaction replay
 * ``tune.*``        — TC-style autotuning
@@ -160,11 +161,6 @@ class MetricsRegistry:
         self.observe(f"{prefix}.setup_s", result.setup_time_s)
         self.observe(f"{prefix}.search_s", result.search_time_s)
         self.observe(f"{prefix}.simulate_s", result.simulate_time_s)
-
-    def absorb_eval_cache(self, cache) -> None:
-        """Fold an ``EvalCache``'s hit/miss counters in."""
-        self.inc("cache.eval.hits", cache.hits)
-        self.inc("cache.eval.misses", cache.misses)
 
     # -- serialisation ---------------------------------------------------
 

@@ -24,6 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from ..core.costmodel import common_prefix_run, row_transactions
+from ..ttgt.pipeline import _unique
 from ..ttgt.transpose import permutation_between
 from .base import (
     ExecutionStrategy,
@@ -217,11 +218,3 @@ def _matricise(array, indices, target_order, rows, cols):
 
 def _waves(extent: int, tile: int) -> int:
     return max(1, -(-extent // tile))
-
-
-def _unique(orders):
-    seen = []
-    for order in orders:
-        if order not in seen:
-            seen.append(order)
-    return seen

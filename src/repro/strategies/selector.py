@@ -234,16 +234,6 @@ class StrategySelector:
         obs.inc(f"strategy.selected.{choice.selected}")
         return choice
 
-    def strategy_for(self, contraction, **kwargs) -> ExecutionStrategy:
-        """Instantiate the winning strategy for ``contraction``."""
-        return get_strategy(
-            self.choose(contraction).selected,
-            self.arch,
-            self.dtype_bytes,
-            cost_model=self.cost_model,
-            **kwargs,
-        )
-
     # -- simulated ranking -------------------------------------------------
 
     def _macro_plan(self, contraction, name, descriptor):

@@ -4,55 +4,12 @@ import numpy as np
 import pytest
 
 from repro import Cogent, obs, parse
-from repro.core.cache import (
-    KernelCache,
-    cache_key,
-    contract,
-    size_bucket,
-)
+from repro.core.cache import KernelCache, contract
 
 
 @pytest.fixture
 def cache():
     return KernelCache(Cogent(arch="V100", top_k=4))
-
-
-class TestSizeBucket:
-    def test_powers_of_two_fixed(self):
-        for n in (1, 2, 4, 8, 16, 64, 256):
-            assert size_bucket(n) == n
-
-    def test_rounds_to_nearest(self):
-        assert size_bucket(24) == 32  # log2(24) = 4.58 rounds up
-        assert size_bucket(20) == 16
-        assert size_bucket(48) == 64
-        assert size_bucket(3) == 4
-
-    def test_minimum_is_one(self):
-        assert size_bucket(0) == 1
-        assert size_bucket(1) == 1
-
-
-class TestCacheKey:
-    def test_same_problem_same_key(self, v100):
-        c1 = parse("ab-ak-kb", 64)
-        c2 = parse("ab-ak-kb", 64)
-        assert cache_key(c1, v100, 8) == cache_key(c2, v100, 8)
-
-    def test_nearby_sizes_share_key(self, v100):
-        c1 = parse("ab-ak-kb", 60)
-        c2 = parse("ab-ak-kb", 70)
-        assert cache_key(c1, v100, 8) == cache_key(c2, v100, 8)
-
-    def test_different_structure_differs(self, v100):
-        c1 = parse("ab-ak-kb", 64)
-        c2 = parse("ab-ka-kb", 64)
-        assert cache_key(c1, v100, 8) != cache_key(c2, v100, 8)
-
-    def test_arch_and_dtype_in_key(self, v100, p100):
-        c = parse("ab-ak-kb", 64)
-        assert cache_key(c, v100, 8) != cache_key(c, p100, 8)
-        assert cache_key(c, v100, 8) != cache_key(c, v100, 4)
 
 
 class TestKernelCache:
@@ -98,36 +55,27 @@ class TestContract:
             assert np.allclose(
                 contract("ab-ak-kb", a, b, cache=cache), a @ b
             )
-        assert cache.misses == 1
-        assert cache.hits == 2
+        # Extents are memoized exactly: three shapes, three kernels.
+        assert cache.misses == 3
+        assert cache.hits == 0
 
-    def test_rebind_fallback_regenerates_and_counts(self, cache):
-        # At 24 the winner splits 'a' by 4; 23 lands in the same size
-        # bucket, where that split no longer applies.
-        rng = np.random.default_rng(6)
-        a = rng.random((24, 24))
-        b = rng.random((24, 24))
-        contract("ab-ak-kb", a, b, cache=cache)
-        assert cache.lookup(parse("ab-ak-kb", 24)).split_specs
+    def test_warm_call_parses_once(self, cache):
+        rng = np.random.default_rng(8)
+        a, b = rng.random((9, 6)), rng.random((6, 7))
+        first = contract("ab-ak-kb", a, b, cache=cache)
+        c = parse("ab-ak-kb", {"a": 9, "b": 7, "k": 6})
+        kernel = cache.lookup(c)
+        assert kernel is not None
         with obs.tracing() as session:
-            got = contract("ab-ak-kb", a[:23], b, cache=cache)
-        assert np.allclose(got, a[:23] @ b)
-        assert session.metrics.counter(
-            "cache.kernel.rebind_fallbacks") == 1
-
-    def test_rebind_bug_propagates(self, cache, monkeypatch):
-        from repro.core import cache as cache_mod
-
-        def broken(kernel, contraction, *args, **kwargs):
-            raise TypeError("bug in rebind")
-
-        rng = np.random.default_rng(7)
-        contract("ab-ak-kb", rng.random((16, 8)), rng.random((8, 16)),
-                 cache=cache)
-        monkeypatch.setattr(cache_mod, "_rebind_kernel", broken)
-        with pytest.raises(TypeError, match="bug in rebind"):
-            contract("ab-ak-kb", rng.random((17, 8)),
-                     rng.random((8, 16)), cache=cache)
+            again = contract("ab-ak-kb", a, b, cache=cache)
+        counter = session.metrics.counter
+        assert counter("parse.expressions") == 1
+        assert counter("generate.contractions") == 0
+        # The first call's kernel ran again: a fresh kernel object's
+        # first call would have been interpreted.
+        assert counter("execute.interpreter_calls") == 0
+        assert cache.lookup(c) is kernel
+        assert np.allclose(first, a @ b) and np.allclose(again, a @ b)
 
     def test_single_precision(self, cache):
         rng = np.random.default_rng(5)

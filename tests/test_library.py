@@ -97,6 +97,33 @@ class TestDispatch:
         got = library.dispatch(a, b)
         assert np.allclose(got, reference_contract(c, a, b))
 
+    def test_rebind_fallback_regenerates_and_counts(self):
+        # The version tuned at 24 splits 'a' by 4; at 23 that split no
+        # longer applies, so the kernel is generated at 23, once.
+        lib = KernelLibrary("ab-ak-kb", [24], Cogent(top_k=4))
+        assert lib.entries[0].kernel.split_specs
+        rng = np.random.default_rng(6)
+        a = rng.random((24, 24))
+        b = rng.random((24, 24))
+        with obs.tracing() as session:
+            for _ in range(2):
+                got = lib.dispatch(a[:23], b)
+                assert np.allclose(got, a[:23] @ b)
+        assert session.metrics.counter("library.rebind_fallbacks") == 1
+        assert session.metrics.counter("generate.contractions") == 1
+
+    def test_rebind_bug_propagates(self, monkeypatch):
+        from repro.core import library as library_mod
+
+        def broken(kernel, contraction, *args, **kwargs):
+            raise TypeError("bug in rebind")
+
+        lib = KernelLibrary("ab-ak-kb", [16], Cogent(top_k=4))
+        monkeypatch.setattr(library_mod, "_rebind_kernel", broken)
+        rng = np.random.default_rng(7)
+        with pytest.raises(TypeError, match="bug in rebind"):
+            lib.dispatch(rng.random((17, 8)), rng.random((8, 16)))
+
 
 @requires_cc
 def test_dispatch_memoizes_rebinds_and_runs_natively(monkeypatch):

@@ -20,8 +20,9 @@ import pytest
 from repro import Cogent, obs
 from repro.apps.ccsdt import triples_terms
 from repro.core.batched import generate_batched
-from repro.core.cache import KernelCache, _rebind_kernel, contract
+from repro.core.cache import KernelCache, contract
 from repro.core.codegen import chost
+from repro.core.library import _rebind_kernel
 from repro.core.parser import parse
 from repro.core.plan import KernelPlan
 from repro.gpu.executor import integer_operands, random_operands
@@ -173,8 +174,8 @@ def test_batched_first_call_interprets_every_slice(fresh_tier):
 
 
 def test_neighbouring_extent_rebind_runs_natively(fresh_tier):
-    # 16 and 20 share a size bucket, and both stage with vector width 2,
-    # so the rebound kernel's source is the cached kernel's.
+    # The memo generates one kernel at 16 and one at 20; both stage with
+    # vector width 2, so the two kernels share one program.
     cache = KernelCache(Cogent(allow_split=False))
     rng = np.random.default_rng(6)
     a = rng.integers(-4, 5, size=(20, 20)).astype(np.float64)
@@ -195,8 +196,8 @@ def test_neighbouring_extent_rebind_runs_natively(fresh_tier):
         }
         assert {k: v for k, v in moved.items() if v} == tier
         assert got.tobytes() == (operands[0] @ operands[1]).tobytes()
-    # The rebound kernel is memoized: the 16 and 20 kernels bound one
-    # library between them.
+    # Each kernel is memoized: the 16 and 20 kernels bound one library
+    # between them.
     assert session.metrics.counter("chost.build_hits") == 1
 
 

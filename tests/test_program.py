@@ -101,7 +101,7 @@ class TestWorkloadKey:
         assert k1 == k2
 
     def test_exact_extents_not_bucketed(self, gen):
-        # cache_key buckets 31 and 32 together; workload keys must not.
+        # Neighbouring extents are separate classes: fan-out never clamps.
         k1 = workload_key(parse("ab-ak-kb", 32), gen.arch, 8)
         k2 = workload_key(parse("ab-ak-kb", 31), gen.arch, 8)
         assert k1 != k2
