@@ -96,14 +96,11 @@ def serial_stage_loops(
 def stage_group(
     plan: KernelPlan, tensor, buffer: str, scalar: str,
     addr: str, bounds: str, smem_idx: str,
-    lane_stride: Optional[str] = None,
 ) -> List[str]:
     """Stage one element, or one vector group of scalar lanes.
 
     ``addr``/``bounds``/``smem_idx`` address the group's first element;
-    out-of-range elements stage as zero.  ``lane_stride`` spells the
-    staging-buffer distance between lanes (default: the plan's, as a
-    literal).
+    out-of-range elements stage as zero.
     """
     width = plan.staging_vector_width(tensor)
     if width == 1:
@@ -111,14 +108,8 @@ def stage_group(
             f"{buffer}[{smem_idx}] = ({bounds})"
             f" ? g_{tensor.name}[{addr}] : ({scalar})0;",
         ]
-    if lane_stride is None:
-        lane_stride = str(plan.smem_lane_stride(tensor))
-    if lane_stride.isdigit():
-        offsets = [str(lane * int(lane_stride)) for lane in range(width)]
-    else:
-        offsets = ["0", lane_stride] + [
-            f"{lane} * {lane_stride}" for lane in range(2, width)
-        ]
+    lane_stride = plan.smem_lane_stride(tensor)
+    offsets = [lane * lane_stride for lane in range(width)]
     lines = [f"if ({bounds}) {{"]
     for lane in range(width):
         lines.append(

@@ -10,23 +10,21 @@ tensor named ``A``):
 
 ``n_a``      extent of ``a`` (kernel parameter)
 ``t_a``      tile size of ``a`` (kernel parameter, runtime tiles only)
-``btx_``     block-tile extent along x (``bty_`` along y; runtime tiles
-             only)
 ``st_A_a``   element stride of ``a`` within tensor ``A``
 ``nt_a``     number of tiles covering ``a``
 ``boff_a``   this block's global offset along ``a``
 ``soff_e``   this step's global offset along internal index ``e``
 
-Tile sizes are literals by default.  With ``runtime_tiles=True`` a
-fragment spells each tile as its ``t_<i>`` parameter and each block
-tile as ``btx_``/``bty_`` instead, so one emitted program serves every
-tiling of one kernel structure; the emitter then declares those names.
+Tile sizes are literals by default.  With ``runtime_tiles=True``
+:func:`tile_count_definitions` and :func:`decompose_offsets` spell each
+tile as its ``t_<i>`` parameter instead, so one emitted program serves
+every tiling of one kernel structure.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..ir import TensorRef
 from ..mapping import Dim
@@ -55,10 +53,6 @@ def step_offset_var(index: str) -> str:
 
 def tile_param(index: str) -> str:
     return f"t_{index}"
-
-
-def block_tile_var(side: str) -> str:
-    return f"bt{side}_"
 
 
 def spell_tile(index: str, tile: int, runtime_tiles: bool) -> str:
@@ -158,18 +152,10 @@ class TileLoadFragment:
     address, the bounds predicate, and the staging-buffer address.
     """
 
-    def __init__(
-        self, plan: KernelPlan, tensor: TensorRef,
-        runtime_tiles: bool = False,
-    ) -> None:
+    def __init__(self, plan: KernelPlan, tensor: TensorRef) -> None:
         self.plan = plan
         self.tensor = tensor
         self.side = plan.input_side(tensor)
-        self.runtime_tiles = runtime_tiles
-
-    def _tile(self, index: str) -> Union[int, str]:
-        tile = self.plan.tile_of(index)
-        return tile_param(index) if self.runtime_tiles else tile
 
     def body(self, flat_var: str = "l") -> Tuple[List[str], str, str, str]:
         """Return (statements, global_addr_expr, bounds_expr, smem_idx).
@@ -202,18 +188,15 @@ class TileLoadFragment:
             offset = step_offset_var(index)
         return f"const int g_{index} = {offset} + {coord};"
 
-    def address_and_bounds(
-        self, indices: Optional[Sequence[str]] = None
-    ) -> Tuple[str, str]:
+    def address_and_bounds(self) -> Tuple[str, str]:
         """Global address and bounds predicate over the ``g_<i>`` coords.
 
-        ``indices`` restricts both to a subset of the tensor's indices
-        (default: all of them).  Bounds checks are always emitted; the
-        compiler removes them when extents are compile-time known.
+        Bounds checks are always emitted; the compiler removes them when
+        extents are compile-time known.
         """
         addr_terms: List[str] = []
         bound_terms: List[str] = []
-        for index in self.tensor.indices if indices is None else indices:
+        for index in self.tensor.indices:
             gvar = f"g_{index}"
             addr_terms.append(
                 f"(long){gvar} * {stride_var(self.tensor.name, index)}"
@@ -227,12 +210,11 @@ class TileLoadFragment:
         """Staging-buffer flat index ``int_flat * EXT + ext_flat``."""
         plan = self.plan
         ext_order = [
-            (index, self._tile(index))
+            (index, plan.tile_of(index))
             for index in plan.smem_ext_order(self.side)
         ]
         int_order = [
-            (m.index, self._tile(m.index))
-            for m in plan.config.by_dim(Dim.TB_K)
+            (m.index, m.tile) for m in plan.config.by_dim(Dim.TB_K)
         ]
         # GRID-mapped externals of this tensor have tile 1 => coord "0";
         # they do not participate in the staging layout.
@@ -242,31 +224,11 @@ class TileLoadFragment:
         int_flat = flatten_expr(int_coords, int_order)
         if int_flat == "0":
             return f"({ext_flat})"
-        return f"({int_flat}) * {self._block_tile()} + ({ext_flat})"
-
-    def _block_tile(self) -> str:
-        if self.runtime_tiles:
-            return block_tile_var(self.side)
-        config = self.plan.config
-        return str(
+        config = plan.config
+        block_tile = (
             config.block_tile_x if self.side == "x" else config.block_tile_y
         )
-
-    def lane_stride(self) -> str:
-        """:meth:`~repro.core.plan.KernelPlan.smem_lane_stride`, spelled."""
-        plan = self.plan
-        fvi = self.tensor.fvi
-        factors: List[Union[int, str]] = []
-        for index in plan.smem_ext_order(self.side):
-            if index == fvi:
-                return spell_product(factors)
-            factors.append(self._tile(index))
-        factors = [self._block_tile()]
-        for m in plan.config.by_dim(Dim.TB_K):
-            if m.index == fvi:
-                return spell_product(factors)
-            factors.append(self._tile(m.index))
-        return "0"
+        return f"({int_flat}) * {block_tile} + ({ext_flat})"
 
 
 class StoreFragment:

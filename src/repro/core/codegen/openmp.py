@@ -1,58 +1,61 @@
-"""OpenMP-C CPU backend.
+"""OpenMP-C CPU backend: one GETT macro-kernel per kernel structure.
 
 Where :mod:`repro.core.codegen.cemu` emulates the CUDA execution model
 *faithfully* (per-thread register tiles, barrier-delimited phases) to
-serve as a correctness oracle, this target maps the same kernel plan to
-code that is actually fast on a CPU:
+serve as a correctness oracle, this target runs the same kernel plan
+the way a CPU GEMM does (GETT, Springer & Bientinesi):
 
-* the grid loop over output thread-block tiles becomes an OpenMP
-  ``parallel for`` (one tile per iteration, ``schedule(static)``);
-* the staged tile loads run one loop per tile axis, FVI innermost, so
-  no element decomposes a flat index with ``%`` and ``/``; the smem
-  layout, including the vector-lane grouping, is the GPU schema's;
-* the paper's ``REG_X x REG_Y`` register tile becomes an ``MR x NR``
-  micro-tile (:func:`micro_tile`): the block tile is swept in register
-  blocks, each held in named scalars across the whole ``kk_`` loop of a
-  step and spilled to the ``BLOCK_X x BLOCK_Y`` block accumulator only
-  between steps, like a GETT micro-kernel over packed tiles;
-* the store splits the output address into a block, a row and a column
-  part, so each is computed once per block, row or column.
+* the output is a matrix: every free index of the x input (GRID-mapped
+  ones included) is an ``M`` row coordinate and every free index of the
+  y input an ``N`` column coordinate, while the contraction indices
+  form one packed depth, concatenated in the plan's ``(step, kk_)``
+  order;
+* address tables give each row, column and depth entry its offset in
+  the operands and in C, so packing and storing never decompose a flat
+  index;
+* the output is cut into cache blocks sized for the CPU's caches, not
+  by the GPU thread-block tile; an OpenMP ``parallel for`` runs the
+  blocks, and each thread packs a block's x rows into ``MR``-row
+  slivers and its y columns into ``NR``-column slivers;
+* the paper's ``REG_X x REG_Y`` register tile becomes a fixed ``MR x
+  NR`` micro-tile per element width (:data:`MICRO_TILE`), held in named
+  scalars across the whole packed depth and then written to C; ragged
+  edges are zero-padded in the slivers and never stored.
 
-The built text depends on the kernel's structure only, like a GETT
-macro-kernel around a fixed micro-kernel: index and tensor names are
-:func:`~repro.core.program.canonical_form`'s, the entry symbol is
-:data:`ENTRY`, and every tile size (with the block-tile, buffer and
-store-table sizes derived from them) is an ``entry`` argument after the
-extents.  What stays compile-time is what needs named scalars or
-unrolled lanes: the ``MR x NR`` register block and the staging vector
-widths.  So every kernel of one structure, whatever its extents, tile
-sizes or names, shares one build (:func:`build`).
+The built text depends on the kernel's structure only: index and
+tensor names are :func:`~repro.core.program.canonical_form`'s, the
+entry symbol is :data:`ENTRY`, and every extent and tile size is an
+``entry`` argument.  Only the TB_K tiles matter at run time (they set
+the depth order); the free indices' tiles are accepted and unused.  So
+every kernel of one structure and TB_K order, whatever its extents,
+tile sizes or names, shares one build (:func:`build`).
 
-Every output element sums its products over steps, then ``kk_``, in the
-same order as cemu, and ``acc += a * b`` is never fused, so the output
-is byte-identical to cemu even on non-integer operands.
+Every output element adds its products in the plan's k order, starting
+from ``+0``, and ``acc += a * b`` is never fused, so the output is
+byte-identical to cemu even on non-integer operands.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..ir import Contraction, TensorRef
-from ..mapping import Dim, KernelConfig, rename_config
-from ..plan import Axis, KernelPlan
+from ..mapping import KernelConfig, rename_config
+from ..plan import KernelPlan
 from . import chost
 from . import indexing as ix
-from .chost import host_main_function, scalar_type, stage_group
+from .chost import host_main_function, scalar_type
 from .registry import CodegenTarget, register_target
 
 #: The register block is spelled out in the source, so the one transform
-#: the kernel needs beyond ``-O1`` is SLP vectorization of that block;
-#: the loop peeling, unswitching and loop vectorization of ``-O2``/``-O3``
-#: only add compile time.  ``-ffp-contract=off`` keeps ``acc += a * b``
-#: two roundings, as in the emulation, on compilers that would fuse it.
+#: the kernel needs beyond ``-O1`` is SLP vectorization of that block and
+#: of the constant-size copies; the loop peeling, unswitching and loop
+#: vectorization of ``-O2``/``-O3`` only add compile time.
+#: ``-ffp-contract=off`` keeps ``acc += a * b`` two roundings, as in the
+#: emulation, on compilers that would fuse it.
 CFLAGS = (
     "-O1", "-ftree-slp-vectorize", "-std=c99", "-ffp-contract=off",
     "-fopenmp", "-march=native",
@@ -63,219 +66,320 @@ CFLAGS_PORTABLE = CFLAGS[:-1]
 ENTRY = "tc_kernel_omp"
 
 
-def micro_tile(plan: KernelPlan) -> Tuple[int, int]:
-    """``(MR, NR)``: the register block one micro-kernel call holds.
-
-    The largest divisors of the block tile that are at most 4 rows and
-    8 columns, so the micro-tiles cover the block tile exactly and the
-    kernel has one compute path with no remainder loop.
-    """
-    def largest_divisor(n: int, cap: int) -> int:
-        return max(d for d in range(1, cap + 1) if n % d == 0)
-
-    return (
-        largest_divisor(plan.config.block_tile_x, 4),
-        largest_divisor(plan.config.block_tile_y, 8),
-    )
+#: ``(MR, NR)``, the register block of the micro-kernel, by element
+#: width: ``MR`` rows along the output's FVI times ``NR`` columns, i.e.
+#: eight 64-byte vector accumulators for either width.  ``NR`` elements
+#: span 32 bytes, so compilers broadcast each ``b`` from memory rather
+#: than permute a loaded vector.
+MICRO_TILE = {8: (16, 4), 4: (16, 8)}
+#: Bytes of one packed x block (rows over the whole packed depth; a
+#: sliver of it stays in L1 while the micro-kernel sweeps the y block)
+#: and of one packed y block (columns; it stays in L2 during a sweep).
+X_BLOCK_BYTES = 1 << 18
+Y_BLOCK_BYTES = 1 << 20
 
 
-def _stage_loops(
-    plan: KernelPlan, tensor, buffer: str, scalar: str
-) -> List[str]:
-    """Stage one input tile into ``buffer`` with one loop per tile axis.
-
-    The loops run in the tensor's storage order, FVI innermost and
-    stepping by the staging vector width, and carry the local
-    coordinates directly, so no element decomposes a flat index with
-    ``%`` and ``/``.  The outer axes' share of the address and bounds
-    is computed once per FVI row.  Addressing, bounds, smem layout and
-    lane grouping are the emulation's
-    (:class:`~repro.core.codegen.indexing.TileLoadFragment`), with tile
-    sizes spelled as the entry's ``t_<i>`` arguments.
-    """
-    frag = ix.TileLoadFragment(plan, tensor, runtime_tiles=True)
-    width = plan.staging_vector_width(tensor)
-    axes = plan.tensor_tile_axes(tensor)
-    grid = set(plan.config.indices_on(Dim.GRID))
-    coords = {
-        axis.index: "0" if axis.index in grid else f"lc_{axis.index}"
-        for axis in axes
-    }
-    # Grid-mapped axes have tile 1 and get no loop; the enclosing block
-    # scopes their coordinates to this tensor.
-    lines = ["{"]
-    depth = 1
-
-    def open_loop(axis: Axis, step: str) -> None:
-        nonlocal depth
-        coord = coords[axis.index]
-        if axis.index not in grid:
-            lines.extend(ix.indent([
-                f"for (int {coord} = 0; {coord} < {ix.tile_param(axis.index)};"
-                f" {coord} {step}) {{"
-            ], depth))
-            depth += 1
-        lines.extend(ix.indent(
-            [frag.global_coord_decl(axis.index, coord)], depth
-        ))
-
-    fvi, outer = axes[0], axes[1:]
-    for axis in reversed(outer):
-        open_loop(axis, "+= 1")
-    row_addr, row_bounds = frag.address_and_bounds(
-        [axis.index for axis in outer]
-    )
-    # The FVI coordinate moves the staging index by the lane stride.
-    lane_stride = frag.lane_stride()
-    fvi_coord = coords[fvi.index]
-    lines += ix.indent([
-        f"const long row_at_ = {row_addr};",
-        f"const int row_in_ = {row_bounds};",
-        f"const int row_s_ = "
-        f"{frag.smem_index_expr({**coords, fvi.index: '0'})};",
-    ], depth)
-    open_loop(fvi, f"+= {width}")
-    addr, bounds = frag.address_and_bounds([fvi.index])
-    smem = "row_s_" if fvi_coord == "0" else (
-        f"row_s_ + {fvi_coord}" if lane_stride == "1"
-        else f"row_s_ + {fvi_coord} * {lane_stride}"
-    )
-    lines += ix.indent(
-        stage_group(plan, tensor, buffer, scalar,
-                    f"row_at_ + {addr}", f"row_in_ && {bounds}",
-                    smem, lane_stride),
-        depth,
-    )
-    for level in reversed(range(depth)):
-        lines += ix.indent(["}"], level)
-    return lines
-
-
-def _micro_kernel(plan: KernelPlan, scalar: str) -> List[str]:
-    """The outer product over one staged step, one register block at a time.
-
-    The paper's register tile: each ``MR x NR`` block of ``c_tile_`` is
-    loaded into named scalars, accumulates the whole ``kk_`` loop there
-    and is written back.  The block is spelled out rather than left to
-    loop unrolling, so the compiler keeps it in registers without
-    peeling loops.  Every element still sums ``kk_`` in order, so the
-    result is bit-identical to the emulation's.
-    """
-    btx, bty = ix.block_tile_var("x"), ix.block_tile_var("y")
-    mr, nr = micro_tile(plan)
-    acc = [[f"r{i}_{j}_" for j in range(nr)] for i in range(mr)]
-    at = [
-        [f"{j}" if i == 0 else f"{bty} + {j}" if i == 1
-         else f"{i} * {bty} + {j}" for j in range(nr)]
-        for i in range(mr)
+def _chunks(statements: List[str], per_line: int = 4) -> List[str]:
+    return [
+        " ".join(statements[at:at + per_line])
+        for at in range(0, len(statements), per_line)
     ]
+
+
+def _pack_function(scalar: str) -> List[str]:
+    """``pack_``: copy rows of one operand into ``r_``-row slivers.
+
+    Sliver-major, then packed depth, then the sliver's rows, so the
+    micro-kernel reads both slivers contiguously.  A sliver whose rows
+    are contiguous in the operand is copied one run per depth entry;
+    rows past the side's extent pack as zero.
+    """
+    return [
+        f"static void pack_({scalar}* restrict dst_, const {scalar}* src_,",
+        "                  const long* row_, long first_, long count_,"
+        " long rows_,",
+        "                  const long* k_, long kp_, long r_)",
+        "{",
+        "    for (long s_ = 0; s_ < count_; s_ += r_) {",
+        f"        {scalar}* restrict d_ = dst_ + s_ * kp_;",
+        "        const long* at_ = row_ + first_ + s_;",
+        "        const long in_ = rows_ - first_ - s_;",
+        "        int run_ = in_ >= r_;",
+        "        for (long i_ = 1; run_ && i_ < r_; ++i_)",
+        "            run_ = at_[i_] == at_[0] + i_;",
+        "        if (run_) {",
+        f"            const {scalar}* s0_ = src_ + at_[0];",
+        "            for (long p_ = 0; p_ < kp_; ++p_, d_ += r_)",
+        "                put_(d_, s0_ + k_[p_], r_);",
+        "        } else {",
+        "            for (long p_ = 0; p_ < kp_; ++p_, d_ += r_)",
+        "                for (long i_ = 0; i_ < r_; ++i_)",
+        "                    d_[i_] = i_ < in_"
+        f" ? src_[at_[i_] + k_[p_]] : ({scalar})0;",
+        "        }",
+        "    }",
+        "}",
+    ]
+
+
+def _put_function(scalar: str, mr: int) -> List[str]:
+    """``put_``: store a run of at most ``MR`` contiguous elements.
+
+    One constant-size copy per set bit of the length, which the
+    compiler turns into vector moves; a library ``memcpy`` per run
+    costs more than the run on the short runs of small extents.
+    """
     lines = [
-        f"for (int x0_ = 0; x0_ < {btx}; x0_ += {mr}) {{",
-        f"    for (int y0_ = 0; y0_ < {bty}; y0_ += {nr}) {{",
-        f"        {scalar}* restrict c_blk_ ="
-        f" &c_tile_[(long)x0_ * {bty} + y0_];",
+        f"static void put_({scalar}* restrict d_,"
+        f" const {scalar}* restrict s_, long n_)",
+        "{",
     ]
-    lines += [
-        "        " + " ".join(
-            f"{scalar} {acc[i][j]} = c_blk_[{at[i][j]}];"
-            for j in range(nr)
+    size = mr
+    while size > 1:
+        lines.append(
+            f"    if (n_ & {size}) {{ memcpy(d_, s_, sizeof({scalar})"
+            f" * {size}); d_ += {size}; s_ += {size}; }}"
         )
-        for i in range(mr)
-    ]
-    lines += [
-        "        for (int kk_ = 0; kk_ < tk_; ++kk_) {",
-        f"            const {scalar}* restrict a_ = &s_a[kk_ * {btx} + x0_];",
-        f"            const {scalar}* restrict b_ = &s_b[kk_ * {bty} + y0_];",
-    ]
-    lines += [
-        "            " + " ".join(
-            f"{acc[i][j]} += a_[{i}] * b_[{j}];" for j in range(nr)
-        )
-        for i in range(mr)
-    ]
-    lines.append("        }")
-    lines += [
-        "        " + " ".join(
-            f"c_blk_[{at[i][j]}] = {acc[i][j]};" for j in range(nr)
-        )
-        for i in range(mr)
-    ]
-    lines += ["    }", "}"]
+        size //= 2
+    lines += ["    if (n_ & 1) *d_ = *s_;", "}"]
     return lines
 
 
-def _side_loops(
-    plan: KernelPlan, side: str,
-    body: Callable[[str, str], List[str]],
-) -> List[str]:
-    """Loop over one side (``"x"`` or ``"y"``) of the block tile.
+def _micro_kernel(scalar: str, mr: int, nr: int) -> List[str]:
+    """``micro_``: one ``MR x NR`` output tile over the whole packed
+    depth, into ``t_`` (column-major).
 
-    The side's flat coordinate ``x_``/``y_`` is laid out ``thread +
-    TB * reg`` like the staging buffers.  Rather than decompose it with
-    ``%`` and ``/`` by runtime tile sizes, one loop per index mapped to
-    the side's thread and register dimensions carries that coordinate,
-    fastest innermost, and the flat coordinate counts along.
-    ``body(addr, bounds)`` is the loop body, given the side's share of
-    the output address and its in-bounds predicate.
+    The paper's register tile: the accumulators are named scalars, so
+    the compiler holds them in vector registers for the whole depth,
+    and every element adds its products in packed (the plan's k)
+    order.  It stays a function of its own: inlined into the OpenMP
+    region, GCC's SLP pass vectorizes the accumulators twice.
     """
-    dims = (Dim.TB_X, Dim.REG_X) if side == "x" else (Dim.TB_Y, Dim.REG_Y)
-    entries = [m for dim in dims for m in plan.config.by_dim(dim)]
-    coords = {
-        m.index: ("tc_" if m.dim in (Dim.TB_X, Dim.TB_Y) else "rc_")
-        + m.index
-        for m in entries
-    }
-    c = plan.contraction.c
-    local = [i for i in c.indices if i in coords]
-    addr = " + ".join(
-        f"(long){coords[i]} * {ix.stride_var(c.name, i)}" for i in local
+    def acc(i: int, j: int) -> str:
+        return f"r{i}_{j}_"
+
+    lines = [
+        "__attribute__((noinline)) static void micro_(long kp_,",
+        f"    const {scalar}* restrict a_, const {scalar}* restrict b_,"
+        f" {scalar}* restrict t_)",
+        "{",
+    ]
+    body: List[str] = []
+    for j in range(nr):
+        body += _chunks([f"{scalar} {acc(i, j)} = 0;" for i in range(mr)])
+    body.append(
+        f"for (long p_ = 0; p_ < kp_; ++p_, a_ += {mr}, b_ += {nr}) {{"
+    )
+    for j in range(nr):
+        body += ix.indent(_chunks([
+            f"{acc(i, j)} += a_[{i}] * b_[{j}];" for i in range(mr)
+        ]), 1)
+    body.append("}")
+    for j in range(nr):
+        body += _chunks([
+            f"t_[{j * mr + i}] = {acc(i, j)};" for i in range(mr)
+        ])
+    return lines + ix.indent(body, 1) + ["}"]
+
+
+def _macro_kernel(scalar: str, dtype_bytes: int) -> List[str]:
+    """``gett_``: the GETT macro-kernel over address tables.
+
+    ``xm_``/``cm_`` give each of the ``nm_`` M rows' offset in the x
+    input and in C, ``yn_``/``cn_`` each of the ``nn_`` N columns'
+    offset in the y input and in C, and ``xk_``/``yk_`` each of the
+    ``kp_`` packed depth entries' offset in the two inputs.  The output,
+    padded to whole slivers, is cut into cache blocks of ``mb_`` rows
+    and ``nb_`` columns; an OpenMP ``parallel for`` runs them, each
+    thread packing a block's x rows and y columns into its own buffers
+    (only when the block's rows or columns change).  The micro-kernel
+    then runs one x sliver against every y sliver of the block, so the
+    stores of one sweep stay close in C.  Each run of a tile's rows
+    that is contiguous in C is stored column by column; padded rows
+    and columns are not stored.  Returns nonzero when an allocation
+    failed.
+    """
+    mr, nr = MICRO_TILE[dtype_bytes]
+    lines = [
+        f"static int gett_({scalar}* restrict c_,"
+        f" const {scalar}* x_, const {scalar}* y_,",
+        "                 const long* xm_, const long* cm_, long nm_,",
+        "                 const long* yn_, const long* cn_, long nn_,",
+        "                 const long* xk_, const long* yk_, long kp_)",
+        "{",
+    ]
+    # Each run of rows contiguous in C is stored column by column.
+    store = [
+        f"const long mv_ = nm_ - m0_ < {mr} ? nm_ - m0_ : {mr};",
+        f"const long nv_ = nn_ - n0_ < {nr} ? nn_ - n0_ : {nr};",
+        "for (long i_ = 0, len_; i_ < mv_; i_ += len_) {",
+        "    len_ = runs_[m0_ + i_] < mv_ - i_ ? runs_[m0_ + i_] : mv_ - i_;",
+        "    for (long j_ = 0; j_ < nv_; ++j_)",
+        "        put_(c_ + cm_[m0_ + i_] + cn_[n0_ + j_],"
+        f" t_ + j_ * {mr} + i_, len_);",
+        "}",
+    ]
+    body = [
+        "#ifdef _OPENMP",
+        "const long threads_ = omp_get_max_threads();",
+        "#else",
+        "const long threads_ = 1;",
+        "#endif",
+        f"const long mp_ = (nm_ + {mr - 1}) / {mr} * {mr};",
+        f"const long np_ = (nn_ + {nr - 1}) / {nr} * {nr};",
+        f"long mb_ = {X_BLOCK_BYTES}L / ((long)sizeof({scalar}) * kp_)"
+        f" / {mr} * {mr};",
+        f"long nb_ = {Y_BLOCK_BYTES}L / ((long)sizeof({scalar}) * kp_)"
+        f" / {nr} * {nr};",
+        # At least one block of rows per thread, where there are rows.
+        f"const long share_ = (mp_ / {mr} + threads_ - 1) / threads_ * {mr};",
+        "if (mb_ > share_) mb_ = share_;",
+        f"if (mb_ < {mr}) mb_ = {mr};",
+        "if (mb_ > mp_) mb_ = mp_;",
+        f"if (nb_ < {nr}) nb_ = {nr};",
+        "if (nb_ > np_) nb_ = np_;",
+        "const long nmb_ = (mp_ + mb_ - 1) / mb_;",
+        "const long blocks_ = nmb_ * ((np_ + nb_ - 1) / nb_);",
+        # runs_[m]: how many rows from m on are contiguous in C.
+        "long* runs_ = (long*)malloc(sizeof(long) * nm_);",
+        "if (!runs_) return 1;",
+        "runs_[nm_ - 1] = 1;",
+        "for (long m_ = nm_ - 2; m_ >= 0; --m_)",
+        "    runs_[m_] = cm_[m_ + 1] == cm_[m_] + 1 ? runs_[m_ + 1] + 1 : 1;",
+        # A failed allocation on any thread is published through the
+        # shared flag; after the barrier every thread sees the same trip
+        # count, so the worksharing loop stays well-formed.
+        "int failed_ = 0;",
+        "#pragma omp parallel",
+        "{",
+        f"    {scalar}* xp_ = ({scalar}*)malloc(sizeof({scalar})"
+        " * mb_ * kp_);",
+        f"    {scalar}* yp_ = ({scalar}*)malloc(sizeof({scalar})"
+        " * nb_ * kp_);",
+        "    if (!xp_ || !yp_) {",
+        "        #pragma omp atomic write",
+        "        failed_ = 1;",
+        "    }",
+        "    #pragma omp barrier",
+        "    const long run_ = failed_ ? 0 : blocks_;",
+        "    long packed_ic_ = -1, packed_jc_ = -1;",
+        "    #pragma omp for schedule(static)",
+        "    for (long blk_ = 0; blk_ < run_; ++blk_) {",
+        "        const long ic_ = blk_ % nmb_ * mb_, jc_ = blk_ / nmb_ * nb_;",
+        "        const long mc_ = mp_ - ic_ < mb_ ? mp_ - ic_ : mb_;",
+        "        const long nc_ = np_ - jc_ < nb_ ? np_ - jc_ : nb_;",
+        "        if (ic_ != packed_ic_) {",
+        f"            pack_(xp_, x_, xm_, ic_, mc_, nm_, xk_, kp_, {mr});",
+        "            packed_ic_ = ic_;",
+        "        }",
+        "        if (jc_ != packed_jc_) {",
+        f"            pack_(yp_, y_, yn_, jc_, nc_, nn_, yk_, kp_, {nr});",
+        "            packed_jc_ = jc_;",
+        "        }",
+        f"        for (long ir_ = 0; ir_ < mc_; ir_ += {mr}) {{",
+        f"            for (long jr_ = 0; jr_ < nc_; jr_ += {nr}) {{",
+        "                const long m0_ = ic_ + ir_, n0_ = jc_ + jr_;",
+        f"                {scalar} t_[{mr * nr}];",
+        "                micro_(kp_, xp_ + ir_ * kp_, yp_ + jr_ * kp_, t_);",
+    ]
+    body += ix.indent(store, 4)
+    body += [
+        "            }",
+        "        }",
+        "    }",
+        "    free(xp_); free(yp_);",
+        "}",
+        "free(runs_);",
+        "return failed_;",
+    ]
+    return lines + ix.indent(body, 1) + ["}"]
+
+
+def _address(tensor: TensorRef, indices) -> str:
+    """``tensor``'s offset of the ``g_<i>`` coordinates of ``indices``."""
+    return " + ".join(
+        f"(long)g_{i} * {ix.stride_var(tensor.name, i)}"
+        for i in tensor.indices if i in indices
     ) or "0"
-    bounds = " && ".join(
-        f"({ix.block_offset_var(i)} + {coords[i]} < {ix.extent_param(i)})"
-        for i in local
-    ) or "1"
-    flat = f"{side}_"
-    if not entries:
-        return (
-            [f"for (int {flat} = 0; {flat} < 1; ++{flat}) {{"]
-            + ix.indent(body(addr, bounds), 1) + ["}"]
+
+
+def _depth_table(plan: KernelPlan) -> List[str]:
+    """Fill ``xk_``/``yk_``: the packed depth in the plan's k order.
+
+    Steps in step-id order, then ``kk_`` through the step's tile, both
+    decomposed fastest-first over the TB_K indices as the emulation
+    does.  Where a ragged step runs past an extent the emulation stages
+    zeros and adds ``+0`` products; those are left out here, which
+    changes no bit: an accumulator that starts at ``+0`` is never
+    ``-0`` under round-to-nearest, and ``x + (+0)`` is ``x`` for every
+    other ``x``, infinities and NaNs included.
+    """
+    axes = plan.step_axes
+    internal = {axis.index for axis in axes}
+    x, y = plan.x_input, plan.y_input
+    kk = ["int rem_ = kk_;"]
+    for n, axis in enumerate(axes):
+        tile = ix.tile_param(axis.index)
+        last = n + 1 == len(axes)
+        kk.append(
+            f"const int g_{axis.index} = {ix.step_offset_var(axis.index)}"
+            f" + {'rem_' if last else f'rem_ % {tile}'};"
         )
-    lines = ["{", f"    int {flat} = 0;"]
-    for depth, m in enumerate(reversed(entries), start=1):
-        coord = coords[m.index]
-        step = f"++{coord}, ++{flat}" if depth == len(entries) \
-            else f"++{coord}"
+        if not last:
+            kk.append(f"rem_ /= {tile};")
+    if axes:
+        kk.append("if (" + " || ".join(
+            f"g_{i} >= {ix.extent_param(i)}" for i in sorted(internal)
+        ) + ") continue;")
+    else:
+        kk.append("(void)rem_;")
+    kk += [
+        f"xk_[p_] = {_address(x, internal)};",
+        f"yk_[p_] = {_address(y, internal)};",
+        "++p_;",
+    ]
+    lines = ["for (int step_ = 0; step_ < nsteps_; ++step_) {"]
+    lines += ix.indent(ix.decompose_offsets(
+        "step_", axes, ix.step_offset_var, "sid_", runtime_tiles=True,
+    ), 1)
+    lines.append("    for (int kk_ = 0; kk_ < tk_; ++kk_) {")
+    lines += ix.indent(kk, 2)
+    lines += ["    }", "}"]
+    return ["{", "    long p_ = 0;"] + ix.indent(lines, 1) + ["}"]
+
+
+def _side_table(
+    c: TensorRef, tensor: TensorRef, free: Tuple[str, ...],
+    rows: str, out: str,
+) -> List[str]:
+    """Fill ``rows``/``out``: each free-index point's offset in
+    ``tensor`` and in C, the first free index (in C order) fastest."""
+    if not free:
+        return [f"{rows}[0] = 0;", f"{out}[0] = 0;"]
+    lines = ["{", "    long r_ = 0;"]
+    for depth, index in enumerate(reversed(free), start=1):
+        step = f"++g_{index}" + (", ++r_" if depth == len(free) else "")
         lines += ix.indent([
-            f"for (int {coord} = 0; {coord} < {ix.tile_param(m.index)};"
+            f"for (int g_{index} = 0; g_{index} < {ix.extent_param(index)};"
             f" {step}) {{"
         ], depth)
-    lines += ix.indent(body(addr, bounds), len(entries) + 1)
-    for depth in reversed(range(len(entries) + 1)):
+    lines += ix.indent([
+        f"{rows}[r_] = {_address(tensor, free)};",
+        f"{out}[r_] = {_address(c, free)};",
+    ], len(free) + 1)
+    for depth in reversed(range(len(free) + 1)):
         lines += ix.indent(["}"], depth)
     return lines
-
-
-def _size_definitions(plan: KernelPlan) -> List[str]:
-    """The block-tile and step sizes, from the ``t_<i>`` arguments."""
-    config = plan.config
-
-    def tiles(*dims: Dim) -> str:
-        return ix.spell_product(
-            [ix.tile_param(i) for dim in dims for i in config.indices_on(dim)]
-        )
-
-    return [
-        f"const int {ix.block_tile_var('x')} = {tiles(Dim.TB_X, Dim.REG_X)};",
-        f"const int {ix.block_tile_var('y')} = {tiles(Dim.TB_Y, Dim.REG_Y)};",
-        f"const int tk_ = {tiles(Dim.TB_K)};",
-    ]
 
 
 def _kernel_function(plan: KernelPlan) -> List[str]:
     scalar = scalar_type(plan.dtype_bytes)
     contraction = plan.contraction
     c, a, b = contraction.c, contraction.a, contraction.b
-    btx, bty = ix.block_tile_var("x"), ix.block_tile_var("y")
+    x, y = plan.x_input, plan.y_input
+    m_free = tuple(i for i in c.indices if i in x.indices)
+    n_free = tuple(i for i in c.indices if i in y.indices)
+    axes = plan.step_axes
 
     params = [
         f"{scalar}* g_{c.name}",
@@ -289,96 +393,49 @@ def _kernel_function(plan: KernelPlan) -> List[str]:
     body += ix.stride_definitions(c)
     body += ix.stride_definitions(a)
     body += ix.stride_definitions(b)
-    body += _size_definitions(plan)
-    body += ix.tile_count_definitions(plan.block_axes, runtime_tiles=True)
-    body += ix.tile_count_definitions(plan.step_axes, runtime_tiles=True)
+    # The free indices' tiles block the GPU grid only; the CPU blocks
+    # for its caches instead.
+    body += [f"(void){ix.tile_param(i)};" for i in c.indices]
+    body += ix.tile_count_definitions(axes, runtime_tiles=True)
 
-    nblock_terms = [ix.ntiles_var(x.index) for x in plan.block_axes] or ["1"]
-    nstep_terms = [ix.ntiles_var(x.index) for x in plan.step_axes] or ["1"]
+    def product(terms: List[str]) -> str:
+        return " * ".join(terms) or "1"
+
     body += [
-        f"const long num_blocks_ = (long){' * (long)'.join(nblock_terms)};",
-        f"const int nsteps_ = {' * '.join(nstep_terms)};",
+        "const int tk_ = "
+        f"{product([ix.tile_param(ax.index) for ax in axes])};",
+        "const int nsteps_ = "
+        f"{product([ix.ntiles_var(ax.index) for ax in axes])};",
+        "const long kp_ = "
+        f"{product([f'(long){ix.extent_param(ax.index)}' for ax in axes])};",
+        "const long nm_ = "
+        f"{product([f'(long){ix.extent_param(i)}' for i in m_free])};",
+        "const long nn_ = "
+        f"{product([f'(long){ix.extent_param(i)}' for i in n_free])};",
+        "long* xk_ = (long*)malloc(sizeof(long)"
+        " * (2 * kp_ + 2 * nm_ + 2 * nn_));",
+        "if (!xk_) return 2;",
+        "long* yk_ = xk_ + kp_;",
+        "long* xm_ = yk_ + kp_;",
+        "long* cm_ = xm_ + nm_;",
+        "long* yn_ = cm_ + nm_;",
+        "long* cn_ = yn_ + nn_;",
     ]
-
-    # Per-block-tile body: stage, accumulate, store one output tile.
-    block_body: List[str] = []
-    block_body += ix.decompose_offsets(
-        "(int)blk_", plan.block_axes, ix.block_offset_var, "bid_",
-        runtime_tiles=True,
-    )
-    block_body.append(
-        f"memset(c_tile_, 0, sizeof({scalar}) * {btx} * {bty});"
-    )
-
-    step_body: List[str] = []
-    step_body += ix.decompose_offsets(
-        "step_", plan.step_axes, ix.step_offset_var, "sid_",
-        runtime_tiles=True,
-    )
-    for tensor, buffer in ((plan.x_input, "s_a"), (plan.y_input, "s_b")):
-        step_body += _stage_loops(plan, tensor, buffer, scalar)
-    step_body += _micro_kernel(plan, scalar)
-    block_body.append("for (int step_ = 0; step_ < nsteps_; ++step_) {")
-    block_body += ix.indent(step_body, 1)
-    block_body.append("}")
-
-    # Store: the output address splits into a block part, a row (x)
-    # part and a column (y) part.  The block part is computed once, rows
-    # are tabulated once per block and columns computed once each, so
-    # no element decomposes a coordinate.  The inner loop runs along x,
-    # the side of the output's FVI.
-    block_addr = " + ".join(
-        f"(long){ix.block_offset_var(i)} * {ix.stride_var(c.name, i)}"
-        for i in c.indices
-    )
-    block_body.append(f"const long c_base_ = {block_addr};")
-    block_body += _side_loops(plan, "x", lambda addr, bounds: [
-        f"row_off_[x_] = {addr};",
-        f"row_ok_[x_] = {bounds};",
-    ])
-    block_body += _side_loops(plan, "y", lambda addr, bounds: [
-        f"if (!({bounds})) continue;",
-        f"{scalar}* restrict c_col_ = &g_{c.name}[c_base_ + {addr}];",
-        f"for (int x_ = 0; x_ < {btx}; ++x_)",
-        "    if (row_ok_[x_])",
-        f"        c_col_[row_off_[x_]] = c_tile_[(long)x_ * {bty} + y_];",
-    ])
-
-    # The accumulator can exceed worker-thread stacks (up to ~0.5 MB),
-    # so every buffer is heap-allocated per OpenMP thread.  A failed
-    # allocation on any thread is published through the shared flag;
-    # after the barrier every thread sees the same trip count, so the
-    # worksharing loop stays well-formed and runs no block on failure.
-    buffers = (
-        (scalar, "s_a", f"{btx} * tk_"), (scalar, "s_b", f"{bty} * tk_"),
-        (scalar, "c_tile_", f"{btx} * {bty}"),
-        ("long", "row_off_", btx), ("int", "row_ok_", btx),
-    )
-    body += ["int failed_ = 0;", "#pragma omp parallel", "{"]
+    body += _depth_table(plan)
+    body += _side_table(c, x, m_free, "xm_", "cm_")
+    body += _side_table(c, y, n_free, "yn_", "cn_")
     body += [
-        f"    {kind}* {name} = ({kind}*)malloc(sizeof({kind}) * {count});"
-        for kind, name, count in buffers
-    ]
-    body += [
-        "    if (" + " || ".join(f"!{name}" for _, name, _ in buffers)
-        + ") {",
-        "        #pragma omp atomic write",
-        "        failed_ = 1;",
-        "    }",
-        "    #pragma omp barrier",
-        "    const long run_blocks_ = failed_ ? 0 : num_blocks_;",
-        "    #pragma omp for schedule(static)",
-        "    for (long blk_ = 0; blk_ < run_blocks_; ++blk_) {",
-    ]
-    body += ix.indent(block_body, 2)
-    body += [
-        "    }",
-        "    " + " ".join(f"free({name});" for _, name, _ in buffers),
-        "}",
+        f"const int failed_ = gett_(g_{c.name}, g_{x.name}, g_{y.name},"
+        " xm_, cm_, nm_, yn_, cn_, nn_, xk_, yk_, kp_);",
+        "free(xk_);",
         "return failed_ ? 2 : 0;",
     ]
 
-    lines = [f"int {ENTRY}({', '.join(params)})", "{"]
+    lines = _put_function(scalar, MICRO_TILE[plan.dtype_bytes][0]) + [""]
+    lines += _pack_function(scalar) + [""]
+    lines += _micro_kernel(scalar, *MICRO_TILE[plan.dtype_bytes]) + [""]
+    lines += _macro_kernel(scalar, plan.dtype_bytes) + [""]
+    lines += [f"int {ENTRY}({', '.join(params)})", "{"]
     lines += ix.indent(body, 1)
     lines.append("}")
     return lines
@@ -422,6 +479,9 @@ def _program_text(
         "#include <stdio.h>",
         "#include <stdlib.h>",
         "#include <string.h>",
+        "#ifdef _OPENMP",
+        "#include <omp.h>",
+        "#endif",
         "",
     ]
     lines += _kernel_function(_canonical_plan(plan))
@@ -456,8 +516,9 @@ def compile_and_run(
 
 @register_target
 class OpenmpTarget(CodegenTarget):
-    """The measurable CPU performance backend: OpenMP parallel-for over
-    thread-block tiles with a vectorizable accumulation loop."""
+    """The measurable CPU performance backend: a GETT macro-kernel with
+    an OpenMP parallel-for over cache blocks and a register-blocked
+    micro-kernel."""
 
     name = "openmp"
     can_execute = True

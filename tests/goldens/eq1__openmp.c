@@ -1,6 +1,169 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+static void put_(double* restrict d_, const double* restrict s_, long n_)
+{
+    if (n_ & 16) { memcpy(d_, s_, sizeof(double) * 16); d_ += 16; s_ += 16; }
+    if (n_ & 8) { memcpy(d_, s_, sizeof(double) * 8); d_ += 8; s_ += 8; }
+    if (n_ & 4) { memcpy(d_, s_, sizeof(double) * 4); d_ += 4; s_ += 4; }
+    if (n_ & 2) { memcpy(d_, s_, sizeof(double) * 2); d_ += 2; s_ += 2; }
+    if (n_ & 1) *d_ = *s_;
+}
+
+static void pack_(double* restrict dst_, const double* src_,
+                  const long* row_, long first_, long count_, long rows_,
+                  const long* k_, long kp_, long r_)
+{
+    for (long s_ = 0; s_ < count_; s_ += r_) {
+        double* restrict d_ = dst_ + s_ * kp_;
+        const long* at_ = row_ + first_ + s_;
+        const long in_ = rows_ - first_ - s_;
+        int run_ = in_ >= r_;
+        for (long i_ = 1; run_ && i_ < r_; ++i_)
+            run_ = at_[i_] == at_[0] + i_;
+        if (run_) {
+            const double* s0_ = src_ + at_[0];
+            for (long p_ = 0; p_ < kp_; ++p_, d_ += r_)
+                put_(d_, s0_ + k_[p_], r_);
+        } else {
+            for (long p_ = 0; p_ < kp_; ++p_, d_ += r_)
+                for (long i_ = 0; i_ < r_; ++i_)
+                    d_[i_] = i_ < in_ ? src_[at_[i_] + k_[p_]] : (double)0;
+        }
+    }
+}
+
+__attribute__((noinline)) static void micro_(long kp_,
+    const double* restrict a_, const double* restrict b_, double* restrict t_)
+{
+    double r0_0_ = 0; double r1_0_ = 0; double r2_0_ = 0; double r3_0_ = 0;
+    double r4_0_ = 0; double r5_0_ = 0; double r6_0_ = 0; double r7_0_ = 0;
+    double r8_0_ = 0; double r9_0_ = 0; double r10_0_ = 0; double r11_0_ = 0;
+    double r12_0_ = 0; double r13_0_ = 0; double r14_0_ = 0; double r15_0_ = 0;
+    double r0_1_ = 0; double r1_1_ = 0; double r2_1_ = 0; double r3_1_ = 0;
+    double r4_1_ = 0; double r5_1_ = 0; double r6_1_ = 0; double r7_1_ = 0;
+    double r8_1_ = 0; double r9_1_ = 0; double r10_1_ = 0; double r11_1_ = 0;
+    double r12_1_ = 0; double r13_1_ = 0; double r14_1_ = 0; double r15_1_ = 0;
+    double r0_2_ = 0; double r1_2_ = 0; double r2_2_ = 0; double r3_2_ = 0;
+    double r4_2_ = 0; double r5_2_ = 0; double r6_2_ = 0; double r7_2_ = 0;
+    double r8_2_ = 0; double r9_2_ = 0; double r10_2_ = 0; double r11_2_ = 0;
+    double r12_2_ = 0; double r13_2_ = 0; double r14_2_ = 0; double r15_2_ = 0;
+    double r0_3_ = 0; double r1_3_ = 0; double r2_3_ = 0; double r3_3_ = 0;
+    double r4_3_ = 0; double r5_3_ = 0; double r6_3_ = 0; double r7_3_ = 0;
+    double r8_3_ = 0; double r9_3_ = 0; double r10_3_ = 0; double r11_3_ = 0;
+    double r12_3_ = 0; double r13_3_ = 0; double r14_3_ = 0; double r15_3_ = 0;
+    for (long p_ = 0; p_ < kp_; ++p_, a_ += 16, b_ += 4) {
+        r0_0_ += a_[0] * b_[0]; r1_0_ += a_[1] * b_[0]; r2_0_ += a_[2] * b_[0]; r3_0_ += a_[3] * b_[0];
+        r4_0_ += a_[4] * b_[0]; r5_0_ += a_[5] * b_[0]; r6_0_ += a_[6] * b_[0]; r7_0_ += a_[7] * b_[0];
+        r8_0_ += a_[8] * b_[0]; r9_0_ += a_[9] * b_[0]; r10_0_ += a_[10] * b_[0]; r11_0_ += a_[11] * b_[0];
+        r12_0_ += a_[12] * b_[0]; r13_0_ += a_[13] * b_[0]; r14_0_ += a_[14] * b_[0]; r15_0_ += a_[15] * b_[0];
+        r0_1_ += a_[0] * b_[1]; r1_1_ += a_[1] * b_[1]; r2_1_ += a_[2] * b_[1]; r3_1_ += a_[3] * b_[1];
+        r4_1_ += a_[4] * b_[1]; r5_1_ += a_[5] * b_[1]; r6_1_ += a_[6] * b_[1]; r7_1_ += a_[7] * b_[1];
+        r8_1_ += a_[8] * b_[1]; r9_1_ += a_[9] * b_[1]; r10_1_ += a_[10] * b_[1]; r11_1_ += a_[11] * b_[1];
+        r12_1_ += a_[12] * b_[1]; r13_1_ += a_[13] * b_[1]; r14_1_ += a_[14] * b_[1]; r15_1_ += a_[15] * b_[1];
+        r0_2_ += a_[0] * b_[2]; r1_2_ += a_[1] * b_[2]; r2_2_ += a_[2] * b_[2]; r3_2_ += a_[3] * b_[2];
+        r4_2_ += a_[4] * b_[2]; r5_2_ += a_[5] * b_[2]; r6_2_ += a_[6] * b_[2]; r7_2_ += a_[7] * b_[2];
+        r8_2_ += a_[8] * b_[2]; r9_2_ += a_[9] * b_[2]; r10_2_ += a_[10] * b_[2]; r11_2_ += a_[11] * b_[2];
+        r12_2_ += a_[12] * b_[2]; r13_2_ += a_[13] * b_[2]; r14_2_ += a_[14] * b_[2]; r15_2_ += a_[15] * b_[2];
+        r0_3_ += a_[0] * b_[3]; r1_3_ += a_[1] * b_[3]; r2_3_ += a_[2] * b_[3]; r3_3_ += a_[3] * b_[3];
+        r4_3_ += a_[4] * b_[3]; r5_3_ += a_[5] * b_[3]; r6_3_ += a_[6] * b_[3]; r7_3_ += a_[7] * b_[3];
+        r8_3_ += a_[8] * b_[3]; r9_3_ += a_[9] * b_[3]; r10_3_ += a_[10] * b_[3]; r11_3_ += a_[11] * b_[3];
+        r12_3_ += a_[12] * b_[3]; r13_3_ += a_[13] * b_[3]; r14_3_ += a_[14] * b_[3]; r15_3_ += a_[15] * b_[3];
+    }
+    t_[0] = r0_0_; t_[1] = r1_0_; t_[2] = r2_0_; t_[3] = r3_0_;
+    t_[4] = r4_0_; t_[5] = r5_0_; t_[6] = r6_0_; t_[7] = r7_0_;
+    t_[8] = r8_0_; t_[9] = r9_0_; t_[10] = r10_0_; t_[11] = r11_0_;
+    t_[12] = r12_0_; t_[13] = r13_0_; t_[14] = r14_0_; t_[15] = r15_0_;
+    t_[16] = r0_1_; t_[17] = r1_1_; t_[18] = r2_1_; t_[19] = r3_1_;
+    t_[20] = r4_1_; t_[21] = r5_1_; t_[22] = r6_1_; t_[23] = r7_1_;
+    t_[24] = r8_1_; t_[25] = r9_1_; t_[26] = r10_1_; t_[27] = r11_1_;
+    t_[28] = r12_1_; t_[29] = r13_1_; t_[30] = r14_1_; t_[31] = r15_1_;
+    t_[32] = r0_2_; t_[33] = r1_2_; t_[34] = r2_2_; t_[35] = r3_2_;
+    t_[36] = r4_2_; t_[37] = r5_2_; t_[38] = r6_2_; t_[39] = r7_2_;
+    t_[40] = r8_2_; t_[41] = r9_2_; t_[42] = r10_2_; t_[43] = r11_2_;
+    t_[44] = r12_2_; t_[45] = r13_2_; t_[46] = r14_2_; t_[47] = r15_2_;
+    t_[48] = r0_3_; t_[49] = r1_3_; t_[50] = r2_3_; t_[51] = r3_3_;
+    t_[52] = r4_3_; t_[53] = r5_3_; t_[54] = r6_3_; t_[55] = r7_3_;
+    t_[56] = r8_3_; t_[57] = r9_3_; t_[58] = r10_3_; t_[59] = r11_3_;
+    t_[60] = r12_3_; t_[61] = r13_3_; t_[62] = r14_3_; t_[63] = r15_3_;
+}
+
+static int gett_(double* restrict c_, const double* x_, const double* y_,
+                 const long* xm_, const long* cm_, long nm_,
+                 const long* yn_, const long* cn_, long nn_,
+                 const long* xk_, const long* yk_, long kp_)
+{
+    #ifdef _OPENMP
+    const long threads_ = omp_get_max_threads();
+    #else
+    const long threads_ = 1;
+    #endif
+    const long mp_ = (nm_ + 15) / 16 * 16;
+    const long np_ = (nn_ + 3) / 4 * 4;
+    long mb_ = 262144L / ((long)sizeof(double) * kp_) / 16 * 16;
+    long nb_ = 1048576L / ((long)sizeof(double) * kp_) / 4 * 4;
+    const long share_ = (mp_ / 16 + threads_ - 1) / threads_ * 16;
+    if (mb_ > share_) mb_ = share_;
+    if (mb_ < 16) mb_ = 16;
+    if (mb_ > mp_) mb_ = mp_;
+    if (nb_ < 4) nb_ = 4;
+    if (nb_ > np_) nb_ = np_;
+    const long nmb_ = (mp_ + mb_ - 1) / mb_;
+    const long blocks_ = nmb_ * ((np_ + nb_ - 1) / nb_);
+    long* runs_ = (long*)malloc(sizeof(long) * nm_);
+    if (!runs_) return 1;
+    runs_[nm_ - 1] = 1;
+    for (long m_ = nm_ - 2; m_ >= 0; --m_)
+        runs_[m_] = cm_[m_ + 1] == cm_[m_] + 1 ? runs_[m_ + 1] + 1 : 1;
+    int failed_ = 0;
+    #pragma omp parallel
+    {
+        double* xp_ = (double*)malloc(sizeof(double) * mb_ * kp_);
+        double* yp_ = (double*)malloc(sizeof(double) * nb_ * kp_);
+        if (!xp_ || !yp_) {
+            #pragma omp atomic write
+            failed_ = 1;
+        }
+        #pragma omp barrier
+        const long run_ = failed_ ? 0 : blocks_;
+        long packed_ic_ = -1, packed_jc_ = -1;
+        #pragma omp for schedule(static)
+        for (long blk_ = 0; blk_ < run_; ++blk_) {
+            const long ic_ = blk_ % nmb_ * mb_, jc_ = blk_ / nmb_ * nb_;
+            const long mc_ = mp_ - ic_ < mb_ ? mp_ - ic_ : mb_;
+            const long nc_ = np_ - jc_ < nb_ ? np_ - jc_ : nb_;
+            if (ic_ != packed_ic_) {
+                pack_(xp_, x_, xm_, ic_, mc_, nm_, xk_, kp_, 16);
+                packed_ic_ = ic_;
+            }
+            if (jc_ != packed_jc_) {
+                pack_(yp_, y_, yn_, jc_, nc_, nn_, yk_, kp_, 4);
+                packed_jc_ = jc_;
+            }
+            for (long ir_ = 0; ir_ < mc_; ir_ += 16) {
+                for (long jr_ = 0; jr_ < nc_; jr_ += 4) {
+                    const long m0_ = ic_ + ir_, n0_ = jc_ + jr_;
+                    double t_[64];
+                    micro_(kp_, xp_ + ir_ * kp_, yp_ + jr_ * kp_, t_);
+                    const long mv_ = nm_ - m0_ < 16 ? nm_ - m0_ : 16;
+                    const long nv_ = nn_ - n0_ < 4 ? nn_ - n0_ : 4;
+                    for (long i_ = 0, len_; i_ < mv_; i_ += len_) {
+                        len_ = runs_[m0_ + i_] < mv_ - i_ ? runs_[m0_ + i_] : mv_ - i_;
+                        for (long j_ = 0; j_ < nv_; ++j_)
+                            put_(c_ + cm_[m0_ + i_] + cn_[n0_ + j_], t_ + j_ * 16 + i_, len_);
+                    }
+                }
+            }
+        }
+        free(xp_); free(yp_);
+    }
+    free(runs_);
+    return failed_;
+}
 
 int tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_i0, int n_i1, int n_i2, int n_i3, int n_i4, int n_i5, int t_i0, int t_i1, int t_i2, int t_i3, int t_i4, int t_i5)
 {
@@ -16,136 +179,63 @@ int tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_i0, i
     const long st_B_i5 = (long)n_i3;
     const long st_B_i2 = (long)n_i3 * (long)n_i5;
     const long st_B_i4 = (long)n_i3 * (long)n_i5 * (long)n_i2;
-    const int btx_ = t_i0 * t_i1;
-    const int bty_ = t_i3 * t_i2;
-    const int tk_ = t_i4 * t_i5;
-    const int nt_i0 = (n_i0 + t_i0 - 1) / t_i0;
-    const int nt_i1 = (n_i1 + t_i1 - 1) / t_i1;
-    const int nt_i3 = (n_i3 + t_i3 - 1) / t_i3;
-    const int nt_i2 = (n_i2 + t_i2 - 1) / t_i2;
+    (void)t_i0;
+    (void)t_i1;
+    (void)t_i2;
+    (void)t_i3;
     const int nt_i4 = (n_i4 + t_i4 - 1) / t_i4;
     const int nt_i5 = (n_i5 + t_i5 - 1) / t_i5;
-    const long num_blocks_ = (long)nt_i0 * (long)nt_i1 * (long)nt_i3 * (long)nt_i2;
+    const int tk_ = t_i4 * t_i5;
     const int nsteps_ = nt_i4 * nt_i5;
-    int failed_ = 0;
-    #pragma omp parallel
+    const long kp_ = (long)n_i4 * (long)n_i5;
+    const long nm_ = (long)n_i0 * (long)n_i1;
+    const long nn_ = (long)n_i2 * (long)n_i3;
+    long* xk_ = (long*)malloc(sizeof(long) * (2 * kp_ + 2 * nm_ + 2 * nn_));
+    if (!xk_) return 2;
+    long* yk_ = xk_ + kp_;
+    long* xm_ = yk_ + kp_;
+    long* cm_ = xm_ + nm_;
+    long* yn_ = cm_ + nm_;
+    long* cn_ = yn_ + nn_;
     {
-        double* s_a = (double*)malloc(sizeof(double) * btx_ * tk_);
-        double* s_b = (double*)malloc(sizeof(double) * bty_ * tk_);
-        double* c_tile_ = (double*)malloc(sizeof(double) * btx_ * bty_);
-        long* row_off_ = (long*)malloc(sizeof(long) * btx_);
-        int* row_ok_ = (int*)malloc(sizeof(int) * btx_);
-        if (!s_a || !s_b || !c_tile_ || !row_off_ || !row_ok_) {
-            #pragma omp atomic write
-            failed_ = 1;
-        }
-        #pragma omp barrier
-        const long run_blocks_ = failed_ ? 0 : num_blocks_;
-        #pragma omp for schedule(static)
-        for (long blk_ = 0; blk_ < run_blocks_; ++blk_) {
-            int bid_ = (int)blk_;
-            const int boff_i0 = (bid_ % nt_i0) * t_i0;
-            bid_ /= nt_i0;
-            const int boff_i1 = (bid_ % nt_i1) * t_i1;
-            bid_ /= nt_i1;
-            const int boff_i3 = (bid_ % nt_i3) * t_i3;
-            bid_ /= nt_i3;
-            const int boff_i2 = bid_ * t_i2;
-            memset(c_tile_, 0, sizeof(double) * btx_ * bty_);
-            for (int step_ = 0; step_ < nsteps_; ++step_) {
-                int sid_ = step_;
-                const int soff_i4 = (sid_ % nt_i4) * t_i4;
-                sid_ /= nt_i4;
-                const int soff_i5 = sid_ * t_i5;
-                {
-                    for (int lc_i5 = 0; lc_i5 < t_i5; lc_i5 += 1) {
-                        const int g_i5 = soff_i5 + lc_i5;
-                        for (int lc_i1 = 0; lc_i1 < t_i1; lc_i1 += 1) {
-                            const int g_i1 = boff_i1 + lc_i1;
-                            for (int lc_i4 = 0; lc_i4 < t_i4; lc_i4 += 1) {
-                                const int g_i4 = soff_i4 + lc_i4;
-                                const long row_at_ = (long)g_i4 * st_A_i4 + (long)g_i1 * st_A_i1 + (long)g_i5 * st_A_i5;
-                                const int row_in_ = (g_i4 < n_i4) && (g_i1 < n_i1) && (g_i5 < n_i5);
-                                const int row_s_ = (lc_i4 + t_i4 * (lc_i5)) * btx_ + (0 + t_i0 * (lc_i1));
-                                for (int lc_i0 = 0; lc_i0 < t_i0; lc_i0 += 1) {
-                                    const int g_i0 = boff_i0 + lc_i0;
-                                    s_a[row_s_ + lc_i0] = (row_in_ && (g_i0 < n_i0)) ? g_A[row_at_ + (long)g_i0 * st_A_i0] : (double)0;
-                                }
-                            }
-                        }
-                    }
-                }
-                {
-                    for (int lc_i4 = 0; lc_i4 < t_i4; lc_i4 += 1) {
-                        const int g_i4 = soff_i4 + lc_i4;
-                        for (int lc_i2 = 0; lc_i2 < t_i2; lc_i2 += 1) {
-                            const int g_i2 = boff_i2 + lc_i2;
-                            for (int lc_i5 = 0; lc_i5 < t_i5; lc_i5 += 1) {
-                                const int g_i5 = soff_i5 + lc_i5;
-                                const long row_at_ = (long)g_i5 * st_B_i5 + (long)g_i2 * st_B_i2 + (long)g_i4 * st_B_i4;
-                                const int row_in_ = (g_i5 < n_i5) && (g_i2 < n_i2) && (g_i4 < n_i4);
-                                const int row_s_ = (lc_i4 + t_i4 * (lc_i5)) * bty_ + (0 + t_i3 * (lc_i2));
-                                for (int lc_i3 = 0; lc_i3 < t_i3; lc_i3 += 2) {
-                                    const int g_i3 = boff_i3 + lc_i3;
-                                    if (row_in_ && (g_i3 < n_i3)) {
-                                        s_b[(row_s_ + lc_i3) + 0] = g_B[(row_at_ + (long)g_i3 * st_B_i3) + 0];
-                                        s_b[(row_s_ + lc_i3) + 1] = g_B[(row_at_ + (long)g_i3 * st_B_i3) + 1];
-                                    } else {
-                                        s_b[(row_s_ + lc_i3) + 0] = (double)0;
-                                        s_b[(row_s_ + lc_i3) + 1] = (double)0;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                for (int x0_ = 0; x0_ < btx_; x0_ += 4) {
-                    for (int y0_ = 0; y0_ < bty_; y0_ += 6) {
-                        double* restrict c_blk_ = &c_tile_[(long)x0_ * bty_ + y0_];
-                        double r0_0_ = c_blk_[0]; double r0_1_ = c_blk_[1]; double r0_2_ = c_blk_[2]; double r0_3_ = c_blk_[3]; double r0_4_ = c_blk_[4]; double r0_5_ = c_blk_[5];
-                        double r1_0_ = c_blk_[bty_ + 0]; double r1_1_ = c_blk_[bty_ + 1]; double r1_2_ = c_blk_[bty_ + 2]; double r1_3_ = c_blk_[bty_ + 3]; double r1_4_ = c_blk_[bty_ + 4]; double r1_5_ = c_blk_[bty_ + 5];
-                        double r2_0_ = c_blk_[2 * bty_ + 0]; double r2_1_ = c_blk_[2 * bty_ + 1]; double r2_2_ = c_blk_[2 * bty_ + 2]; double r2_3_ = c_blk_[2 * bty_ + 3]; double r2_4_ = c_blk_[2 * bty_ + 4]; double r2_5_ = c_blk_[2 * bty_ + 5];
-                        double r3_0_ = c_blk_[3 * bty_ + 0]; double r3_1_ = c_blk_[3 * bty_ + 1]; double r3_2_ = c_blk_[3 * bty_ + 2]; double r3_3_ = c_blk_[3 * bty_ + 3]; double r3_4_ = c_blk_[3 * bty_ + 4]; double r3_5_ = c_blk_[3 * bty_ + 5];
-                        for (int kk_ = 0; kk_ < tk_; ++kk_) {
-                            const double* restrict a_ = &s_a[kk_ * btx_ + x0_];
-                            const double* restrict b_ = &s_b[kk_ * bty_ + y0_];
-                            r0_0_ += a_[0] * b_[0]; r0_1_ += a_[0] * b_[1]; r0_2_ += a_[0] * b_[2]; r0_3_ += a_[0] * b_[3]; r0_4_ += a_[0] * b_[4]; r0_5_ += a_[0] * b_[5];
-                            r1_0_ += a_[1] * b_[0]; r1_1_ += a_[1] * b_[1]; r1_2_ += a_[1] * b_[2]; r1_3_ += a_[1] * b_[3]; r1_4_ += a_[1] * b_[4]; r1_5_ += a_[1] * b_[5];
-                            r2_0_ += a_[2] * b_[0]; r2_1_ += a_[2] * b_[1]; r2_2_ += a_[2] * b_[2]; r2_3_ += a_[2] * b_[3]; r2_4_ += a_[2] * b_[4]; r2_5_ += a_[2] * b_[5];
-                            r3_0_ += a_[3] * b_[0]; r3_1_ += a_[3] * b_[1]; r3_2_ += a_[3] * b_[2]; r3_3_ += a_[3] * b_[3]; r3_4_ += a_[3] * b_[4]; r3_5_ += a_[3] * b_[5];
-                        }
-                        c_blk_[0] = r0_0_; c_blk_[1] = r0_1_; c_blk_[2] = r0_2_; c_blk_[3] = r0_3_; c_blk_[4] = r0_4_; c_blk_[5] = r0_5_;
-                        c_blk_[bty_ + 0] = r1_0_; c_blk_[bty_ + 1] = r1_1_; c_blk_[bty_ + 2] = r1_2_; c_blk_[bty_ + 3] = r1_3_; c_blk_[bty_ + 4] = r1_4_; c_blk_[bty_ + 5] = r1_5_;
-                        c_blk_[2 * bty_ + 0] = r2_0_; c_blk_[2 * bty_ + 1] = r2_1_; c_blk_[2 * bty_ + 2] = r2_2_; c_blk_[2 * bty_ + 3] = r2_3_; c_blk_[2 * bty_ + 4] = r2_4_; c_blk_[2 * bty_ + 5] = r2_5_;
-                        c_blk_[3 * bty_ + 0] = r3_0_; c_blk_[3 * bty_ + 1] = r3_1_; c_blk_[3 * bty_ + 2] = r3_2_; c_blk_[3 * bty_ + 3] = r3_3_; c_blk_[3 * bty_ + 4] = r3_4_; c_blk_[3 * bty_ + 5] = r3_5_;
-                    }
-                }
-            }
-            const long c_base_ = (long)boff_i0 * st_C_i0 + (long)boff_i1 * st_C_i1 + (long)boff_i2 * st_C_i2 + (long)boff_i3 * st_C_i3;
-            {
-                int x_ = 0;
-                for (int rc_i1 = 0; rc_i1 < t_i1; ++rc_i1) {
-                    for (int tc_i0 = 0; tc_i0 < t_i0; ++tc_i0, ++x_) {
-                        row_off_[x_] = (long)tc_i0 * st_C_i0 + (long)rc_i1 * st_C_i1;
-                        row_ok_[x_] = (boff_i0 + tc_i0 < n_i0) && (boff_i1 + rc_i1 < n_i1);
-                    }
-                }
-            }
-            {
-                int y_ = 0;
-                for (int rc_i2 = 0; rc_i2 < t_i2; ++rc_i2) {
-                    for (int tc_i3 = 0; tc_i3 < t_i3; ++tc_i3, ++y_) {
-                        if (!((boff_i2 + rc_i2 < n_i2) && (boff_i3 + tc_i3 < n_i3))) continue;
-                        double* restrict c_col_ = &g_C[c_base_ + (long)rc_i2 * st_C_i2 + (long)tc_i3 * st_C_i3];
-                        for (int x_ = 0; x_ < btx_; ++x_)
-                            if (row_ok_[x_])
-                                c_col_[row_off_[x_]] = c_tile_[(long)x_ * bty_ + y_];
-                    }
-                }
+        long p_ = 0;
+        for (int step_ = 0; step_ < nsteps_; ++step_) {
+            int sid_ = step_;
+            const int soff_i4 = (sid_ % nt_i4) * t_i4;
+            sid_ /= nt_i4;
+            const int soff_i5 = sid_ * t_i5;
+            for (int kk_ = 0; kk_ < tk_; ++kk_) {
+                int rem_ = kk_;
+                const int g_i4 = soff_i4 + rem_ % t_i4;
+                rem_ /= t_i4;
+                const int g_i5 = soff_i5 + rem_;
+                if (g_i4 >= n_i4 || g_i5 >= n_i5) continue;
+                xk_[p_] = (long)g_i4 * st_A_i4 + (long)g_i5 * st_A_i5;
+                yk_[p_] = (long)g_i5 * st_B_i5 + (long)g_i4 * st_B_i4;
+                ++p_;
             }
         }
-        free(s_a); free(s_b); free(c_tile_); free(row_off_); free(row_ok_);
     }
+    {
+        long r_ = 0;
+        for (int g_i1 = 0; g_i1 < n_i1; ++g_i1) {
+            for (int g_i0 = 0; g_i0 < n_i0; ++g_i0, ++r_) {
+                xm_[r_] = (long)g_i0 * st_A_i0 + (long)g_i1 * st_A_i1;
+                cm_[r_] = (long)g_i0 * st_C_i0 + (long)g_i1 * st_C_i1;
+            }
+        }
+    }
+    {
+        long r_ = 0;
+        for (int g_i3 = 0; g_i3 < n_i3; ++g_i3) {
+            for (int g_i2 = 0; g_i2 < n_i2; ++g_i2, ++r_) {
+                yn_[r_] = (long)g_i3 * st_B_i3 + (long)g_i2 * st_B_i2;
+                cn_[r_] = (long)g_i2 * st_C_i2 + (long)g_i3 * st_C_i3;
+            }
+        }
+    }
+    const int failed_ = gett_(g_C, g_A, g_B, xm_, cm_, nm_, yn_, cn_, nn_, xk_, yk_, kp_);
+    free(xk_);
     return failed_ ? 2 : 0;
 }
 

@@ -217,45 +217,46 @@ class TestDifferentialExecution:
 class TestOpenmpMicroTile:
     """The ``openmp`` register-blocked micro-tile against ``cemu``.
 
-    ``cemu`` runs the CUDA schema thread by thread; ``openmp`` holds
-    ``MR x NR`` register blocks.  Both sum every output element over
-    steps, then ``kk_``, in the same order, so their outputs must be
-    byte-identical even on real-valued operands, where any reordering
-    would show in the last bits.
+    ``cemu`` runs the CUDA schema thread by thread; ``openmp`` packs
+    panels and holds fixed ``MR x NR`` register blocks.  Both add every
+    output element's products in the plan's k order (steps, then
+    ``kk_``), so their outputs must be byte-identical even on
+    real-valued operands, where any reordering would show in the last
+    bits.
     """
 
     # (expr, sizes, spec, dtype_bytes, expected (MR, NR))
     CASES = (
-        # 8 x 8 block tile = 2 x 1 micro-tiles; every axis ends in a
+        # An 8 x 8 block tile, a two-index TB_K; every axis ends in a
         # partial tile.
         ("abcd-aebf-dfce",
          {"a": 7, "b": 5, "c": 5, "d": 6, "e": 5, "f": 3},
          dict(tb_x=[("a", 4)], tb_y=[("d", 4)],
               reg_x=[("b", 2)], reg_y=[("c", 2)],
               tb_k=[("e", 2), ("f", 2)]),
-         8, (4, 8)),
-        # Both inputs staged with vector width 2.
+         8, (16, 4)),
+        # M = 10 rows and N = 7 columns: one ragged sliver on each side.
         ("ab-ak-kb",
          {"a": 10, "b": 7, "k": 6},
          dict(tb_x=[("a", 4)], tb_y=[("b", 4)], tb_k=[("k", 2)]),
-         8, (4, 4)),
+         8, (16, 4)),
         # A size-1 axis on the output and the x input.
         ("abc-adc-bd",
          {"a": 6, "b": 5, "c": 1, "d": 7},
          dict(tb_x=[("a", 3)], tb_y=[("b", 2)], reg_x=[("c", 1)],
               tb_k=[("d", 3)]),
-         8, (3, 2)),
-        # block_tile_y = 7 forces an odd NR.
+         8, (16, 4)),
+        # block_tile_y = 7, a multiple of neither MR nor NR.
         ("abc-acd-db",
          {"a": 5, "b": 9, "c": 4, "d": 6},
          dict(tb_x=[("a", 2)], reg_x=[("c", 2)], tb_y=[("b", 7)],
               tb_k=[("d", 4)]),
-         8, (4, 7)),
+         8, (16, 4)),
         # Single precision.
         ("abc-adc-bd",
          {"a": 6, "b": 5, "c": 4, "d": 7},
          dict(tb_x=[("a", 4)], tb_y=[("b", 4)], tb_k=[("d", 3)]),
-         4, (4, 4)),
+         4, (16, 8)),
     )
 
     @pytest.fixture(scope="class", params=range(len(CASES)))
@@ -265,8 +266,14 @@ class TestOpenmpMicroTile:
         return KernelPlan(c, config_from_spec(c, **spec), dtype_bytes), tile
 
     def test_micro_tile_shape(self, case):
-        plan, tile = case
-        assert openmp.micro_tile(plan) == tile
+        # Fixed per element width, whatever the block tile: the source
+        # declares exactly MR x NR accumulators.
+        plan, (mr, nr) = case
+        assert openmp.MICRO_TILE[plan.dtype_bytes] == (mr, nr)
+        source = openmp._emit_program(plan)
+        assert f"r{mr - 1}_{nr - 1}_ = 0;" in source
+        assert f"r{mr}_0_" not in source
+        assert f"r0_{nr}_" not in source
 
     def test_bytes_equal_cemu_on_real_operands(self, case):
         plan, _ = case
