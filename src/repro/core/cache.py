@@ -199,9 +199,9 @@ def contract(
     bind the index extents, and the kernel is memoized per extents.
     The kernel runs through :meth:`GeneratedKernel.execute`: a
     memoized kernel's first call runs the numpy tile interpreter, every
-    later call runs its compiled OpenMP code in-process.  So the result
-    may be Fortran-ordered, and on non-integer operands the first and
-    later calls can differ in the last bits.  Operands that are not
+    later call runs its compiled OpenMP code in-process, on the operands
+    where they lie and into a C-ordered result.  On non-integer
+    operands the first and later calls can differ in the last bits.  Operands that are not
     float32/float64 arrays of the kernel's dtype, or a missing C
     compiler, take the counted interpreter fallback.  On a real GPU
     the same call would launch ``kernel.source("cuda")``.

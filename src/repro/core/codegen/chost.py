@@ -11,15 +11,19 @@ is still a standalone program.
 On the Python side all three are executed the same way, in-process:
 the source is compiled once as a shared object (memoized by
 :func:`build_key`, a hash of source, entry point, compiler and flags),
-loaded with ``ctypes``, and its entry point is called on
-Fortran-ordered (first-index-fastest) numpy buffers.  No files are
-exchanged and no process is spawned per call.
+loaded with ``ctypes``, and its entry point is called on numpy
+buffers.  No files are exchanged and no process is spawned per call.
 
-The OpenMP program also takes the plan's tile sizes after the extents
-(:func:`tile_args`) and spells its indices canonically, so its text,
-and with it the build, is keyed by the kernel's structure, not by its
-config: every kernel of one structure shares one build.  The emulations
-bake their tiles in, so they build once per config.
+The emulations bake their tiles in and address every tensor
+first-index-fastest, so they build once per config and run on
+Fortran-ordered copies of the operands.  The OpenMP program is
+*strided*: after the extents it takes the plan's TB_K tile sizes and
+one byte stride per index of C, then of A, then of B, and it spells
+its indices canonically.  Its text, and with it the build, is keyed by
+the kernel's structure, not by its config, so every kernel of one
+structure shares one build; and it reads the operands where they lie
+(C- or Fortran-ordered arrays and views alike) and writes a C-ordered
+output.
 
 :meth:`~repro.core.generator.GeneratedKernel.execute` runs kernels
 through this harness: a kernel's first execute runs the numpy
@@ -127,7 +131,7 @@ def stage_group(
 
 
 def host_main_function(
-    plan: KernelPlan, entry: str, tiles: bool = False
+    plan: KernelPlan, entry: str, strided: bool = False
 ) -> List[str]:
     """The standalone ``main()``: argv extents, fread A/B, fwrite C.
 
@@ -135,9 +139,9 @@ def host_main_function(
     the emitted source also builds as a command-line program.  Usage is
     ``prog n_<i>... A.bin B.bin C.bin`` with every tensor in
     first-index-fastest (column-major) element order; a nonzero status
-    from ``entry`` becomes the exit code.  With ``tiles`` the entry
-    takes the plan's tile sizes after the extents (:func:`tile_args`),
-    passed here as constants.
+    from ``entry`` becomes the exit code.  A ``strided`` entry takes
+    the plan's TB_K tile sizes after the extents, passed here as
+    constants, and then the byte strides of these column-major buffers.
     """
     scalar = scalar_type(plan.dtype_bytes)
     contraction = plan.contraction
@@ -183,7 +187,7 @@ def host_main_function(
         f"    const int status_ = {entry}(C_, A_, B_, "
         + ", ".join(
             [ix.extent_param(i) for i in indices]
-            + [str(t) for t in (tile_args(plan) if tiles else ())]
+            + (_strided_main_args(plan, scalar) if strided else [])
         )
         + ");",
         "    if (status_ != 0) return status_;",
@@ -199,9 +203,19 @@ def host_main_function(
     return lines
 
 
-def tile_args(plan: KernelPlan) -> List[int]:
-    """The tile sizes a runtime-tiled entry takes, in extent order."""
-    return [plan.tile_of(i) for i in plan.contraction.all_indices]
+def _strided_main_args(plan: KernelPlan, scalar: str) -> List[str]:
+    """A strided entry's arguments after the extents, as ``main()``
+    passes them: the TB_K tiles, then the byte strides of C, A and B
+    stored first-index-fastest."""
+    contraction = plan.contraction
+    args = [str(axis.tile) for axis in plan.step_axes]
+    for tensor in (contraction.c, contraction.a, contraction.b):
+        for pos in range(len(tensor.indices)):
+            args.append(" * ".join(
+                [f"(long)sizeof({scalar})"]
+                + [ix.extent_param(i) for i in tensor.indices[:pos]]
+            ))
+    return args
 
 
 # -- in-process build/run harness --------------------------------------------
@@ -214,8 +228,9 @@ class NativeLibrary:
     entry: Callable[..., int]
     #: Keeps the ``dlopen`` handle alive as long as the entry is used.
     handle: ctypes.CDLL
-    #: Whether the entry takes the plan's tile sizes after the extents.
-    tiles: bool = False
+    #: Whether the entry takes the plan's TB_K tiles and the tensors'
+    #: byte strides after the extents (the OpenMP program's ABI).
+    strided: bool = False
     #: Serializes calls: the OpenCL harness keeps its work-group state
     #: in statics, and ``ctypes`` releases the GIL during the call.
     lock: threading.Lock = field(default_factory=threading.Lock)
@@ -248,13 +263,16 @@ def build_executable(
     fallback_cflags: Optional[Sequence[str]] = None,
     *,
     n_extents: int,
-    tiles: bool = False,
+    n_tiles: int = 0,
+    n_strides: int = 0,
 ) -> NativeLibrary:
     """Compile ``source`` as a shared object and load its ``entry``.
 
     ``entry`` takes the output and the two operand pointers, then
-    ``n_extents`` ``int`` extents and, with ``tiles``, as many ``int``
-    tile sizes; its ``argtypes`` are declared here, once per library.
+    ``n_extents`` ``int`` extents and, if the entry is strided (has
+    ``n_strides``), ``n_tiles`` ``int`` TB_K tile sizes and
+    ``n_strides`` ``long`` byte strides; its ``argtypes`` are declared
+    here, once per library.
     The library is memoized in-process by :func:`build_key`, so a
     source is compiled once per process (``chost.builds`` counts the
     compilations, ``chost.build_hits`` the reuses); the compiler runs
@@ -313,9 +331,10 @@ def build_executable(
         function.restype = ctypes.c_int
         function.argtypes = (
             [ctypes.c_void_p] * 3
-            + [ctypes.c_int] * (2 * n_extents if tiles else n_extents)
+            + [ctypes.c_int] * (n_extents + n_tiles)
+            + [ctypes.c_long] * n_strides
         )
-        lib = NativeLibrary(function, handle, tiles)
+        lib = NativeLibrary(function, handle, n_strides > 0)
         _LIBRARIES[key] = lib
         obs.inc("chost.builds")
         return lib
@@ -329,36 +348,44 @@ def run_executable(
 ) -> np.ndarray:
     """Call a built program's entry point on ``a``/``b``; return C.
 
-    The generated code treats the *first* index as fastest, so the
-    operands are passed as Fortran-ordered buffers and the output is a
-    Fortran-ordered array allocated here.  A runtime-tiled library
-    also gets the plan's tile sizes.  Operand shapes are checked
-    against the plan before the call: the C code trusts its extents.
-    The entry call itself is traced as the ``codegen.run`` span.
+    A strided program gets numpy's byte strides with the arrays
+    themselves, so an operand of the plan's dtype that is aligned runs
+    where it lies, whatever its layout (C- or Fortran-ordered,
+    transposed, sliced with any step, broadcast); any other operand is
+    copied once, C-ordered (counted as ``chost.operand_copies``).  Its
+    output is C-ordered.  The emulations address every tensor
+    first-index-fastest, so they get Fortran-ordered operands and
+    return a Fortran-ordered output.  The output is allocated here
+    and not cleared: every program stores each of its elements.
+    Operand shapes are checked against the plan before the call: the C
+    code trusts its extents.  The entry call itself is traced as the
+    ``codegen.run`` span.
     """
     contraction = plan.contraction
     scalar = np.float64 if plan.dtype_bytes == 8 else np.float32
-    operands = []
-    for tensor, array in ((contraction.a, a), (contraction.b, b)):
-        want = tuple(contraction.extents_of(tensor))
+    shape_a, shape_b, shape_c = plan.tensor_shapes
+    for tensor, array, want in (
+        (contraction.a, a, shape_a), (contraction.b, b, shape_b)
+    ):
         if np.shape(array) != want:
             raise OperandShapeError(
                 f"operand {tensor.name} has shape {np.shape(array)}, "
                 f"the plan expects {want}"
             )
-        operands.append(np.asfortranarray(array, dtype=scalar))
-    out = np.zeros(
-        tuple(contraction.extents_of(contraction.c)),
-        dtype=scalar, order="F",
-    )
-    extents = [contraction.extent(i) for i in contraction.all_indices]
-    if lib.tiles:
-        extents += tile_args(plan)
+    if lib.strided:
+        a, b = _in_place(a, scalar), _in_place(b, scalar)
+        out = np.empty(shape_c, dtype=scalar)
+        args = (*plan.runtime_tiled_args,
+                *out.strides, *a.strides, *b.strides)
+    else:
+        a = np.asfortranarray(a, dtype=scalar)
+        b = np.asfortranarray(b, dtype=scalar)
+        out = np.empty(shape_c, dtype=scalar, order="F")
+        args = plan.extent_args
     with lib.lock:
         with obs.span("codegen.run"):
             status = lib.entry(
-                out.ctypes.data, *(x.ctypes.data for x in operands),
-                *extents,
+                out.ctypes.data, a.ctypes.data, b.ctypes.data, *args
             )
     if status != 0:
         raise EmulationError(
@@ -366,6 +393,18 @@ def run_executable(
             + (" (allocation failed)" if status == 2 else "")
         )
     return out
+
+
+def _in_place(array, scalar) -> np.ndarray:
+    """``array`` itself where a strided program can read it, else one
+    C-ordered copy (counted)."""
+    if (
+        isinstance(array, np.ndarray) and array.dtype == scalar
+        and array.flags.aligned
+    ):
+        return array
+    obs.inc("chost.operand_copies")
+    return np.ascontiguousarray(array, dtype=scalar)
 
 
 def compile_and_run_source(

@@ -5,18 +5,24 @@ Where :mod:`repro.core.codegen.cemu` emulates the CUDA execution model
 serve as a correctness oracle, this target runs the same kernel plan
 the way a CPU GEMM does (GETT, Springer & Bientinesi):
 
-* the output is a matrix: every free index of the x input (GRID-mapped
-  ones included) is an ``M`` row coordinate and every free index of the
-  y input an ``N`` column coordinate, while the contraction indices
-  form one packed depth, concatenated in the plan's ``(step, kk_)``
-  order;
+* the output is a matrix: the *M* input is the one holding C's last
+  index, which is C's stride-1 index since the output is allocated
+  C-ordered.  Each of its free indices (GRID-mapped ones included) is
+  an ``M`` row coordinate, and each free index of the other input, the
+  *N* input, an ``N`` column coordinate.  The contraction indices form
+  one packed depth, concatenated in the plan's ``(step, kk_)`` order;
 * address tables give each row, column and depth entry its offset in
   the operands and in C, so packing and storing never decompose a flat
-  index;
+  index.  Rows and columns run with the last C index of their side
+  fastest, so a micro-tile's rows are contiguous in C and, in C-ordered
+  operands, usually in the M input too;
+* every offset comes from the tensors' own strides, which the entry
+  takes in bytes as numpy reports them, so operands are read where they
+  lie: C- or Fortran-ordered, transposed, sliced or broadcast;
 * the output is cut into cache blocks sized for the CPU's caches, not
   by the GPU thread-block tile; an OpenMP ``parallel for`` runs the
-  blocks, and each thread packs a block's x rows into ``MR``-row
-  slivers and its y columns into ``NR``-column slivers;
+  blocks, and each thread packs a block's M rows into ``MR``-row
+  slivers and its N columns into ``NR``-column slivers;
 * the paper's ``REG_X x REG_Y`` register tile becomes a fixed ``MR x
   NR`` micro-tile per element width (:data:`MICRO_TILE`), held in named
   scalars across the whole packed depth and then written to C; ragged
@@ -24,15 +30,18 @@ the way a CPU GEMM does (GETT, Springer & Bientinesi):
 
 The built text depends on the kernel's structure only: index and
 tensor names are :func:`~repro.core.program.canonical_form`'s, the
-entry symbol is :data:`ENTRY`, and every extent and tile size is an
-``entry`` argument.  Only the TB_K tiles matter at run time (they set
-the depth order); the free indices' tiles are accepted and unused.  So
-every kernel of one structure and TB_K order, whatever its extents,
-tile sizes or names, shares one build (:func:`build`).
+entry symbol is :data:`ENTRY`, and every extent, TB_K tile size and
+stride is an ``entry`` argument.  Only the TB_K tiles matter at run
+time (they set the depth order), so the free indices' tiles are not
+passed.  So every kernel of one structure and TB_K order, whatever its
+extents, tile sizes, names or operand layouts, shares one build
+(:func:`build`).
 
 Every output element adds its products in the plan's k order, starting
 from ``+0``, and ``acc += a * b`` is never fused, so the output is
-byte-identical to cemu even on non-integer operands.
+byte-identical to cemu even on non-integer operands (where the M input
+is B, each product is ``b * a``, which IEEE multiplication makes the
+same value as ``a * b``).
 """
 
 from __future__ import annotations
@@ -87,7 +96,7 @@ def _chunks(statements: List[str], per_line: int = 4) -> List[str]:
 
 
 def _pack_function(scalar: str) -> List[str]:
-    """``pack_``: copy rows of one operand into ``r_``-row slivers.
+    """``pack_``: copy rows of one input into ``r_``-row slivers.
 
     Sliver-major, then packed depth, then the sliver's rows, so the
     micro-kernel reads both slivers contiguously.  A sliver whose rows
@@ -185,19 +194,19 @@ def _micro_kernel(scalar: str, mr: int, nr: int) -> List[str]:
 def _macro_kernel(scalar: str, dtype_bytes: int) -> List[str]:
     """``gett_``: the GETT macro-kernel over address tables.
 
-    ``xm_``/``cm_`` give each of the ``nm_`` M rows' offset in the x
-    input and in C, ``yn_``/``cn_`` each of the ``nn_`` N columns'
-    offset in the y input and in C, and ``xk_``/``yk_`` each of the
-    ``kp_`` packed depth entries' offset in the two inputs.  The output,
-    padded to whole slivers, is cut into cache blocks of ``mb_`` rows
-    and ``nb_`` columns; an OpenMP ``parallel for`` runs them, each
-    thread packing a block's x rows and y columns into its own buffers
-    (only when the block's rows or columns change).  The micro-kernel
-    then runs one x sliver against every y sliver of the block, so the
-    stores of one sweep stay close in C.  Each run of a tile's rows
-    that is contiguous in C is stored column by column; padded rows
-    and columns are not stored.  Returns nonzero when an allocation
-    failed.
+    ``xm_``/``cm_`` give each of the ``nm_`` M rows' offset in the M
+    input ``x_`` and in C, ``yn_``/``cn_`` each of the ``nn_`` N
+    columns' offset in the N input ``y_`` and in C, and ``xk_``/``yk_``
+    each of the ``kp_`` packed depth entries' offset in the two inputs.
+    The output, padded to whole slivers, is cut into cache blocks of
+    ``mb_`` rows and ``nb_`` columns; an OpenMP ``parallel for`` runs
+    them, each thread packing a block's M rows and N columns into its
+    own buffers (only when the block's rows or columns change).  The
+    micro-kernel then runs one M sliver against every N sliver of the
+    block, so the stores of one sweep stay close in C.  Each run of a
+    tile's rows that is contiguous in C is stored column by column;
+    padded rows and columns are not stored.  Returns nonzero when an
+    allocation failed.
     """
     mr, nr = MICRO_TILE[dtype_bytes]
     lines = [
@@ -316,7 +325,7 @@ def _depth_table(plan: KernelPlan) -> List[str]:
     """
     axes = plan.step_axes
     internal = {axis.index for axis in axes}
-    x, y = plan.x_input, plan.y_input
+    x, y = _sides(plan)
     kk = ["int rem_ = kk_;"]
     for n, axis in enumerate(axes):
         tile = ix.tile_param(axis.index)
@@ -353,11 +362,11 @@ def _side_table(
     rows: str, out: str,
 ) -> List[str]:
     """Fill ``rows``/``out``: each free-index point's offset in
-    ``tensor`` and in C, the first free index (in C order) fastest."""
+    ``tensor`` and in C, the last free index (in C order) fastest."""
     if not free:
         return [f"{rows}[0] = 0;", f"{out}[0] = 0;"]
     lines = ["{", "    long r_ = 0;"]
-    for depth, index in enumerate(reversed(free), start=1):
+    for depth, index in enumerate(free, start=1):
         step = f"++g_{index}" + (", ++r_" if depth == len(free) else "")
         lines += ix.indent([
             f"for (int g_{index} = 0; g_{index} < {ix.extent_param(index)};"
@@ -372,30 +381,46 @@ def _side_table(
     return lines
 
 
+def _sides(plan: KernelPlan) -> Tuple[TensorRef, TensorRef]:
+    """The M and N inputs: M holds C's last index (the plan's x input
+    for a scalar output)."""
+    x, y = plan.x_input, plan.y_input
+    c = plan.contraction.c
+    if c.indices and c.indices[-1] in y.indices:
+        return y, x
+    return x, y
+
+
+def _byte_stride_param(tensor: str, index: str) -> str:
+    return f"sb_{tensor}_{index}"
+
+
 def _kernel_function(plan: KernelPlan) -> List[str]:
     scalar = scalar_type(plan.dtype_bytes)
     contraction = plan.contraction
     c, a, b = contraction.c, contraction.a, contraction.b
-    x, y = plan.x_input, plan.y_input
+    x, y = _sides(plan)
     m_free = tuple(i for i in c.indices if i in x.indices)
     n_free = tuple(i for i in c.indices if i in y.indices)
     axes = plan.step_axes
+    tensor_indices = [(t.name, i) for t in (c, a, b) for i in t.indices]
 
+    # The free indices' tiles block the GPU grid only; the CPU blocks
+    # for its caches instead, so only the TB_K tiles are passed.
     params = [
         f"{scalar}* g_{c.name}",
         f"const {scalar}* g_{a.name}",
         f"const {scalar}* g_{b.name}",
     ]
     params += [f"int {ix.extent_param(i)}" for i in contraction.all_indices]
-    params += [f"int {ix.tile_param(i)}" for i in contraction.all_indices]
+    params += [f"int {ix.tile_param(ax.index)}" for ax in axes]
+    params += [f"long {_byte_stride_param(t, i)}" for t, i in tensor_indices]
 
-    body: List[str] = []
-    body += ix.stride_definitions(c)
-    body += ix.stride_definitions(a)
-    body += ix.stride_definitions(b)
-    # The free indices' tiles block the GPU grid only; the CPU blocks
-    # for its caches instead.
-    body += [f"(void){ix.tile_param(i)};" for i in c.indices]
+    body: List[str] = [
+        f"const long {ix.stride_var(t, i)} = {_byte_stride_param(t, i)}"
+        f" / (long)sizeof({scalar});"
+        for t, i in tensor_indices
+    ]
     body += ix.tile_count_definitions(axes, runtime_tiles=True)
 
     def product(terms: List[str]) -> str:
@@ -445,7 +470,7 @@ def _canonical_plan(plan: KernelPlan) -> KernelPlan:
     """``plan`` under :func:`~repro.core.program.canonical_form` names.
 
     Renaming keeps every index's position, so the canonical entry takes
-    extents and tiles in the order of ``plan``'s own ``all_indices``.
+    extents, tiles and strides in the order of ``plan``'s own.
     """
     from ..program import canonical_form
 
@@ -494,10 +519,12 @@ def build(plan: KernelPlan, cc: str = "cc") -> chost.NativeLibrary:
     Built on the first call for a structure, shared by every plan that
     emits the same text afterwards (:func:`chost.build_executable`).
     """
+    c = plan.contraction
     return chost.build_executable(
         _emit_program(plan), ENTRY, cc=cc, cflags=CFLAGS,
         fallback_cflags=CFLAGS_PORTABLE,
-        n_extents=len(plan.contraction.all_indices), tiles=True,
+        n_extents=len(c.all_indices), n_tiles=len(plan.step_axes),
+        n_strides=sum(len(t.indices) for t in (c.c, c.a, c.b)),
     )
 
 
@@ -542,7 +569,7 @@ class OpenmpTarget(CodegenTarget):
             f" * indices: {names}; compiles as serial C99 without -fopenmp",
             " */",
         ]
-        lines += host_main_function(plan, ENTRY, tiles=True)
+        lines += host_main_function(plan, ENTRY, strided=True)
         return _emit_program(plan) + "\n" + "\n".join(lines) + "\n"
 
     def _compile_and_run(

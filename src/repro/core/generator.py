@@ -159,8 +159,9 @@ class GeneratedKernel:
         (:func:`repro.core.codegen.openmp.build`;
         ``execute.native_calls``), built on the first such call unless a
         kernel of the same structure (any extents, tile sizes or index
-        names) already built it in this process.  A native result is
-        Fortran-ordered, and on non-integer operands it can differ from
+        names) already built it in this process.  The native program
+        reads the operands at their strides, with no copy, and returns
+        a C-ordered result; on non-integer operands it can differ from
         the interpreted first call in the last bits (the two sum the
         ``k`` loop in different orders).  The interpreter is also the
         counted fallback (``execute.interpreter_fallbacks``) when the

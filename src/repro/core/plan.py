@@ -211,6 +211,27 @@ class KernelPlan:
     def smem_bytes(self) -> int:
         return (self.smem_x_elements + self.smem_y_elements) * self.dtype_bytes
 
+    # -- emitted C entry arguments -------------------------------------------
+
+    @cached_property
+    def extent_args(self) -> Tuple[int, ...]:
+        """Every index's extent in ``all_indices`` order: the ``int``
+        arguments of an emitted C entry after its three pointers."""
+        c = self.contraction
+        return tuple(c.extent(i) for i in c.all_indices)
+
+    @cached_property
+    def runtime_tiled_args(self) -> Tuple[int, ...]:
+        """:attr:`extent_args`, then the TB_K tile sizes in step order:
+        the ``int`` arguments of the runtime-tiled OpenMP entry."""
+        return self.extent_args + tuple(a.tile for a in self.step_axes)
+
+    @cached_property
+    def tensor_shapes(self) -> Tuple[Tuple[int, ...], ...]:
+        """The shapes of A, B and C, in that order."""
+        c = self.contraction
+        return tuple(c.extents_of(t) for t in (c.a, c.b, c.c))
+
     # -- convenience ----------------------------------------------------
 
     @property

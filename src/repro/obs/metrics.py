@@ -15,6 +15,8 @@ under one dotted naming scheme:
 * ``compare.*``     — framework comparison grid
 * ``replay.*``      — address-trace transaction replay
 * ``tune.*``        — TC-style autotuning
+* ``chost.*``       — in-process builds and runs of emitted C programs
+  (``builds``, ``build_hits``, ``operand_copies``)
 
 The legacy stat objects still exist (they are cheap and locally
 useful); the registry *absorbs* them via the ``absorb_*`` methods so

@@ -165,31 +165,27 @@ static int gett_(double* restrict c_, const double* x_, const double* y_,
     return failed_;
 }
 
-int tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_i0, int n_i1, int n_i2, int n_i3, int n_i4, int n_i5, int t_i0, int t_i1, int t_i2, int t_i3, int t_i4, int t_i5)
+int tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_i0, int n_i1, int n_i2, int n_i3, int n_i4, int n_i5, int t_i4, int t_i5, long sb_C_i0, long sb_C_i1, long sb_C_i2, long sb_C_i3, long sb_A_i0, long sb_A_i4, long sb_A_i1, long sb_A_i5, long sb_B_i3, long sb_B_i5, long sb_B_i2, long sb_B_i4)
 {
-    const long st_C_i0 = 1;
-    const long st_C_i1 = (long)n_i0;
-    const long st_C_i2 = (long)n_i0 * (long)n_i1;
-    const long st_C_i3 = (long)n_i0 * (long)n_i1 * (long)n_i2;
-    const long st_A_i0 = 1;
-    const long st_A_i4 = (long)n_i0;
-    const long st_A_i1 = (long)n_i0 * (long)n_i4;
-    const long st_A_i5 = (long)n_i0 * (long)n_i4 * (long)n_i1;
-    const long st_B_i3 = 1;
-    const long st_B_i5 = (long)n_i3;
-    const long st_B_i2 = (long)n_i3 * (long)n_i5;
-    const long st_B_i4 = (long)n_i3 * (long)n_i5 * (long)n_i2;
-    (void)t_i0;
-    (void)t_i1;
-    (void)t_i2;
-    (void)t_i3;
+    const long st_C_i0 = sb_C_i0 / (long)sizeof(double);
+    const long st_C_i1 = sb_C_i1 / (long)sizeof(double);
+    const long st_C_i2 = sb_C_i2 / (long)sizeof(double);
+    const long st_C_i3 = sb_C_i3 / (long)sizeof(double);
+    const long st_A_i0 = sb_A_i0 / (long)sizeof(double);
+    const long st_A_i4 = sb_A_i4 / (long)sizeof(double);
+    const long st_A_i1 = sb_A_i1 / (long)sizeof(double);
+    const long st_A_i5 = sb_A_i5 / (long)sizeof(double);
+    const long st_B_i3 = sb_B_i3 / (long)sizeof(double);
+    const long st_B_i5 = sb_B_i5 / (long)sizeof(double);
+    const long st_B_i2 = sb_B_i2 / (long)sizeof(double);
+    const long st_B_i4 = sb_B_i4 / (long)sizeof(double);
     const int nt_i4 = (n_i4 + t_i4 - 1) / t_i4;
     const int nt_i5 = (n_i5 + t_i5 - 1) / t_i5;
     const int tk_ = t_i4 * t_i5;
     const int nsteps_ = nt_i4 * nt_i5;
     const long kp_ = (long)n_i4 * (long)n_i5;
-    const long nm_ = (long)n_i0 * (long)n_i1;
-    const long nn_ = (long)n_i2 * (long)n_i3;
+    const long nm_ = (long)n_i2 * (long)n_i3;
+    const long nn_ = (long)n_i0 * (long)n_i1;
     long* xk_ = (long*)malloc(sizeof(long) * (2 * kp_ + 2 * nm_ + 2 * nn_));
     if (!xk_) return 2;
     long* yk_ = xk_ + kp_;
@@ -210,31 +206,31 @@ int tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_i0, i
                 rem_ /= t_i4;
                 const int g_i5 = soff_i5 + rem_;
                 if (g_i4 >= n_i4 || g_i5 >= n_i5) continue;
-                xk_[p_] = (long)g_i4 * st_A_i4 + (long)g_i5 * st_A_i5;
-                yk_[p_] = (long)g_i5 * st_B_i5 + (long)g_i4 * st_B_i4;
+                xk_[p_] = (long)g_i5 * st_B_i5 + (long)g_i4 * st_B_i4;
+                yk_[p_] = (long)g_i4 * st_A_i4 + (long)g_i5 * st_A_i5;
                 ++p_;
             }
         }
     }
     {
         long r_ = 0;
-        for (int g_i1 = 0; g_i1 < n_i1; ++g_i1) {
-            for (int g_i0 = 0; g_i0 < n_i0; ++g_i0, ++r_) {
-                xm_[r_] = (long)g_i0 * st_A_i0 + (long)g_i1 * st_A_i1;
-                cm_[r_] = (long)g_i0 * st_C_i0 + (long)g_i1 * st_C_i1;
+        for (int g_i2 = 0; g_i2 < n_i2; ++g_i2) {
+            for (int g_i3 = 0; g_i3 < n_i3; ++g_i3, ++r_) {
+                xm_[r_] = (long)g_i3 * st_B_i3 + (long)g_i2 * st_B_i2;
+                cm_[r_] = (long)g_i2 * st_C_i2 + (long)g_i3 * st_C_i3;
             }
         }
     }
     {
         long r_ = 0;
-        for (int g_i3 = 0; g_i3 < n_i3; ++g_i3) {
-            for (int g_i2 = 0; g_i2 < n_i2; ++g_i2, ++r_) {
-                yn_[r_] = (long)g_i3 * st_B_i3 + (long)g_i2 * st_B_i2;
-                cn_[r_] = (long)g_i2 * st_C_i2 + (long)g_i3 * st_C_i3;
+        for (int g_i0 = 0; g_i0 < n_i0; ++g_i0) {
+            for (int g_i1 = 0; g_i1 < n_i1; ++g_i1, ++r_) {
+                yn_[r_] = (long)g_i0 * st_A_i0 + (long)g_i1 * st_A_i1;
+                cn_[r_] = (long)g_i0 * st_C_i0 + (long)g_i1 * st_C_i1;
             }
         }
     }
-    const int failed_ = gett_(g_C, g_A, g_B, xm_, cm_, nm_, yn_, cn_, nn_, xk_, yk_, kp_);
+    const int failed_ = gett_(g_C, g_B, g_A, xm_, cm_, nm_, yn_, cn_, nn_, xk_, yk_, kp_);
     free(xk_);
     return failed_ ? 2 : 0;
 }
@@ -268,7 +264,7 @@ int main(int argc, char** argv)
     if (fread(A_, sizeof(double), elems_a, fa) != (size_t)elems_a) return 4;
     if (fread(B_, sizeof(double), elems_b, fb) != (size_t)elems_b) return 4;
     fclose(fa); fclose(fb);
-    const int status_ = tc_kernel_omp(C_, A_, B_, n_a, n_b, n_c, n_d, n_e, n_f, 4, 2, 3, 2, 2, 2);
+    const int status_ = tc_kernel_omp(C_, A_, B_, n_a, n_b, n_c, n_d, n_e, n_f, 2, 2, (long)sizeof(double), (long)sizeof(double) * n_a, (long)sizeof(double) * n_a * n_b, (long)sizeof(double) * n_a * n_b * n_c, (long)sizeof(double), (long)sizeof(double) * n_a, (long)sizeof(double) * n_a * n_e, (long)sizeof(double) * n_a * n_e * n_b, (long)sizeof(double), (long)sizeof(double) * n_d, (long)sizeof(double) * n_d * n_f, (long)sizeof(double) * n_d * n_f * n_c);
     if (status_ != 0) return status_;
     FILE* fc = fopen(argv[9], "wb");
     if (!fc) return 5;

@@ -165,22 +165,20 @@ static int gett_(double* restrict c_, const double* x_, const double* y_,
     return failed_;
 }
 
-int tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_i0, int n_i1, int n_i2, int t_i0, int t_i1, int t_i2)
+int tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_i0, int n_i1, int n_i2, int t_i2, long sb_C_i0, long sb_C_i1, long sb_A_i0, long sb_A_i2, long sb_B_i2, long sb_B_i1)
 {
-    const long st_C_i0 = 1;
-    const long st_C_i1 = (long)n_i0;
-    const long st_A_i0 = 1;
-    const long st_A_i2 = (long)n_i0;
-    const long st_B_i2 = 1;
-    const long st_B_i1 = (long)n_i2;
-    (void)t_i0;
-    (void)t_i1;
+    const long st_C_i0 = sb_C_i0 / (long)sizeof(double);
+    const long st_C_i1 = sb_C_i1 / (long)sizeof(double);
+    const long st_A_i0 = sb_A_i0 / (long)sizeof(double);
+    const long st_A_i2 = sb_A_i2 / (long)sizeof(double);
+    const long st_B_i2 = sb_B_i2 / (long)sizeof(double);
+    const long st_B_i1 = sb_B_i1 / (long)sizeof(double);
     const int nt_i2 = (n_i2 + t_i2 - 1) / t_i2;
     const int tk_ = t_i2;
     const int nsteps_ = nt_i2;
     const long kp_ = (long)n_i2;
-    const long nm_ = (long)n_i0;
-    const long nn_ = (long)n_i1;
+    const long nm_ = (long)n_i1;
+    const long nn_ = (long)n_i0;
     long* xk_ = (long*)malloc(sizeof(long) * (2 * kp_ + 2 * nm_ + 2 * nn_));
     if (!xk_) return 2;
     long* yk_ = xk_ + kp_;
@@ -197,27 +195,27 @@ int tc_kernel_omp(double* g_C, const double* g_A, const double* g_B, int n_i0, i
                 int rem_ = kk_;
                 const int g_i2 = soff_i2 + rem_;
                 if (g_i2 >= n_i2) continue;
-                xk_[p_] = (long)g_i2 * st_A_i2;
-                yk_[p_] = (long)g_i2 * st_B_i2;
+                xk_[p_] = (long)g_i2 * st_B_i2;
+                yk_[p_] = (long)g_i2 * st_A_i2;
                 ++p_;
             }
         }
     }
     {
         long r_ = 0;
-        for (int g_i0 = 0; g_i0 < n_i0; ++g_i0, ++r_) {
-            xm_[r_] = (long)g_i0 * st_A_i0;
-            cm_[r_] = (long)g_i0 * st_C_i0;
+        for (int g_i1 = 0; g_i1 < n_i1; ++g_i1, ++r_) {
+            xm_[r_] = (long)g_i1 * st_B_i1;
+            cm_[r_] = (long)g_i1 * st_C_i1;
         }
     }
     {
         long r_ = 0;
-        for (int g_i1 = 0; g_i1 < n_i1; ++g_i1, ++r_) {
-            yn_[r_] = (long)g_i1 * st_B_i1;
-            cn_[r_] = (long)g_i1 * st_C_i1;
+        for (int g_i0 = 0; g_i0 < n_i0; ++g_i0, ++r_) {
+            yn_[r_] = (long)g_i0 * st_A_i0;
+            cn_[r_] = (long)g_i0 * st_C_i0;
         }
     }
-    const int failed_ = gett_(g_C, g_A, g_B, xm_, cm_, nm_, yn_, cn_, nn_, xk_, yk_, kp_);
+    const int failed_ = gett_(g_C, g_B, g_A, xm_, cm_, nm_, yn_, cn_, nn_, xk_, yk_, kp_);
     free(xk_);
     return failed_ ? 2 : 0;
 }
@@ -248,7 +246,7 @@ int main(int argc, char** argv)
     if (fread(A_, sizeof(double), elems_a, fa) != (size_t)elems_a) return 4;
     if (fread(B_, sizeof(double), elems_b, fb) != (size_t)elems_b) return 4;
     fclose(fa); fclose(fb);
-    const int status_ = tc_kernel_omp(C_, A_, B_, n_a, n_b, n_k, 8, 8, 8);
+    const int status_ = tc_kernel_omp(C_, A_, B_, n_a, n_b, n_k, 8, (long)sizeof(double), (long)sizeof(double) * n_a, (long)sizeof(double), (long)sizeof(double) * n_a, (long)sizeof(double), (long)sizeof(double) * n_k);
     if (status_ != 0) return status_;
     FILE* fc = fopen(argv[6], "wb");
     if (!fc) return 5;

@@ -213,19 +213,16 @@ static int gett_(float* restrict c_, const float* x_, const float* y_,
     return failed_;
 }
 
-int tc_kernel_omp(float* g_C, const float* g_A, const float* g_B, int n_i0, int n_i1, int n_i2, int n_i3, int t_i0, int t_i1, int t_i2, int t_i3)
+int tc_kernel_omp(float* g_C, const float* g_A, const float* g_B, int n_i0, int n_i1, int n_i2, int n_i3, int t_i3, long sb_C_i0, long sb_C_i1, long sb_C_i2, long sb_A_i0, long sb_A_i3, long sb_A_i2, long sb_B_i1, long sb_B_i3)
 {
-    const long st_C_i0 = 1;
-    const long st_C_i1 = (long)n_i0;
-    const long st_C_i2 = (long)n_i0 * (long)n_i1;
-    const long st_A_i0 = 1;
-    const long st_A_i3 = (long)n_i0;
-    const long st_A_i2 = (long)n_i0 * (long)n_i3;
-    const long st_B_i1 = 1;
-    const long st_B_i3 = (long)n_i1;
-    (void)t_i0;
-    (void)t_i1;
-    (void)t_i2;
+    const long st_C_i0 = sb_C_i0 / (long)sizeof(float);
+    const long st_C_i1 = sb_C_i1 / (long)sizeof(float);
+    const long st_C_i2 = sb_C_i2 / (long)sizeof(float);
+    const long st_A_i0 = sb_A_i0 / (long)sizeof(float);
+    const long st_A_i3 = sb_A_i3 / (long)sizeof(float);
+    const long st_A_i2 = sb_A_i2 / (long)sizeof(float);
+    const long st_B_i1 = sb_B_i1 / (long)sizeof(float);
+    const long st_B_i3 = sb_B_i3 / (long)sizeof(float);
     const int nt_i3 = (n_i3 + t_i3 - 1) / t_i3;
     const int tk_ = t_i3;
     const int nsteps_ = nt_i3;
@@ -256,8 +253,8 @@ int tc_kernel_omp(float* g_C, const float* g_A, const float* g_B, int n_i0, int 
     }
     {
         long r_ = 0;
-        for (int g_i2 = 0; g_i2 < n_i2; ++g_i2) {
-            for (int g_i0 = 0; g_i0 < n_i0; ++g_i0, ++r_) {
+        for (int g_i0 = 0; g_i0 < n_i0; ++g_i0) {
+            for (int g_i2 = 0; g_i2 < n_i2; ++g_i2, ++r_) {
                 xm_[r_] = (long)g_i0 * st_A_i0 + (long)g_i2 * st_A_i2;
                 cm_[r_] = (long)g_i0 * st_C_i0 + (long)g_i2 * st_C_i2;
             }
@@ -302,7 +299,7 @@ int main(int argc, char** argv)
     if (fread(A_, sizeof(float), elems_a, fa) != (size_t)elems_a) return 4;
     if (fread(B_, sizeof(float), elems_b, fb) != (size_t)elems_b) return 4;
     fclose(fa); fclose(fb);
-    const int status_ = tc_kernel_omp(C_, A_, B_, n_a, n_b, n_c, n_d, 4, 4, 1, 3);
+    const int status_ = tc_kernel_omp(C_, A_, B_, n_a, n_b, n_c, n_d, 3, (long)sizeof(float), (long)sizeof(float) * n_a, (long)sizeof(float) * n_a * n_b, (long)sizeof(float), (long)sizeof(float) * n_a, (long)sizeof(float) * n_a * n_d, (long)sizeof(float), (long)sizeof(float) * n_b);
     if (status_ != 0) return status_;
     FILE* fc = fopen(argv[7], "wb");
     if (!fc) return 5;

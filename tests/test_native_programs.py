@@ -170,13 +170,13 @@ PROPERTY_EXPRS = (
 
 
 @st.composite
-def random_plans(draw):
+def random_plans(draw, max_extent=7):
     """A plan with random extents (size-1 axes included), a random
     placement of every free index on its side's thread, register or
     grid dimension, random tiles, a random TB_K order and width."""
     expr = draw(st.sampled_from(PROPERTY_EXPRS))
     names = sorted(set(expr) - {"-"})
-    sizes = {i: draw(st.integers(1, 7)) for i in names}
+    sizes = {i: draw(st.integers(1, max_extent)) for i in names}
     c = parse(expr, sizes)
     spec = {dim: [] for dim in ("tb_x", "reg_x", "tb_y", "reg_y", "grid")}
     for side, tensor in (("x", c.x_input), ("y", c.y_input)):
@@ -220,3 +220,109 @@ def test_openmp_bytes_equal_cemu_on_random_plans(plan, seed):
     want = get_target("cemu").compile_and_run(plan, a, b)
     assert got.dtype == dtype
     assert got.tobytes() == want.tobytes()
+
+
+# -- operands read where they lie ---------------------------------------------
+
+#: Layouts an operand is passed in; :func:`lay_out` builds each as a
+#: view equal to the array it is given.
+LAYOUTS = ("C", "F", "permuted", "step", "reversed", "broadcast")
+
+
+def lay_out(x, layout, rng):
+    """``x`` (or, for ``broadcast``, ``x`` constant along random axes)
+    as an array or view of the given layout."""
+    if layout == "C":
+        return np.ascontiguousarray(x)
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "permuted":
+        perm = rng.permutation(x.ndim)
+        return np.ascontiguousarray(x.transpose(perm)).transpose(
+            np.argsort(perm)
+        )
+    if layout == "step":
+        every = (slice(None, None, 2),) * x.ndim
+        wide = np.zeros([2 * n for n in x.shape], dtype=x.dtype)
+        wide[every] = x
+        return wide[every]
+    if layout == "reversed":
+        back = (slice(None, None, -1),) * x.ndim
+        return np.ascontiguousarray(x[back])[back]
+    # Stride-0 axes: one value along each broadcast axis.
+    keep = tuple(
+        slice(None) if rng.random() < 0.5 else slice(0, 1)
+        for _ in range(x.ndim)
+    )
+    return np.broadcast_to(x[keep], x.shape)
+
+
+@requires_cc
+def test_openmp_strided_operands_one_build(monkeypatch):
+    """One build per structure is exact on operands in any layout,
+    read where they lie: integer operands byte-equal to einsum, real
+    ones to cemu (which copies them to Fortran order)."""
+    monkeypatch.setattr(chost, "_LIBRARIES", {})
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        plan=random_plans(max_extent=9),
+        layouts=st.tuples(*[st.sampled_from(LAYOUTS)] * 2),
+        seed=st.integers(0, 2**16),
+    )
+    def examples(run, plan, layouts, seed):
+        run(plan, layouts, seed)
+
+    keys, builds = set(), []
+
+    def run(plan, layouts, seed):
+        keys.add(openmp.program_key(plan))
+        c = plan.contraction
+        dtype = np.float64 if plan.dtype_bytes == 8 else np.float32
+        rng = np.random.default_rng(seed)
+        a, b = (
+            lay_out(x.astype(dtype), layout, rng) for x, layout
+            in zip(integer_operands(c, seed=seed), layouts)
+        )
+        x, y = (
+            lay_out(v, layout, rng) for v, layout
+            in zip(random_operands(c, dtype, seed=seed), layouts)
+        )
+        with obs.tracing() as session:
+            exact = openmp.compile_and_run(plan, a, b)
+            real = openmp.compile_and_run(plan, x, y)
+        assert session.metrics.counter("chost.operand_copies") == 0
+        builds.append(session.metrics.counter("chost.builds"))
+        assert exact.flags.c_contiguous and real.flags.c_contiguous
+        want = np.einsum(c.einsum_spec(), a, b)
+        assert exact.tobytes() == want.tobytes()
+        cemu = get_target("cemu").compile_and_run(plan, x, y)
+        assert real.tobytes() == cemu.tobytes()
+
+    examples(run)
+    assert sum(builds) == len(keys)
+
+
+@requires_cc
+def test_openmp_copies_each_unreadable_operand_once():
+    """An operand of another dtype, or misaligned, is copied once."""
+    c = parse("ab-ak-kb", {"a": 5, "b": 3, "k": 4})
+    plan = KernelPlan(c, config_from_spec(
+        c, tb_x=[("a", 2)], tb_y=[("b", 2)], tb_k=[("k", 2)],
+    ))
+    a, b = integer_operands(c, seed=4)
+    want = np.einsum(c.einsum_spec(), a, b)
+    raw = np.zeros(b.nbytes + 1, dtype=np.uint8)
+    misaligned = raw[1:].view(np.float64).reshape(b.shape)
+    misaligned[...] = b
+    assert not misaligned.flags.aligned
+    for operands, copies in (
+        ((a, b), 0),
+        ((a.astype(np.int64), b), 1),
+        ((a, misaligned), 1),
+        ((a.astype(np.int64), misaligned), 2),
+    ):
+        with obs.tracing() as session:
+            got = openmp.compile_and_run(plan, *operands)
+        assert session.metrics.counter("chost.operand_copies") == copies
+        assert got.tobytes() == want.tobytes()
