@@ -19,6 +19,7 @@ import pytest
 
 from repro import Cogent
 from repro.baselines.tc import DEFAULT_EVAL_OVERHEAD_S
+from repro.core.program import CompilationSession
 from repro.tccg import get
 
 REPRESENTATIVES = ("ttm_mode2", "mo_stage1", "ccsd_eq1", "sd_t_d2_1")
@@ -55,7 +56,9 @@ def _run_batch(workers: int, search_workers: int):
     contractions = [get(n).contraction() for n in SEARCH_BATCH]
     generator = Cogent(arch="V100", workers=search_workers)
     t0 = time.perf_counter()
-    kernels = generator.compile_batch(contractions, workers=workers).kernels
+    kernels = CompilationSession(generator).compile(
+        contractions, workers=workers
+    ).kernels
     wall_s = time.perf_counter() - t0
     rows = []
     for name, kernel in zip(SEARCH_BATCH, kernels):

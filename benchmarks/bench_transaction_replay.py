@@ -134,10 +134,10 @@ def test_compare_serial_vs_parallel_and_cache(benchmark, tmp_path):
     parallel_s = parallel.last_stats.total_s
     assert _flatten(parallel_rows) == _flatten(serial_rows)  # determinism
 
-    cache_dir = tmp_path / "evalcache"
-    cold = SuiteRunner(arch="V100", cache_dir=cache_dir)
+    store_dir = tmp_path / "store"
+    cold = SuiteRunner(arch="V100", store_dir=store_dir)
     cold_rows = cold.compare(benches, frameworks, workers=COMPARE_WORKERS)
-    warm = SuiteRunner(arch="V100", cache_dir=cache_dir)
+    warm = SuiteRunner(arch="V100", store_dir=store_dir)
     t0 = time.perf_counter()
     warm_rows = warm.compare(benches, frameworks, workers=COMPARE_WORKERS)
     warm_s = time.perf_counter() - t0

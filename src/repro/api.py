@@ -1,6 +1,6 @@
 """The blessed high-level API: one options object, four verbs.
 
-The knobs that shape a run — process-pool width, search beam, cache
+The knobs that shape a run — process-pool width, search beam, store
 directory, target architecture, precision — live in one frozen
 :class:`Options` dataclass, and the common entry points are plain
 functions:
@@ -72,10 +72,6 @@ class Options:
         Search beam: number of top model-ranked candidates kept and
         micro-benchmarked on the simulator.  ``top_k=1`` selects purely
         by the cost model (the paper's primary mode).
-    cache_dir:
-        Directory for the persistent framework-evaluation cache of
-        :func:`evaluate`.  ``None`` disables persistence.  Kernels
-        persist under ``store_dir``.
     arch:
         Target GPU name (``"P100"`` or ``"V100"``).
     dtype:
@@ -84,11 +80,14 @@ class Options:
         Run each API call inside an observability session; fetch the
         exported payload afterwards with :func:`last_trace`.
     store_dir:
-        Directory for the content-addressed persistent kernel store
-        used by :func:`compile` and :func:`compile_many` (dedup-first
-        workload compilation).  Warm runs against a populated store perform
-        zero configuration searches.  ``None`` disables persistence
-        (dedup within one call still applies).
+        Directory for the content-addressed persistent
+        :class:`~repro.core.program.KernelStore`: the class winners of
+        :func:`compile`, :func:`compile_many` and
+        :func:`compile_network` (dedup-first workload compilation), and
+        the evaluation cells of :func:`evaluate`.  Warm runs against a
+        populated store perform zero configuration searches and zero
+        re-evaluations.  ``None`` disables persistence (dedup within
+        one call still applies).
     strategy:
         Execution-strategy family: ``"direct"`` (default, the paper's
         searched kernel), ``"ttgt"``, ``"gett"``, ``"batched"``, or
@@ -111,7 +110,6 @@ class Options:
 
     workers: int = 1
     top_k: int = 64
-    cache_dir: Optional[Union[str, Path]] = None
     arch: str = "V100"
     dtype: str = "double"
     trace: bool = False
@@ -220,9 +218,8 @@ def compile(
     searches.
     """
     with _traced(options, "compile"):
-        return _generator(options).compile_batch(
-            [expression], sizes, kernel_name=kernel_name,
-            store=options.store_dir,
+        return compile_many(
+            [expression], sizes, options, kernel_name=kernel_name
         ).kernels[0]
 
 
@@ -331,15 +328,15 @@ def evaluate(
 ) -> List[ComparisonRow]:
     """Evaluate a benchmark × framework comparison grid.
 
-    Cells fan out over ``options.workers`` processes and persist in an
-    evaluation cache under ``options.cache_dir`` (when set); results are
+    Cells fan out over ``options.workers`` processes and persist in the
+    kernel store under ``options.store_dir`` (when set); results are
     identical to a serial, uncached run.
     """
     with _traced(options, "evaluate"):
         runner = SuiteRunner(
             arch=options.arch,
             dtype_bytes=options.dtype_bytes,
-            cache_dir=options.cache_dir,
+            store_dir=options.store_dir,
         )
         return runner.compare(
             benchmarks, frameworks, workers=options.workers

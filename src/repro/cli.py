@@ -14,17 +14,14 @@ Subcommands
 ``bench``
     Run a framework comparison over (a subset of) the suite and print
     the Fig. 4/5-style GFLOPS table.
-``batch``
-    Generate kernels for many contractions at once through the
-    dedup-first workload compiler, parallelised across worker
-    processes, and print the per-contraction search statistics plus
-    dedup/store counters (optionally as JSON).
 ``compile``
     Dedup-first workload compilation: partition a workload into
     canonical equivalence classes, search one representative per
-    class, fan the winner out to every member, and persist class
-    winners in a content-addressed store so warm runs perform zero
-    searches.
+    class (in parallel across ``--workers`` processes), fan the winner
+    out to every member, and print the class table, the per-kernel
+    search statistics and the dedup/store counters (optionally as
+    JSON).  Class winners persist in the kernel store, so warm runs
+    perform zero searches.
 ``tune``
     Run the Tensor-Comprehensions-style genetic autotuner and print the
     Fig. 8-style tuning curve.
@@ -32,11 +29,14 @@ Subcommands
     Validate and summarise a ``--metrics-out`` observability payload
     (span-tree flamegraph plus metric counters).
 
-The ``gen``/``rank``/``bench``/``batch``/``report``/``tune`` commands
-share normalized ``--arch``/``--dtype``/``--workers``/``--cache-dir``/
-``--json`` flags with identical semantics, and ``gen``/``bench``/
-``batch``/``tune`` accept ``--trace``/``--metrics-out`` to record an
-observability session around the run.  ``rank`` and ``bench`` accept
+The ``gen``/``rank``/``bench``/``compile``/``network``/``report``/``tune``
+commands share normalized ``--arch``/``--dtype``/``--workers``/``--json``
+flags with identical semantics.  ``gen``/``compile``/``network``/
+``bench``/``report`` also share ``--store-dir``, the one persistent
+kernel store directory (class winners and evaluation cells alike), and
+``gen``/``bench``/``compile``/``network``/``tune`` accept
+``--trace``/``--metrics-out`` to record an observability session
+around the run.  ``rank`` and ``bench`` accept
 ``--strategy auto|direct|ttgt|gett|batched`` to additionally rank
 execution strategies on the packing-aware DRAM-traffic model.
 
@@ -48,7 +48,7 @@ Examples
     cogent gen "abcd-aebf-dfce" --sizes 24 --arch V100 --workers 4
     cogent rank "abcdef-gdab-efgc" --sizes 24 --top 10
     cogent bench --group ccsd_t --arch P100
-    cogent batch --group ml --workers 4 --json batch.json
+    cogent compile --group ml --workers 4 --store-dir .store --json c.json
     cogent tune sd_t_d2_1 --population 20 --generations 5
 """
 
@@ -62,6 +62,7 @@ from .core.generator import Cogent
 from .core.ir import ContractionError
 from .core.parser import parse, parse_size_spec
 from .core.plan import KernelPlan
+from .core.program import CompilationSession
 from .evaluation import SuiteRunner, curve_table, format_table, to_csv
 from .gpu.arch import ARCHS
 from .tccg import all_benchmarks, by_group, get
@@ -89,13 +90,12 @@ def _common_parent() -> argparse.ArgumentParser:
 
 
 def _run_parent() -> argparse.ArgumentParser:
-    """Shared ``--workers``/``--cache-dir``/``--json`` flags.
+    """Shared ``--workers``/``--json`` flags.
 
     Semantics are identical on every command that accepts them:
     ``--workers`` is the process-pool width (1 = serial; parallel runs
-    are deterministic and identical to serial), ``--cache-dir`` the
-    directory for persistent result caches, ``--json`` a file to also
-    write the command's results to as JSON.
+    are deterministic and identical to serial), ``--json`` a file to
+    also write the command's results to as JSON.
     """
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument(
@@ -103,12 +103,20 @@ def _run_parent() -> argparse.ArgumentParser:
         help="process-pool width (default 1 = serial)",
     )
     p.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="directory for persistent result caches",
-    )
-    p.add_argument(
         "--json", metavar="FILE",
         help="also write the command's results as JSON",
+    )
+    return p
+
+
+def _store_parent() -> argparse.ArgumentParser:
+    """Shared ``--store-dir`` flag: the one persistent kernel store."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(
+        "--store-dir", metavar="DIR",
+        help="content-addressed persistent kernel store directory "
+        "(class winners and evaluation cells); warm runs against a "
+        "populated store perform zero searches and re-evaluations",
     )
     return p
 
@@ -187,9 +195,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     cogent = _make_generator(
         args, top_k=args.top_k, allow_split=not args.no_split
     )
-    kernel = cogent.compile_batch(
-        [_resolve_contraction(args)], store=args.cache_dir
-    ).kernels[0]
+    session = CompilationSession(cogent, store=args.store_dir)
+    kernel = session.compile([_resolve_contraction(args)]).kernels[0]
     # --target selects a registered backend directly; the legacy --emit
     # spellings map onto the same registry names ("driver" = the cuda
     # host driver).
@@ -381,18 +388,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """Run the framework comparison and print the GFLOPS table."""
     import json
 
-    if args.file:
-        from .tccg.io import load
-
-        benches = tuple(load(args.file))
-    else:
-        benches = by_group(args.group) if args.group else all_benchmarks()
-    if args.limit:
-        benches = benches[: args.limit]
+    benches = _select_benches(args)
     runner = SuiteRunner(
         arch=args.arch,
         dtype_bytes=_dtype_bytes(args),
-        cache_dir=args.cache_dir,
+        store_dir=args.store_dir,
     )
     frameworks = args.frameworks.split(",")
     rows = runner.compare(benches, frameworks, workers=args.workers)
@@ -439,7 +439,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "arch": args.arch,
             "dtype": args.dtype,
             "workers": args.workers,
-            "cache_dir": args.cache_dir,
+            "store_dir": args.store_dir,
             "stats": stats.as_dict(),
             "rows": [
                 {
@@ -463,7 +463,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _select_benches(args: argparse.Namespace):
-    """TCCG benchmark selection shared by batch/compile (names > file > group)."""
+    """TCCG benchmark selection shared by bench/compile (file > names > group)."""
     if getattr(args, "file", None):
         from .tccg.io import load
 
@@ -479,29 +479,30 @@ def _select_benches(args: argparse.Namespace):
     return benches
 
 
-def cmd_batch(args: argparse.Namespace) -> int:
-    """Suite-level batch generation with per-contraction search stats."""
+def cmd_compile(args: argparse.Namespace) -> int:
+    """Dedup-first workload compilation with per-kernel search stats."""
     import json
-    import time
-
-    from .core.program import CompilationSession
 
     benches = _select_benches(args)
-
-    cogent = _make_generator(
-        args, top_k=args.top_k, workers=args.search_workers
+    cogent = _make_generator(args, top_k=args.top_k)
+    session = CompilationSession(cogent, store=args.store_dir)
+    program = session.compile(
+        [bench.contraction() for bench in benches], workers=args.workers
     )
-    session = CompilationSession(
-        cogent, store=args.store_dir or args.cache_dir
-    )
-    contractions = [bench.contraction() for bench in benches]
-    start = time.perf_counter()
-    program = session.compile(contractions, workers=args.workers)
     kernels = program.kernels
-    wall_s = time.perf_counter() - start
+    wall_s = program.stats.wall_s
 
-    print(f"batch of {len(benches)} contractions, {args.arch}, "
-          f"{args.dtype}, {args.workers} worker(s)")
+    print(f"workload of {len(benches)} contractions, {args.arch}, "
+          f"{args.dtype}, {args.workers} worker(s)"
+          + (f", store {args.store_dir}" if args.store_dir else ""))
+    print(f"{'class':<26} {'src':<7} {'members':<18} config")
+    for info in program.classes:
+        member_names = ",".join(
+            benches[pos].name for pos in info.members
+        )
+        print(f"{info.key:<26} {info.source:<7} {member_names:<18} "
+              f"{kernels[info.representative].config.describe()}")
+    print()
     print(f"{'#':>3} {'benchmark':<14} {'raw':>7} {'kept':>5} "
           f"{'pruned%':>8} {'cfg/s':>9} {'search':>9} {'gen':>9} "
           f"{'GFLOPS':>8}")
@@ -533,70 +534,21 @@ def cmd_batch(args: argparse.Namespace) -> int:
             "search": search.as_dict() if search else None,
         })
     gen_sum = sum(k.generation_time_s for k in kernels)
-    stats = program.stats
-    print(f"batch wall-time {wall_s:.2f} s "
+    print(program.stats.summary())
+    print(f"wall-time {wall_s:.2f} s "
           f"(sum of per-kernel generation {gen_sum:.2f} s, "
           f"{total_checked / wall_s if wall_s else 0:,.0f} configs/s "
-          f"aggregate); dedup: {stats.classes} classes / "
-          f"{stats.contractions} members, {stats.searches} searches, "
-          f"store: {stats.store_hits} hits / {stats.store_misses} misses")
+          f"aggregate)")
     if args.json:
         payload = {
             "arch": args.arch,
             "dtype": args.dtype,
             "workers": args.workers,
-            "search_workers": args.search_workers,
+            "store_dir": args.store_dir,
             "wall_s": wall_s,
             "configs_checked": total_checked,
             "dedup": program.as_dict(),
             "kernels": rows,
-        }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"wrote {args.json}")
-    return 0
-
-
-def cmd_compile(args: argparse.Namespace) -> int:
-    """Dedup-first workload compilation against a persistent store."""
-    import json
-
-    from .core.program import CompilationSession
-
-    benches = _select_benches(args)
-    cogent = _make_generator(args, top_k=args.top_k)
-    session = CompilationSession(cogent, store=args.store_dir)
-    contractions = [bench.contraction() for bench in benches]
-    program = session.compile(contractions, workers=args.workers)
-
-    print(f"workload of {len(benches)} contractions, {args.arch}, "
-          f"{args.dtype}"
-          + (f", store {args.store_dir}" if args.store_dir else ""))
-    print(f"{'class':<26} {'src':<7} {'members':<18} config")
-    for info in program.classes:
-        rep = program.kernels[info.representative]
-        member_names = ",".join(
-            benches[pos].name for pos in info.members
-        )
-        print(f"{info.key:<26} {info.source:<7} {member_names:<18} "
-              f"{rep.config.describe()}")
-    print(program.stats.summary())
-    if args.json:
-        payload = {
-            "arch": args.arch,
-            "dtype": args.dtype,
-            "store_dir": args.store_dir,
-            "dedup": program.as_dict(),
-            "kernels": [
-                {
-                    "name": bench.name,
-                    "expr": bench.expr,
-                    "config": kernel.config.describe(),
-                    "cost": kernel.cost,
-                    "selection_mode": kernel.selection_mode,
-                }
-                for bench, kernel in zip(benches, program.kernels)
-            ],
         }
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)
@@ -644,7 +596,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         quick=not args.full,
         archs=archs,
         workers=args.workers,
-        cache_dir=args.cache_dir,
+        store_dir=args.store_dir,
     )
     if args.output:
         with open(args.output, "w") as handle:
@@ -659,7 +611,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             "quick": not args.full,
             "archs": list(archs),
             "workers": args.workers,
-            "cache_dir": args.cache_dir,
+            "store_dir": args.store_dir,
             "report": text,
         }
         with open(args.json, "w") as handle:
@@ -808,11 +760,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = _common_parent()
     run_opts = _run_parent()
+    store_opts = _store_parent()
     obs_opts = _obs_parent()
 
     p_gen = sub.add_parser(
         "gen", help="generate a kernel",
-        parents=[common, run_opts, obs_opts],
+        parents=[common, run_opts, store_opts, obs_opts],
     )
     p_gen.add_argument("expr", help="contraction expression or TCCG name")
     p_gen.add_argument("--sizes", help="extents, e.g. '24' or 'a=16,b=32'")
@@ -874,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench", help="compare frameworks",
-        parents=[common, run_opts, obs_opts, strategy_opts],
+        parents=[common, run_opts, store_opts, obs_opts, strategy_opts],
     )
     p_bench.add_argument("--group", choices=("ml", "mo", "ccsd", "ccsd_t"))
     p_bench.add_argument(
@@ -890,38 +843,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--csv", action="store_true")
     p_bench.set_defaults(func=cmd_bench)
 
-    p_batch = sub.add_parser(
-        "batch", help="batch-generate kernels with search statistics",
-        parents=[common, run_opts, obs_opts],
-    )
-    p_batch.add_argument(
-        "names", nargs="*",
-        help="TCCG benchmark names/ids (default: the selected group)",
-    )
-    p_batch.add_argument("--group", choices=("ml", "mo", "ccsd", "ccsd_t"))
-    p_batch.add_argument(
-        "--file", metavar="FILE",
-        help="run contractions from a benchmark definition file",
-    )
-    p_batch.add_argument("--limit", type=int, default=0)
-    p_batch.add_argument(
-        "--search-workers", type=int, default=1,
-        help="process-pool width inside each configuration search "
-        "(only useful with --workers 1)",
-    )
-    p_batch.add_argument("--top-k", type=int, default=64)
-    p_batch.add_argument(
-        "--store-dir", metavar="DIR",
-        help="persistent dedup kernel store (defaults to --cache-dir); "
-        "warm runs against a populated store perform zero searches",
-    )
-    p_batch.set_defaults(func=cmd_batch)
-
     p_compile = sub.add_parser(
         "compile",
         help="dedup-first workload compilation (one search per "
         "equivalence class, persistent kernel store)",
-        parents=[common, run_opts, obs_opts],
+        parents=[common, run_opts, store_opts, obs_opts],
     )
     p_compile.add_argument(
         "names", nargs="*",
@@ -936,17 +862,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compile.add_argument("--limit", type=int, default=0)
     p_compile.add_argument("--top-k", type=int, default=64)
-    p_compile.add_argument(
-        "--store-dir", metavar="DIR",
-        help="content-addressed persistent kernel store directory",
-    )
     p_compile.set_defaults(func=cmd_compile)
 
     p_network = sub.add_parser(
         "network",
         help="compile an n-ary contraction network through the staged "
         "pipeline (path search, memory plan, dedup, codegen)",
-        parents=[common, run_opts, obs_opts],
+        parents=[common, run_opts, store_opts, obs_opts],
     )
     p_network.add_argument(
         "expr", help="n-ary network, e.g. 'ab,bc,cd->ad'",
@@ -959,10 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--memory-cap", type=int, metavar="ELEMS",
         help="largest intermediate (elements) the path may create",
     )
-    p_network.add_argument(
-        "--store-dir", metavar="DIR",
-        help="content-addressed persistent kernel store directory",
-    )
     p_network.set_defaults(func=cmd_network)
 
     # Report gets its own parent instance: set_defaults mutates the
@@ -972,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_common.set_defaults(arch=None)
     p_report = sub.add_parser(
         "report", help="regenerate the experiment report (Figs. 4-8)",
-        parents=[report_common, run_opts],
+        parents=[report_common, run_opts, store_opts],
     )
     p_report.add_argument(
         "--full", action="store_true",

@@ -17,6 +17,7 @@ the batch), and a batched host-driver emitter.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -132,6 +133,36 @@ def parse_batched(expr: str, sizes) -> BatchedContraction:
     )
 
 
+def execute_per_batch_element(
+    batched, execute_inner, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Run an inner-contraction executor once per batch element.
+
+    The trailing batch dimensions are sliced off and ``execute_inner``
+    runs on each contiguous element, exactly like the generated
+    per-element launch loop.  :class:`BatchedKernel` runs its inner
+    kernel this way, and so do the non-batched strategies (direct,
+    TTGT, GETT) on a :class:`BatchedContraction`.
+    """
+    out = np.zeros(
+        tuple(batched.sizes[i] for i in batched.c.indices), dtype=a.dtype
+    )
+    ranges = [range(batched.sizes[i]) for i in batched.batch_indices]
+    for point in itertools.product(*ranges):
+        sel = dict(zip(batched.batch_indices, point))
+
+        def slicer(tensor: TensorRef):
+            return tuple(
+                sel[i] if i in sel else slice(None)
+                for i in tensor.indices
+            )
+
+        out[slicer(batched.c)] = execute_inner(
+            a[slicer(batched.a)], b[slicer(batched.b)]
+        )
+    return out
+
+
 @dataclass
 class BatchedKernel:
     """An inner kernel plus the batching wrapper around it."""
@@ -152,32 +183,11 @@ class BatchedKernel:
             batched.sizes[i] for i in batched.b.indices
         ):
             raise ValueError(f"operand B has wrong shape {b.shape}")
-        out = np.zeros(
-            tuple(batched.sizes[i] for i in batched.c.indices),
-            dtype=a.dtype,
-        )
-        import itertools
-
         # One tier step for the whole call: the first batched execute
         # interprets every slice instead of building on its second.
-        run = self.inner_kernel.runner()
-        ranges = [range(batched.sizes[i]) for i in batched.batch_indices]
-        for point in itertools.product(*ranges):
-            sel = {
-                idx: val
-                for idx, val in zip(batched.batch_indices, point)
-            }
-
-            def slicer(tensor: TensorRef):
-                return tuple(
-                    sel[i] if i in sel else slice(None)
-                    for i in tensor.indices
-                )
-
-            out[slicer(batched.c)] = run(
-                a[slicer(batched.a)], b[slicer(batched.b)]
-            )
-        return out
+        return execute_per_batch_element(
+            batched, self.inner_kernel.runner(), a, b
+        )
 
     # -- performance ---------------------------------------------------------
 

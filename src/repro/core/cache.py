@@ -1,4 +1,4 @@
-"""The in-process kernel memo, the evaluation cache and ``contract``.
+"""The in-process kernel memo and ``contract``.
 
 Code generation costs ~0.3-1.5 s per contraction (search dominated);
 applications like the CCSD(T) driver evaluate the same contraction
@@ -8,7 +8,7 @@ kernel tuned at other extents is :class:`repro.core.library.
 KernelLibrary`'s explicit policy (paper §IV-B).  Kernels persist
 across processes only through :class:`repro.core.program.KernelStore`;
 ``cogent save`` (:mod:`repro.core.serialize`) is the explicit package
-export.  :class:`EvalCache` persists framework evaluation results.
+export.
 
 :func:`contract` is the one-call numpy-facing API: parse, generate (or
 fetch from the memo), then run the kernel on the given operands through
@@ -23,13 +23,7 @@ cannot take or when no compiler is available.
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import json
-import os
-import tempfile
-from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -82,95 +76,6 @@ class KernelCache:
 
     def __len__(self) -> int:
         return len(self._memory)
-
-
-#: Bump when the meaning of cached evaluation payloads changes; stale
-#: entries from older layouts then miss instead of being misread.
-EVAL_CACHE_VERSION = 1
-
-
-def eval_cache_key(
-    expr: str,
-    sizes: Mapping[str, int],
-    arch_name: str,
-    dtype_bytes: int,
-    framework: str,
-    params: Optional[Mapping[str, object]] = None,
-) -> str:
-    """A stable string key for one (contraction, framework) evaluation.
-
-    Framework results are exact measurements for one problem instance,
-    so the extents enter the key as given.  The key also folds in the package version and :data:`EVAL_CACHE_VERSION`,
-    so caches self-invalidate across code changes that could alter the
-    modelled numbers.
-    """
-    from .. import __version__
-
-    sizes_part = ",".join(f"{k}={v}" for k, v in sorted(sizes.items()))
-    params_part = ",".join(
-        f"{k}={v}" for k, v in sorted((params or {}).items())
-    )
-    raw = (
-        f"eval{EVAL_CACHE_VERSION};{__version__};{expr};{sizes_part};"
-        f"{arch_name};{dtype_bytes};{framework};{params_part}"
-    )
-    return hashlib.sha256(raw.encode()).hexdigest()[:16]
-
-
-class EvalCache:
-    """Persistent on-disk store of framework evaluation results.
-
-    One JSON object per key under ``directory``; payloads are plain
-    dicts (the caller decides the schema — :class:`repro.evaluation.
-    runner` stores ``FrameworkResult.as_dict()``).  Each write goes to
-    its own temp file and is renamed into place, so concurrent writers
-    sharing a directory never collide and readers never observe torn
-    entries.
-    """
-
-    def __init__(self, directory: Union[str, Path]) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def _read(self, key: str) -> Optional[Dict]:
-        """The stored JSON object for ``key``; ``None`` if absent,
-        unreadable, truncated or not an object."""
-        try:
-            payload = json.loads(self._path(key).read_text())
-        except (OSError, ValueError):
-            return None
-        return payload if isinstance(payload, dict) else None
-
-    def lookup(self, key: str) -> Optional[Dict]:
-        """The stored payload for ``key``, or ``None`` on a miss."""
-        payload = self._read(key)
-        if payload is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
-
-    def put(self, key: str, payload: Dict) -> None:
-        """Persist ``payload`` (JSON-serialisable) under ``key``."""
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=f"{key}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(payload, indent=2, sort_keys=True))
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.json"))
 
 
 #: Process-wide default cache used by :func:`contract`.

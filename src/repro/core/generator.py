@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -416,36 +415,6 @@ class Cogent:
             **({"strategies": names} if names else {}),
         )
         return selector.choose(contraction)
-
-    def compile_batch(
-        self,
-        contractions: Iterable[Union[str, Contraction]],
-        sizes: SizesArg = None,
-        kernel_name: str = "tc_kernel",
-        kernel_names: Optional[Sequence[str]] = None,
-        workers: Optional[int] = None,
-        store=None,
-    ):
-        """Dedup-first batch compilation (one search per shape class).
-
-        Convenience wrapper over
-        :class:`repro.core.program.CompilationSession`: the batch is
-        partitioned into canonical-key equivalence classes, one
-        representative per class is searched, and the winner is rebound
-        to every member.  ``store`` (a path or
-        :class:`~repro.core.program.KernelStore`) persists class
-        winners across processes.  Returns a
-        :class:`~repro.core.program.CompiledProgram`.
-        """
-        from .program import CompilationSession
-
-        return CompilationSession(self, store=store).compile(
-            contractions,
-            sizes=sizes,
-            kernel_name=kernel_name,
-            kernel_names=kernel_names,
-            workers=workers,
-        )
 
     def generate(
         self,

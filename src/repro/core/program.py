@@ -20,33 +20,38 @@ The pipeline has two layers:
   is bit-identical to searching the member directly because Algorithm
   2's pruning rules and Algorithm 3's cost model depend only on index
   structure, positions and extents — never on index names.
-* :class:`KernelStore` is a content-addressed persistent store of the
-  per-class winners (one atomic JSON file per class key, like
-  :class:`repro.core.cache.EvalCache`).  Payloads are expressed in
-  canonical index names, so *any* process whose batch contains an
-  isomorphic contraction hits, regardless of how its tensors or
-  indices are spelled.  Warm runs perform **zero** searches.
+* :class:`KernelStore` is the one content-addressed persistent store:
+  one atomic JSON file per key, holding the per-class winners (and, for
+  :class:`repro.evaluation.runner.SuiteRunner`, framework evaluation
+  cells).  Kernel payloads are expressed in canonical index names, so
+  *any* process whose batch contains an isomorphic contraction hits,
+  regardless of how its tensors or indices are spelled.  Warm runs
+  perform **zero** searches.
 
-Staleness is handled structurally: every class key folds in
-:func:`code_version_stamp`, a hash of the source of the modules that
-decide which configuration wins (cost model, pruning rules, the
-search, mapping/splitting logic).  Upgrading any of them silently
-invalidates every stored entry — a newer cost model never serves a
-configuration tuned by an older one.
+Staleness is handled structurally: every key folds in
+:func:`code_version_stamp`, a hash of every source file of the package.
+Changing any of them silently invalidates every stored entry — a newer
+cost model, pruning rule, simulator or baseline never serves a winner or
+an evaluation produced by an older one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
+import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from .. import obs
 from ..gpu.arch import GpuArch
-from .cache import EvalCache
 from .enumeration import EnumerationResult, EnumerationStats
 from .generator import CandidateScore, Cogent, GeneratedKernel
 from .ir import Contraction, TensorRef
@@ -73,53 +78,34 @@ KERNEL_PAYLOAD_KEYS = (
     "selection_mode",
 )
 
-#: Source files whose contents decide which configuration a search
-#: returns.  Their concatenated hash is folded into every class key so
-#: persistent stores self-invalidate across cost-model / search
-#: upgrades instead of serving stale tuned configs.
-_STAMP_MODULES = (
-    "costmodel.py",
-    "columnar.py",
-    "enumeration.py",
-    "constraints.py",
-    "mapping.py",
-    "plan.py",
-    "splitting.py",
-    "generator.py",
-    # Emission layer: a stored kernel is only as reusable as the source
-    # text its target would emit for it today.
-    "codegen/registry.py",
-    "codegen/indexing.py",
-    "codegen/chost.py",
-    "codegen/cuda.py",
-    "codegen/driver.py",
-    "codegen/opencl.py",
-    "codegen/cemu.py",
-    "codegen/clemu.py",
-    "codegen/openmp.py",
-)
+#: Root of the ``repro`` package, whose sources :func:`code_version_stamp`
+#: hashes.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 _CODE_STAMP: Optional[str] = None
 
 
-def code_version_stamp() -> str:
-    """Hash of the search-deciding module sources (cached per process)."""
-    global _CODE_STAMP
-    if _CODE_STAMP is None:
-        digest = hashlib.sha256()
-        root = Path(__file__).resolve().parent
-        for name in _STAMP_MODULES:
-            digest.update(name.encode())
-            try:
-                digest.update((root / name).read_bytes())
-            except OSError:
-                # Source unavailable (zipapp, stripped install): fall
-                # back to the package version for that module.
-                from .. import __version__
+def code_version_stamp(package: Optional[Union[str, Path]] = None) -> str:
+    """Hash of every ``.py`` file of the package, in sorted path order.
 
-                digest.update(__version__.encode())
-        _CODE_STAMP = digest.hexdigest()[:16]
-    return _CODE_STAMP
+    Kernel winners depend on the search, the cost model, the simulator
+    and the emitters; evaluation cells also on the baselines and TTGT.
+    No hand-kept module list serves both, so the whole package is hashed
+    (once per process).  ``package`` hashes another copy of the package
+    tree instead, uncached.
+    """
+    global _CODE_STAMP
+    if package is None and _CODE_STAMP is not None:
+        return _CODE_STAMP
+    root = _PACKAGE_ROOT if package is None else Path(package)
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    stamp = digest.hexdigest()[:16]
+    if package is None:
+        _CODE_STAMP = stamp
+    return stamp
 
 
 # -- canonical contraction identity -----------------------------------------
@@ -183,6 +169,32 @@ def workload_key(
     return hashlib.sha256(raw.encode()).hexdigest()[:24]
 
 
+def eval_cache_key(
+    expr: str,
+    sizes: Mapping[str, int],
+    arch_name: str,
+    dtype_bytes: int,
+    framework: str,
+    params: Optional[Mapping[str, object]] = None,
+) -> str:
+    """The store key of one (contraction, framework) evaluation cell.
+
+    Framework results are exact measurements for one problem instance,
+    so the extents enter the key as given.  The key folds in
+    :func:`code_version_stamp`, so cells miss after any code change
+    that could alter the modelled numbers.
+    """
+    sizes_part = ",".join(f"{k}={v}" for k, v in sorted(sizes.items()))
+    params_part = ",".join(
+        f"{k}={v}" for k, v in sorted((params or {}).items())
+    )
+    raw = (
+        f"eval;{code_version_stamp()};{expr};{sizes_part};"
+        f"{arch_name};{dtype_bytes};{framework};{params_part}"
+    )
+    return hashlib.sha256(raw.encode()).hexdigest()[:16]
+
+
 def _invert(rename: Dict[str, str]) -> Dict[str, str]:
     return {v: k for k, v in rename.items()}
 
@@ -190,16 +202,26 @@ def _invert(rename: Dict[str, str]) -> Dict[str, str]:
 # -- the persistent kernel store --------------------------------------------
 
 
-class KernelStore(EvalCache):
-    """Content-addressed persistent store of per-class winning kernels.
+class KernelStore:
+    """The one content-addressed persistent store.
 
-    One JSON file per class key under ``directory``, written like
-    :class:`~repro.core.cache.EvalCache` entries (per-writer temp file
-    + rename), so concurrent sessions sharing a store never observe torn
-    entries.  Payloads are canonical-name descriptions of the winner
-    (contraction, config, split/merge specs, cost), enough to rebuild
-    the kernel for any isomorphic contraction without a search.
+    One JSON object per key under ``directory``: per-class winning
+    kernels (canonical-name descriptions of the winner, enough to
+    rebuild it for any isomorphic contraction without a search) and
+    framework evaluation cells.  Every entry carries ``store_version``.
+    Each write goes to its own temp file and is renamed into place, so
+    concurrent writers sharing a directory never collide and readers
+    never observe torn entries.
     """
+
+    def __init__(self, directory: Union[str, Path]) -> None:
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self.hits = 0
+        self.misses = 0
+
+    def _path(self, key: str) -> Path:
+        return self.directory / f"{key}.json"
 
     def lookup(
         self, key: str, required: Sequence[str] = KERNEL_PAYLOAD_KEYS
@@ -210,9 +232,12 @@ class KernelStore(EvalCache):
         different ``store_version`` and payloads lacking any of the
         ``required`` keys all count as misses.
         """
-        payload = self._read(key)
+        try:
+            payload = json.loads(self._path(key).read_text())
+        except (OSError, ValueError):
+            payload = None
         if (
-            payload is None
+            not isinstance(payload, dict)
             or payload.get("store_version") != STORE_VERSION
             or any(name not in payload for name in required)
         ):
@@ -222,6 +247,24 @@ class KernelStore(EvalCache):
         self.hits += 1
         obs.inc("store.hits")
         return payload
+
+    def put(self, key: str, payload: Dict) -> None:
+        """Persist ``payload`` (JSON-serialisable) under ``key``."""
+        payload = {**payload, "store_version": STORE_VERSION}
+        fd, tmp = tempfile.mkstemp(
+            dir=self.directory, prefix=f"{key}.", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(json.dumps(payload, indent=2, sort_keys=True))
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self.directory.glob("*.json"))
 
 
 def _split_to_dict(spec: SplitSpec) -> Dict:
@@ -252,8 +295,7 @@ def kernel_to_store_payload(
     canon, rename = canonical_form(original)
     canonical = _rebind_kernel(kernel, canon, rename=dict(rename))
     best = canonical.candidates[0]
-    payload: Dict = {
-        "store_version": STORE_VERSION,
+    return {
         "code_stamp": stamp or code_version_stamp(),
         "canonical": contraction_to_dict(canon),
         "config": config_to_dict(canonical.config),
@@ -262,7 +304,6 @@ def kernel_to_store_payload(
         "selection_mode": kernel.selection_mode,
         "dtype_bytes": kernel.plan.dtype_bytes,
     }
-    return payload
 
 
 def kernel_from_store_payload(

@@ -34,8 +34,8 @@ def _selection(quick: bool):
 
 def _fig45(out: io.StringIO, arch_name: str, figure: int,
            quick: bool, workers: int = 1,
-           cache_dir: Optional[Union[str, Path]] = None) -> None:
-    runner = SuiteRunner(arch=arch_name, cache_dir=cache_dir)
+           store_dir: Optional[Union[str, Path]] = None) -> None:
+    runner = SuiteRunner(arch=arch_name, store_dir=store_dir)
     frameworks = ("cogent", "nwchem", "talsh")
     rows = runner.compare(_selection(quick), frameworks, workers=workers)
     out.write(f"## Fig. {figure} — TCCG suite on {arch_name} "
@@ -57,13 +57,13 @@ def _fig45(out: io.StringIO, arch_name: str, figure: int,
 
 
 def _fig67(out: io.StringIO, quick: bool, workers: int = 1,
-           cache_dir: Optional[Union[str, Path]] = None) -> None:
+           store_dir: Optional[Union[str, Path]] = None) -> None:
     population, generations = (10, 3) if quick else (40, 10)
     for arch_name, figure in (("P100", 6), ("V100", 7)):
         runner = SuiteRunner(
             arch=arch_name, dtype_bytes=4,
             tc_population=population, tc_generations=generations,
-            cache_dir=cache_dir,
+            store_dir=store_dir,
         )
         frameworks = ("cogent", "tc", "tc_untuned")
         rows = runner.compare(SD2_SUBSET, frameworks, workers=workers)
@@ -123,20 +123,21 @@ def generate_report(
     quick: bool = True,
     archs: Sequence[str] = ("P100", "V100"),
     workers: int = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
+    store_dir: Optional[Union[str, Path]] = None,
 ) -> str:
     """Build the Markdown report; returns the document text.
 
     ``workers`` fans the framework-comparison cells across processes;
-    ``cache_dir`` persists their results so re-running the report is
-    incremental (only changed cells are re-evaluated).
+    ``store_dir`` persists their results in a kernel store, so
+    re-running the report is incremental (only changed cells are
+    re-evaluated).
     """
     from .. import obs
 
     out = io.StringIO()
     started = time.perf_counter()
     with obs.span("report"):
-        _write_report(out, quick, archs, workers, cache_dir)
+        _write_report(out, quick, archs, workers, store_dir)
     out.write(
         f"_Report generated in {time.perf_counter() - started:.1f} s._\n"
     )
@@ -148,14 +149,14 @@ def _write_report(
     quick: bool,
     archs: Sequence[str],
     workers: int,
-    cache_dir: Optional[Union[str, Path]],
+    store_dir: Optional[Union[str, Path]],
 ) -> None:
     out.write("# COGENT reproduction — experiment report\n\n")
     mode = "quick sample" if quick else "full 48-entry suite"
     out.write(f"Mode: {mode}. All GPU numbers come from the "
               "performance simulator (see DESIGN.md).\n\n")
     for arch_name, figure in zip(archs, (4, 5)):
-        _fig45(out, arch_name, figure, quick, workers, cache_dir)
-    _fig67(out, quick, workers, cache_dir)
+        _fig45(out, arch_name, figure, quick, workers, store_dir)
+    _fig67(out, quick, workers, store_dir)
     _fig8(out, quick)
     _pruning(out, quick)

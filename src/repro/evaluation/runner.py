@@ -10,9 +10,9 @@ the contraction on the target (simulated) GPU.
 out over a :class:`concurrent.futures.ProcessPoolExecutor` (the same
 worker pattern as :meth:`repro.core.enumeration.Enumerator.search`)
 with a deterministic ordered merge, so parallel results are identical
-to serial.  With ``cache_dir`` set, finished cells persist in an
-:class:`repro.core.cache.EvalCache`; re-running the same suite replays
-them from disk without re-evaluating any framework.
+to serial.  With ``store_dir`` set, finished cells persist in a
+:class:`repro.core.program.KernelStore`; re-running the same suite
+replays them from disk without re-evaluating any framework.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from typing import (
 from .. import obs
 from ..baselines.nwchem import NwchemGenerator
 from ..baselines.tc import TcAutotuner
-from ..core.cache import EvalCache, eval_cache_key
 from ..core.generator import Cogent
 from ..core.ir import Contraction
+from ..core.program import KernelStore, eval_cache_key
 from ..gpu.arch import GpuArch, get_arch
 from ..gpu.simulator import GpuSimulator
 from ..tccg.suite import Benchmark
@@ -49,7 +49,7 @@ class FrameworkResult:
     ``setup_time_s`` covers planning/code generation, ``search_time_s``
     configuration search or autotuning, and ``simulate_time_s`` the
     performance-model evaluation.  ``cached`` marks results replayed
-    from an :class:`repro.core.cache.EvalCache` rather than computed.
+    from a :class:`repro.core.program.KernelStore` rather than computed.
     """
 
     framework: str
@@ -69,6 +69,10 @@ class FrameworkResult:
     def from_dict(cls, payload: Dict[str, object]) -> "FrameworkResult":
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in payload.items() if k in known})
+
+
+#: Fields a stored evaluation cell must carry to count as a hit.
+_CELL_KEYS = tuple(f.name for f in fields(FrameworkResult))
 
 
 @dataclass
@@ -142,7 +146,7 @@ class SuiteRunner:
         tc_population: int = 20,
         tc_generations: int = 5,
         tc_seed: int = 0,
-        cache_dir: Optional[Union[str, Path]] = None,
+        store_dir: Optional[Union[str, Path]] = None,
     ) -> None:
         self.arch = get_arch(arch) if isinstance(arch, str) else arch
         self.dtype_bytes = dtype_bytes
@@ -157,7 +161,7 @@ class SuiteRunner:
             generations=tc_generations,
             seed=tc_seed,
         )
-        self.cache = EvalCache(cache_dir) if cache_dir else None
+        self.store = KernelStore(store_dir) if store_dir else None
         # Execution-strategy selector, built lazily: only the
         # strategy-aware COGENT row pays for it.
         self._selector = None
@@ -344,7 +348,7 @@ class SuiteRunner:
     # -- suite-level comparison -----------------------------------------------
 
     def _cell_key(self, bench: Benchmark, framework: str) -> str:
-        """Evaluation-cache key for one (benchmark, framework) cell."""
+        """Store key for one (benchmark, framework) cell."""
         return eval_cache_key(
             bench.expr, bench.sizes, self.arch.name, self.dtype_bytes,
             framework,
@@ -363,8 +367,8 @@ class SuiteRunner:
     ) -> List[ComparisonRow]:
         """Evaluate every (benchmark, framework) cell.
 
-        With ``workers > 1`` the cells not satisfied by the evaluation
-        cache fan out over a process pool; results are merged back in
+        With ``workers > 1`` the cells not satisfied by the store fan
+        out over a process pool; results are merged back in
         grid order, so the returned rows are identical to a serial run.
         Only a pool that cannot be created falls back to the serial loop
         (counted as ``evaluation.pool_fallbacks``); an exception raised
@@ -389,21 +393,23 @@ class SuiteRunner:
         stats = CompareStats(
             cells=len(cells),
             workers=max(1, workers),
-            cache_enabled=self.cache is not None,
+            cache_enabled=self.store is not None,
         )
 
         results: Dict[int, FrameworkResult] = {}
         pending: List[int] = []
         for i, (bench, framework) in enumerate(cells):
-            if self.cache is not None:
-                payload = self.cache.lookup(self._cell_key(bench, framework))
+            if self.store is not None:
+                payload = self.store.lookup(
+                    self._cell_key(bench, framework), _CELL_KEYS
+                )
                 if payload is not None:
                     results[i] = replace(
                         FrameworkResult.from_dict(payload), cached=True
                     )
                     continue
             pending.append(i)
-        if self.cache is not None:
+        if self.store is not None:
             stats.cache_hits = len(cells) - len(pending)
             stats.cache_misses = len(pending)
 
@@ -429,9 +435,9 @@ class SuiteRunner:
 
         for i, result in fresh.items():
             results[i] = result
-            if self.cache is not None:
+            if self.store is not None:
                 bench, framework = cells[i]
-                self.cache.put(
+                self.store.put(
                     self._cell_key(bench, framework), result.as_dict()
                 )
 

@@ -3,14 +3,17 @@
 One :class:`MetricsRegistry` per observability session unifies every
 counter the pipeline previously kept in ad-hoc stat objects —
 ``SearchStats`` (enumeration), ``RuleStats`` (constraint pruning),
-cost-model memo hits/misses, ``EvalCache`` hits/misses,
+cost-model memo hits/misses, kernel-store hits/misses,
 ``CompareStats`` and ``FrameworkResult`` stage timings (evaluation) —
 under one dotted naming scheme:
 
 * ``search.*``      — configuration search (Algorithm 2 + 3 streaming)
 * ``constraints.*`` — per-rule pruning behaviour
 * ``costmodel.*``   — DRAM-transaction model memoisation
-* ``cache.kernel.*`` / ``cache.eval.*`` — kernel and evaluation caches
+* ``cache.kernel.*`` — the in-process kernel memo
+* ``store.*``       — :class:`repro.core.program.KernelStore` lookups
+  (class winners and evaluation cells alike)
+* ``cache.eval.*``  — evaluation cells replayed from the store
 * ``library.*``     — multi-version kernel dispatch
 * ``compare.*``     — framework comparison grid
 * ``replay.*``      — address-trace transaction replay

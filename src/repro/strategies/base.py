@@ -188,35 +188,3 @@ class ExecutionStrategy(ABC):
 def inner_contraction(contraction) -> Contraction:
     """The per-batch-element contraction (identity for plain ones)."""
     return getattr(contraction, "inner", contraction)
-
-
-def execute_per_batch_element(
-    batched, execute_inner, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """Run an inner-contraction executor once per batch element.
-
-    The fallback that lets the non-batched strategies (direct, TTGT,
-    GETT) handle a :class:`~repro.core.batched.BatchedContraction`: the
-    trailing batch dimensions are sliced off and ``execute_inner`` runs
-    on each contiguous element, exactly like the generated per-element
-    launch loop.
-    """
-    import itertools
-
-    out = np.zeros(
-        tuple(batched.sizes[i] for i in batched.c.indices), dtype=a.dtype
-    )
-    ranges = [range(batched.sizes[i]) for i in batched.batch_indices]
-    for point in itertools.product(*ranges):
-        sel = dict(zip(batched.batch_indices, point))
-
-        def slicer(tensor):
-            return tuple(
-                sel[i] if i in sel else slice(None)
-                for i in tensor.indices
-            )
-
-        out[slicer(batched.c)] = execute_inner(
-            a[slicer(batched.a)], b[slicer(batched.b)]
-        )
-    return out

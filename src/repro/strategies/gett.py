@@ -23,6 +23,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..core.batched import execute_per_batch_element
 from ..core.costmodel import common_prefix_run, row_transactions
 from ..ttgt.pipeline import _unique
 from ..ttgt.transpose import permutation_between
@@ -30,7 +31,6 @@ from .base import (
     ExecutionStrategy,
     StrategyError,
     StrategyPlan,
-    execute_per_batch_element,
     inner_contraction,
 )
 

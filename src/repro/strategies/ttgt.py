@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.batched import execute_per_batch_element
 from ..ttgt.pipeline import TtgtPipeline
 from .base import (
     ExecutionStrategy,
     StrategyPlan,
-    execute_per_batch_element,
     inner_contraction,
 )
 

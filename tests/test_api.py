@@ -16,10 +16,16 @@ class TestOptions:
         opts = api.Options()
         assert opts.workers == 1
         assert opts.top_k == 64
-        assert opts.cache_dir is None
+        assert opts.store_dir is None
         assert opts.arch == "V100"
         assert opts.dtype == "double"
         assert opts.trace is False
+
+    def test_one_directory_field(self):
+        """``store_dir`` is the one persistent directory knob."""
+        names = [f.name for f in dataclasses.fields(api.Options)]
+        assert len(names) == 9
+        assert [n for n in names if n.endswith("_dir")] == ["store_dir"]
 
     def test_frozen(self):
         opts = api.Options()
@@ -27,7 +33,7 @@ class TestOptions:
             opts.workers = 4
 
     def test_round_trip(self):
-        opts = api.Options(workers=4, top_k=8, cache_dir="/tmp/c",
+        opts = api.Options(workers=4, top_k=8, store_dir="/tmp/c",
                            arch="P100", dtype="single", trace=True)
         clone = api.Options(**dataclasses.asdict(opts))
         assert clone == opts
@@ -67,7 +73,7 @@ class TestDeprecationShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             Cogent(workers=2)
-            runner = SuiteRunner(cache_dir=tmp_path / "eval")
+            runner = SuiteRunner(store_dir=tmp_path / "store")
             runner.compare([get("ttm_mode1")], ("talsh",), workers=1)
             api.compile("ab-ak-kb", 16, options=api.Options(top_k=2))
 
@@ -109,14 +115,14 @@ class TestFacade:
     def test_evaluate(self, tmp_path):
         rows = api.evaluate(
             [get("ttm_mode1")], ("talsh", "tc_untuned"),
-            options=api.Options(cache_dir=tmp_path / "eval"),
+            options=api.Options(store_dir=tmp_path / "store"),
         )
         assert len(rows) == 1
         assert rows[0].gflops("talsh") > 0
         # Second run replays from the cache.
         rows2 = api.evaluate(
             [get("ttm_mode1")], ("talsh", "tc_untuned"),
-            options=api.Options(cache_dir=tmp_path / "eval"),
+            options=api.Options(store_dir=tmp_path / "store"),
         )
         assert rows2[0].results["talsh"].cached
         assert rows2[0].gflops("talsh") == rows[0].gflops("talsh")

@@ -102,43 +102,47 @@ class TestBatchCacheApi:
 
 
 class TestEvalCache:
-    def test_put_then_lookup_roundtrip(self, tmp_path):
-        from repro.core.cache import EvalCache
+    """Evaluation cells live in the one :class:`KernelStore`."""
 
-        cache = EvalCache(tmp_path / "eval")
+    def test_put_then_lookup_roundtrip(self, tmp_path):
+        from repro.core.program import STORE_VERSION, KernelStore
+
+        store = KernelStore(tmp_path / "store")
         payload = {"gflops": 123.4, "framework": "cogent"}
-        cache.put("abc123", payload)
-        assert cache.lookup("abc123") == payload
-        assert cache.hits == 1 and cache.misses == 0
-        assert len(cache) == 1
+        store.put("abc123", payload)
+        assert store.lookup("abc123", ("gflops", "framework")) == {
+            **payload, "store_version": STORE_VERSION,
+        }
+        assert store.hits == 1 and store.misses == 0
+        assert len(store) == 1
 
     def test_missing_key_misses(self, tmp_path):
-        from repro.core.cache import EvalCache
+        from repro.core.program import KernelStore
 
-        cache = EvalCache(tmp_path / "eval")
-        assert cache.lookup("nothere") is None
-        assert cache.misses == 1
+        store = KernelStore(tmp_path / "store")
+        assert store.lookup("nothere", ()) is None
+        assert store.misses == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        from repro.core.cache import EvalCache
+        from repro.core.program import KernelStore
 
-        cache = EvalCache(tmp_path / "eval")
-        (cache.directory / "bad0.json").write_text("{not json")
-        assert cache.lookup("bad0") is None
-        assert cache.misses == 1
+        store = KernelStore(tmp_path / "store")
+        (store.directory / "bad0.json").write_text("{not json")
+        assert store.lookup("bad0", ()) is None
+        assert store.misses == 1
 
     def test_persists_across_instances(self, tmp_path):
-        from repro.core.cache import EvalCache
+        from repro.core.program import KernelStore
 
-        EvalCache(tmp_path / "eval").put("k", {"v": 1})
-        assert EvalCache(tmp_path / "eval").lookup("k") == {"v": 1}
+        KernelStore(tmp_path / "store").put("k", {"v": 1})
+        assert KernelStore(tmp_path / "store").lookup("k", ("v",))["v"] == 1
 
 
 class TestEvalCacheKey:
     SIZES = {"a": 32, "b": 32, "k": 64}
 
     def _key(self, **overrides):
-        from repro.core.cache import eval_cache_key
+        from repro.core.program import eval_cache_key
 
         base = dict(
             expr="ab-ak-kb", sizes=self.SIZES, arch_name="V100",
@@ -159,6 +163,13 @@ class TestEvalCacheKey:
         assert self._key(dtype_bytes=4) != base
         assert self._key(framework="talsh") != base
         assert self._key(params={"tc_seed": 1}) != base
+
+    def test_sensitive_to_code_stamp(self, monkeypatch):
+        from repro.core import program
+
+        base = self._key()
+        monkeypatch.setattr(program, "_CODE_STAMP", "f" * 16)
+        assert self._key() != base
 
     def test_extents_not_bucketed(self):
         # Unlike cache_key, nearby sizes must NOT share evaluations.

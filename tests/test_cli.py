@@ -25,6 +25,11 @@ class TestParser:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_no_batch_command(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["batch", "ttm_mode1"])
+        assert "batch" not in build_parser().format_help()
+
 
 class TestSuiteCommand:
     def test_lists_48(self, capsys):
@@ -120,7 +125,7 @@ class TestBenchCommand:
         json_path = tmp_path / "bench.json"
         argv = ["bench", "--group", "mo", "--limit", "2",
                 "--frameworks", "cogent,talsh", "--workers", "2",
-                "--cache-dir", str(tmp_path / "eval"),
+                "--store-dir", str(tmp_path / "store"),
                 "--json", str(json_path)]
         assert main(argv) == 0
         cold = json.loads(json_path.read_text())
@@ -152,22 +157,24 @@ class TestTuneCommand:
 
 
 class TestBatchCommand:
+    """``cogent compile`` prints the per-kernel search statistics."""
+
     def test_batch_by_names(self, capsys):
-        assert main(["batch", "ttm_mode1", "ttm_mode2"]) == 0
+        assert main(["compile", "ttm_mode1", "ttm_mode2"]) == 0
         out = capsys.readouterr().out
         assert "ttm_mode1" in out and "ttm_mode2" in out
         assert "cfg/s" in out
-        assert "batch wall-time" in out
+        assert "wall-time" in out
 
     def test_batch_group_with_limit(self, capsys):
-        assert main(["batch", "--group", "mo", "--limit", "1"]) == 0
+        assert main(["compile", "--group", "mo", "--limit", "1"]) == 0
         assert "mo_stage1" in capsys.readouterr().out
 
     def test_batch_json(self, tmp_path, capsys):
         import json
 
         path = tmp_path / "batch.json"
-        assert main(["batch", "ttm_mode1", "--json", str(path)]) == 0
+        assert main(["compile", "ttm_mode1", "--json", str(path)]) == 0
         payload = json.loads(path.read_text())
         assert payload["arch"] == "V100"
         assert len(payload["kernels"]) == 1
@@ -177,5 +184,46 @@ class TestBatchCommand:
         assert kernel["search"]["kept"] > 0
 
     def test_batch_by_numeric_id(self, capsys):
-        assert main(["batch", "1"]) == 0
+        assert main(["compile", "1"]) == 0
         assert "cfg/s" in capsys.readouterr().out
+
+
+class TestOneStoreDir:
+    """Every command that persists anything shares one ``--store-dir``."""
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("store")
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["gen", "ab-ak-kb", "--sizes", "16", "--top-k", "2"],
+         "canonical"),
+        (["compile", "ttm_mode1", "--top-k", "2"], "canonical"),
+        (["network", "ab,bc,cd->ad", "--sizes", "8", "--top-k", "2"],
+         "canonical"),
+        (["bench", "--group", "mo", "--limit", "1",
+          "--frameworks", "talsh"], "framework"),
+        (["report", "--arch", "V100"], "framework"),
+    ], ids=["gen", "compile", "network", "bench", "report"])
+    def test_command_writes_its_entries(self, store, argv, kind,
+                                        monkeypatch, capsys):
+        import json
+
+        from repro.evaluation import report as report_mod
+        from repro.tccg import get
+
+        # Keep the report to one Fig. 4 cell grid.
+        monkeypatch.setattr(report_mod, "_selection",
+                            lambda quick: (get("mo_stage1"),))
+        monkeypatch.setattr(report_mod, "_fig67", lambda *a, **k: None)
+        monkeypatch.setattr(report_mod, "_fig8", lambda *a, **k: None)
+        before = set(store.glob("*.json"))
+        assert main(argv + ["--store-dir", str(store)]) == 0
+        added = set(store.glob("*.json")) - before
+        assert added
+        for path in added:
+            assert kind in json.loads(path.read_text())
+        capsys.readouterr()
+        # A second run hits: it adds nothing.
+        assert main(argv + ["--store-dir", str(store)]) == 0
+        assert set(store.glob("*.json")) == before | added

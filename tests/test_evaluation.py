@@ -170,12 +170,12 @@ class TestCompareParallelAndCache:
 
     def test_warm_cache_zero_reevaluations(self, tmp_path):
         benches = [get(n) for n in self.BENCHES]
-        cold = SuiteRunner(arch="V100", cache_dir=tmp_path / "eval")
+        cold = SuiteRunner(arch="V100", store_dir=tmp_path / "store")
         cold_rows = cold.compare(benches, self.FRAMEWORKS)
         assert cold.last_stats.cache_misses == cold.last_stats.cells
         assert cold.last_stats.evaluated == cold.last_stats.cells
 
-        warm = SuiteRunner(arch="V100", cache_dir=tmp_path / "eval")
+        warm = SuiteRunner(arch="V100", store_dir=tmp_path / "store")
         warm_rows = warm.compare(benches, self.FRAMEWORKS)
         assert warm.last_stats.evaluated == 0
         assert warm.last_stats.cache_hits == warm.last_stats.cells
@@ -191,16 +191,52 @@ class TestCompareParallelAndCache:
         bench = get("sd_t_d2_1")
         first = SuiteRunner(
             arch="V100", tc_population=6, tc_generations=2,
-            cache_dir=tmp_path / "eval",
+            store_dir=tmp_path / "store",
         )
         first.compare([bench], ("tc_untuned",))
         second = SuiteRunner(
             arch="V100", tc_population=8, tc_generations=2,
-            cache_dir=tmp_path / "eval",
+            store_dir=tmp_path / "store",
         )
         second.compare([bench], ("tc_untuned",))
         # Different tuner parameters must not hit each other's entries.
         assert second.last_stats.cache_hits == 0
+
+    def test_torn_cell_is_a_counted_miss(self, tmp_path):
+        """A stored cell that is valid JSON but lacks a field misses, is
+        evaluated again and is rewritten whole."""
+        import json
+
+        bench = get("ttm_mode1")
+        SuiteRunner(store_dir=tmp_path / "store").compare([bench], ["talsh"])
+        (path,) = (tmp_path / "store").glob("*.json")
+        cell = json.loads(path.read_text())
+        del cell["gflops"]
+        path.write_text(json.dumps(cell))
+
+        runner = SuiteRunner(store_dir=tmp_path / "store")
+        with obs.tracing() as session:
+            rows = runner.compare([bench], ["talsh"])
+        assert runner.last_stats.cache_misses == 1
+        assert runner.last_stats.evaluated == 1
+        assert session.metrics.counter("store.misses") == 1
+        assert rows[0].gflops("talsh") > 0
+        assert not rows[0].results["talsh"].cached
+        repaired = SuiteRunner(store_dir=tmp_path / "store")
+        repaired.compare([bench], ["talsh"])
+        assert repaired.last_stats.cache_hits == 1
+
+    def test_cell_under_another_code_stamp_misses(self, tmp_path,
+                                                  monkeypatch):
+        from repro.core import program
+
+        bench = get("ttm_mode1")
+        SuiteRunner(store_dir=tmp_path / "store").compare([bench], ["talsh"])
+        monkeypatch.setattr(program, "_CODE_STAMP", "f" * 16)
+        stale = SuiteRunner(store_dir=tmp_path / "store")
+        stale.compare([bench], ["talsh"])
+        assert stale.last_stats.cache_hits == 0
+        assert stale.last_stats.evaluated == 1
 
 
 class TestTables:

@@ -25,6 +25,7 @@ from repro.core.codegen import chost
 from repro.core.library import _rebind_kernel
 from repro.core.parser import parse
 from repro.core.plan import KernelPlan
+from repro.core.program import CompilationSession
 from repro.gpu.executor import integer_operands, random_operands
 
 from .conftest import requires_cc
@@ -73,7 +74,7 @@ def assert_tiers_exact(kernel, contraction, a, b):
 @pytest.fixture(scope="module")
 def triples_kernels():
     contractions = [parse(t.expr, 3) for t in triples_terms()]
-    program = Cogent().compile_batch(
+    program = CompilationSession(Cogent()).compile(
         contractions, kernel_names=[t.name for t in triples_terms()]
     )
     return list(zip(contractions, program.kernels))

@@ -123,6 +123,23 @@ class TestWorkloadKey:
         assert code_version_stamp() == code_version_stamp()
         assert len(code_version_stamp()) == 16
 
+    def test_stamp_covers_the_simulator(self, tmp_path):
+        """The simulator re-ranks the search's head, so editing it must
+        invalidate every stored winner: the stamp hashes the whole
+        package, not a hand-kept list of search modules."""
+        import shutil
+
+        package = tmp_path / "repro"
+        shutil.copytree(
+            program_mod._PACKAGE_ROOT, package,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        before = code_version_stamp(package)
+        assert before == code_version_stamp()
+        simulator = package / "gpu" / "simulator.py"
+        simulator.write_text(simulator.read_text() + "\n# edited\n")
+        assert code_version_stamp(package) != before
+
 
 class TestSearchSignature:
     def test_knobs_fold_into_signature(self):
@@ -481,13 +498,13 @@ class TestCompileCli:
 
         path = tmp_path / "batch.json"
         store = str(tmp_path / "store")
-        assert main(["batch", "ttm_mode1", "ttm_mode2",
+        assert main(["compile", "ttm_mode1", "ttm_mode2",
                      "--store-dir", store, "--json", str(path)]) == 0
         payload = json.loads(path.read_text())
         dedup = payload["dedup"]["stats"]
         assert dedup["contractions"] == 2
         assert dedup["store_misses"] == 2
-        assert main(["batch", "ttm_mode1", "ttm_mode2",
+        assert main(["compile", "ttm_mode1", "ttm_mode2",
                      "--store-dir", store, "--json", str(path)]) == 0
         warm = json.loads(path.read_text())
         assert warm["dedup"]["stats"]["store_hits"] == 2

@@ -19,6 +19,7 @@ from repro.core.constraints import (
 from repro.core.enumeration import Enumerator, SearchStats, TopK
 from repro.core.mapping import canonical_key
 from repro.core.plan import KernelPlan
+from repro.core.program import CompilationSession
 from repro.tccg import get
 
 from .oracles import AdaptiveChecker, object_search
@@ -275,10 +276,10 @@ class TestSessionPool:
         contractions = [
             get(n).contraction() for n in ("ttm_mode1", "ttm_mode3")
         ]
-        serial = Cogent(arch="V100").compile_batch(
+        serial = CompilationSession(Cogent(arch="V100")).compile(
             contractions, workers=1
         )
-        parallel = Cogent(arch="V100").compile_batch(
+        parallel = CompilationSession(Cogent(arch="V100")).compile(
             contractions, kernel_names=["mode1", "mode3"], workers=2
         )
         assert parallel.stats.searches == 2
@@ -300,7 +301,7 @@ class TestSessionPool:
         items = [parse("ab-ak-kb", 32), parse("abc-ak-kbc", 16)]
         gen = Cogent(arch="V100", top_k=2)
         with obs.tracing() as session:
-            program = gen.compile_batch(
+            program = CompilationSession(gen).compile(
                 items, kernel_names=["first", "second"], workers=2
             )
         assert session.metrics.counter("program.pool_fallbacks") == 1
@@ -323,4 +324,6 @@ class TestSessionPool:
         monkeypatch.setattr(Cogent, "generate", fails_in_worker)
         items = [parse("ab-ak-kb", 32), parse("abc-ak-kbc", 16)]
         with pytest.raises(TypeError, match="pool job"):
-            Cogent(arch="V100", top_k=2).compile_batch(items, workers=2)
+            CompilationSession(Cogent(arch="V100", top_k=2)).compile(
+                items, workers=2
+            )

@@ -5,9 +5,10 @@ Run after an *intentional* emitter change:
 
     PYTHONPATH=src python tools/update_goldens.py
 
-then review the diff — every changed golden is a changed emitted kernel,
-which also invalidates persisted kernel stores (the codegen modules are
-folded into ``code_version_stamp``).
+then review the diff — every changed golden is a changed emitted kernel.
+Persisted kernel stores need no action: ``code_version_stamp`` hashes
+every source file of the package, so any emitter change already makes
+their entries miss.
 """
 
 import sys
