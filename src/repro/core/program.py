@@ -85,27 +85,24 @@ _PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 _CODE_STAMP: Optional[str] = None
 
 
-def code_version_stamp(package: Optional[Union[str, Path]] = None) -> str:
+def code_version_stamp() -> str:
     """Hash of every ``.py`` file of the package, in sorted path order.
 
     Kernel winners depend on the search, the cost model, the simulator
     and the emitters; evaluation cells also on the baselines and TTGT.
     No hand-kept module list serves both, so the whole package is hashed
-    (once per process).  ``package`` hashes another copy of the package
-    tree instead, uncached.
+    (once per process).
     """
     global _CODE_STAMP
-    if package is None and _CODE_STAMP is not None:
-        return _CODE_STAMP
-    root = _PACKAGE_ROOT if package is None else Path(package)
-    digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
-        digest.update(path.read_bytes())
-    stamp = digest.hexdigest()[:16]
-    if package is None:
-        _CODE_STAMP = stamp
-    return stamp
+    if _CODE_STAMP is None:
+        digest = hashlib.sha256()
+        for path in sorted(_PACKAGE_ROOT.rglob("*.py")):
+            digest.update(
+                path.relative_to(_PACKAGE_ROOT).as_posix().encode() + b"\0"
+            )
+            digest.update(path.read_bytes())
+        _CODE_STAMP = digest.hexdigest()[:16]
+    return _CODE_STAMP
 
 
 # -- canonical contraction identity -----------------------------------------

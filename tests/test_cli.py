@@ -202,7 +202,7 @@ class TestOneStoreDir:
         (["network", "ab,bc,cd->ad", "--sizes", "8", "--top-k", "2"],
          "canonical"),
         (["bench", "--group", "mo", "--limit", "1",
-          "--frameworks", "talsh"], "framework"),
+          "--frameworks", "tc_untuned"], "framework"),
         (["report", "--arch", "V100"], "framework"),
     ], ids=["gen", "compile", "network", "bench", "report"])
     def test_command_writes_its_entries(self, store, argv, kind,

@@ -123,7 +123,7 @@ class TestWorkloadKey:
         assert code_version_stamp() == code_version_stamp()
         assert len(code_version_stamp()) == 16
 
-    def test_stamp_covers_the_simulator(self, tmp_path):
+    def test_stamp_covers_the_simulator(self, tmp_path, monkeypatch):
         """The simulator re-ranks the search's head, so editing it must
         invalidate every stored winner: the stamp hashes the whole
         package, not a hand-kept list of search modules."""
@@ -134,11 +134,15 @@ class TestWorkloadKey:
             program_mod._PACKAGE_ROOT, package,
             ignore=shutil.ignore_patterns("__pycache__"),
         )
-        before = code_version_stamp(package)
-        assert before == code_version_stamp()
+        original = code_version_stamp()
+        monkeypatch.setattr(program_mod, "_PACKAGE_ROOT", package)
+        monkeypatch.setattr(program_mod, "_CODE_STAMP", None)
+        before = code_version_stamp()
+        assert before == original
         simulator = package / "gpu" / "simulator.py"
         simulator.write_text(simulator.read_text() + "\n# edited\n")
-        assert code_version_stamp(package) != before
+        monkeypatch.setattr(program_mod, "_CODE_STAMP", None)
+        assert code_version_stamp() != before
 
 
 class TestSearchSignature:
